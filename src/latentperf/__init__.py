@@ -32,7 +32,6 @@ from .estimator import (
     gradient,
     loss,
     parameter_recovery_errors,
-    project,
     recovery_experiment,
 )
 from .scenarios import ScenarioSpec, generate, sample_curriculum, sample_params

@@ -61,19 +61,11 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _fit_config(args) -> FitConfig:
-    scheme = {"uniform": "uniform-random"}.get(args.init, args.init)
-    return FitConfig(
-        steps=args.steps,
-        learning_rate=args.lr,
-        seed=args.seed,
-        init_scheme=scheme,
-    )
-
-
 def _cmd_fit(args) -> int:
     taskset, curriculum, observed = dataio.load_dataset(args.data, args.curriculum)
-    config = _fit_config(args)
+    config = FitConfig(
+        steps=args.steps, learning_rate=args.lr, seed=args.seed, init_scheme=args.init
+    )
     callback = None
     if args.progress:
         def callback(step, value, feasible):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ from .model import (
 
 CURVES_HEADER = ("algorithm", "step", "task", "performance")
 RAW_HEADER = ("algorithm", "global_step", "task", "metric")
+
+# Steps must fit in 64 bits: they become numpy indices and int64 arrays.
+_STEP_LIMIT = 2**63
 
 
 def _fmt(v: float) -> str:
@@ -67,6 +71,98 @@ def write_curves(path, taskset: TaskSet, matrices) -> None:
                         )
 
 
+def _read_rows(path, header, what: str):
+    """Stream (line number, algorithm, step, task, value) for each data row
+    of a four-column CSV headed by ``header``; steps are 64-bit integers and
+    values finite floats.  Messages name columns after ``header`` and the
+    file after ``what``."""
+    step_name, value_name = header[1], header[3]
+    seen = False
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise ParseError(f"empty {what}", line=1)
+            if tuple(first) != header:
+                raise ParseError(
+                    f"expected header {','.join(header)}, got {','.join(first)}",
+                    line=1,
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 4:
+                    raise ParseError(f"expected 4 columns, got {len(row)}", line=lineno)
+                algo, step_s, task, value_s = row
+                if not algo:
+                    raise ParseError("empty algorithm name", line=lineno)
+                try:
+                    step = int(step_s)
+                except ValueError:
+                    raise ParseError(
+                        f"{step_name} {step_s!r} is not an integer", line=lineno
+                    )
+                if not -_STEP_LIMIT <= step < _STEP_LIMIT:
+                    raise ParseError(
+                        f"{step_name} {step_s!r} is out of range", line=lineno
+                    )
+                try:
+                    value = float(value_s)
+                except ValueError:
+                    raise ParseError(
+                        f"{value_name} {value_s!r} is not a number", line=lineno
+                    )
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{value_name} {value_s!r} is not finite", line=lineno
+                    )
+                seen = True
+                yield lineno, algo, step, task, value
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{what} is not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+    if not seen:
+        raise ParseError(f"{what} has no data rows", line=1)
+
+
+def _read_cells(path, taskset: TaskSet | None):
+    """A curves CSV's {algorithm: {(step, task): value}}, its task names
+    (both in first-appearance order) and its largest step."""
+    cells: dict[str, dict[tuple[int, str], float]] = {}
+    task_order: dict[str, None] = {}  # an insertion-ordered set
+    known = set(taskset.names) if taskset is not None else None
+    max_step = -1
+    for lineno, algo, step, task, perf in _read_rows(path, CURVES_HEADER, "curves file"):
+        if step < 0:
+            raise ParseError(f"step {step} is negative", line=lineno)
+        if known is not None and task not in known:
+            raise ParseError(f"unknown task {task!r}", line=lineno)
+        algo_cells = cells.setdefault(algo, {})
+        task_order[task] = None
+        if (step, task) in algo_cells:
+            raise ParseError(
+                f"duplicate cell for ({algo}, step {step}, {task})", line=lineno
+            )
+        algo_cells[step, task] = perf
+        max_step = max(max_step, step)
+    return cells, tuple(task_order), max_step
+
+
+def _curve_matrices(cells, taskset: TaskSet, m: int) -> list[PerformanceMatrix]:
+    matrices = []
+    for algo, algo_cells in cells.items():
+        values = np.zeros((taskset.n, m))
+        mask = np.zeros((taskset.n, m), dtype=bool)
+        for (step, task), perf in algo_cells.items():
+            j = taskset.index(task)
+            values[j, step] = perf
+            mask[j, step] = True
+        matrices.append(PerformanceMatrix(algorithm=algo, values=values, mask=mask))
+    return matrices
+
+
 def parse_curves(path, taskset: TaskSet | None = None):
     """Read a curves CSV.
 
@@ -74,71 +170,9 @@ def parse_curves(path, taskset: TaskSet | None = None):
     follow first appearance in the file unless a task set is supplied, in
     which case all task names must belong to it.
     """
-    cells: dict[str, dict[tuple[int, str], float]] = {}
-    algo_order: list[str] = []
-    task_order: list[str] = []
-    known = set(taskset.names) if taskset is not None else None
-    seen_tasks = set()
-    max_step = -1
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty curves file", line=1)
-        if tuple(header) != CURVES_HEADER:
-            raise ParseError(
-                f"expected header {','.join(CURVES_HEADER)}, got {','.join(header)}",
-                line=1,
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 columns, got {len(row)}", line=lineno)
-            algo, step_s, task, perf_s = row
-            if not algo:
-                raise ParseError("empty algorithm name", line=lineno)
-            try:
-                step = int(step_s)
-            except ValueError:
-                raise ParseError(f"step {step_s!r} is not an integer", line=lineno)
-            if step < 0:
-                raise ParseError(f"step {step} is negative", line=lineno)
-            try:
-                perf = float(perf_s)
-            except ValueError:
-                raise ParseError(f"performance {perf_s!r} is not a number", line=lineno)
-            if not np.isfinite(perf):
-                raise ParseError(f"performance {perf_s!r} is not finite", line=lineno)
-            if known is not None and task not in known:
-                raise ParseError(f"unknown task {task!r}", line=lineno)
-            if algo not in cells:
-                cells[algo] = {}
-                algo_order.append(algo)
-            if task not in seen_tasks:
-                seen_tasks.add(task)
-                task_order.append(task)
-            key = (step, task)
-            if key in cells[algo]:
-                raise ParseError(
-                    f"duplicate cell for ({algo}, step {step}, {task})", line=lineno
-                )
-            cells[algo][key] = perf
-            max_step = max(max_step, step)
-    if not algo_order:
-        raise ParseError("curves file has no data rows", line=1)
-    out_tasks = taskset if taskset is not None else TaskSet(names=tuple(task_order))
-    m = max_step + 1
-    matrices = []
-    for algo in algo_order:
-        values = np.zeros((out_tasks.n, m))
-        mask = np.zeros((out_tasks.n, m), dtype=bool)
-        for (step, task), perf in cells[algo].items():
-            j = out_tasks.index(task)
-            values[j, step] = perf
-            mask[j, step] = True
-        matrices.append(PerformanceMatrix(algorithm=algo, values=values, mask=mask))
-    return out_tasks, matrices
+    cells, task_order, max_step = _read_cells(path, taskset)
+    out_tasks = taskset if taskset is not None else TaskSet(names=task_order)
+    return out_tasks, _curve_matrices(cells, out_tasks, max_step + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +185,9 @@ def _load_json_object(path, what: str) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {what}: {exc.msg}", line=exc.lineno)
+        except (ValueError, RecursionError) as exc:
+            # undecodable bytes, integers too long to convert, deep nesting
+            raise ParseError(f"unreadable {what}: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{what} must be a JSON object")
     return doc
@@ -176,7 +213,10 @@ def _string_list(value, field: str) -> list[str]:
 def _number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError("must be a number", field=field)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError("is out of range", field=field) from None
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +251,18 @@ def load_dataset(curves_path, curriculum_path):
 
     Returns (TaskSet, Curriculum, list of PerformanceMatrix) with all
     shapes cross-validated: tasks must match and every matrix must span
-    exactly the curriculum's length.
+    exactly the curriculum's length (shorter curves are padded with
+    unobserved columns).
     """
     taskset, curriculum = parse_curriculum(curriculum_path)
-    _, matrices = parse_curves(curves_path, taskset=taskset)
-    for k, mat in enumerate(matrices):
-        if mat.n_steps > curriculum.m:
-            raise ValidationError(
-                f"curves for {mat.algorithm!r} span {mat.n_steps} steps, "
-                f"curriculum has {curriculum.m}"
-            )
-        if mat.n_steps < curriculum.m:
-            # pad with unobserved columns so shapes line up
-            pad = curriculum.m - mat.n_steps
-            values = np.hstack([mat.values, np.zeros((mat.n_tasks, pad))])
-            mask = np.hstack([mat.mask, np.zeros((mat.n_tasks, pad), dtype=bool)])
-            matrices[k] = PerformanceMatrix(
-                algorithm=mat.algorithm, values=values, mask=mask
-            )
-    return taskset, curriculum, matrices
+    cells, _, max_step = _read_cells(curves_path, taskset)
+    if max_step >= curriculum.m:
+        # checked before any array is sized from the file's steps
+        raise ValidationError(
+            f"curves for {next(iter(cells))!r} span {max_step + 1} steps, "
+            f"curriculum has {curriculum.m}"
+        )
+    return taskset, curriculum, _curve_matrices(cells, taskset, curriculum.m)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +393,7 @@ def parse_boundaries(path) -> tuple[TaskSet, tuple[tuple[int, str], ...]]:
             or len(pair) != 2
             or isinstance(pair[0], bool)
             or not isinstance(pair[0], int)
+            or not -_STEP_LIMIT <= pair[0] < _STEP_LIMIT
             or not isinstance(pair[1], str)
         ):
             raise SchemaError(
@@ -387,50 +421,19 @@ def parse_raw_log(metrics_path, boundaries_path):
     )
     known = set(taskset.names)
     per_algo: dict[str, list[tuple[int, str, float]]] = {}
-    order: list[str] = []
-    with open(metrics_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty raw log", line=1)
-        if tuple(header) != RAW_HEADER:
-            raise ParseError(
-                f"expected header {','.join(RAW_HEADER)}, got {','.join(header)}",
-                line=1,
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 columns, got {len(row)}", line=lineno)
-            algo, step_s, task, metric_s = row
-            if not algo:
-                raise ParseError("empty algorithm name", line=lineno)
-            try:
-                step = int(step_s)
-            except ValueError:
-                raise ParseError(f"global_step {step_s!r} is not an integer", line=lineno)
-            try:
-                metric = float(metric_s)
-            except ValueError:
-                raise ParseError(f"metric {metric_s!r} is not a number", line=lineno)
-            if not np.isfinite(metric):
-                raise ParseError(f"metric {metric_s!r} is not finite", line=lineno)
-            if task not in known:
-                raise ParseError(f"unknown task {task!r}", line=lineno)
-            if algo not in per_algo:
-                per_algo[algo] = []
-                order.append(algo)
-            per_algo[algo].append((step, task, metric))
-    if not order:
-        raise ParseError("raw log has no data rows", line=1)
+    for lineno, algo, step, task, metric in _read_rows(metrics_path, RAW_HEADER, "raw log"):
+        if task not in known:
+            raise ParseError(f"unknown task {task!r}", line=lineno)
+        if algo not in per_algo:
+            per_algo[algo] = []
+        per_algo[algo].append((step, task, metric))
     logs = [
         RawLog(
             algorithm=algo,
-            records=tuple(sorted(per_algo[algo], key=lambda r: r[0])),
+            records=tuple(sorted(records, key=lambda r: r[0])),
             boundaries=boundaries,
         )
-        for algo in order
+        for algo, records in per_algo.items()
     ]
     return taskset, curriculum, logs
 
@@ -456,28 +459,25 @@ def downsample_to_boundaries(
             )
     if not raw.records:
         raise ValidationError(f"raw log for {raw.algorithm!r} has no records")
-    # phase l ends right before the next phase starts
-    ends = [raw.boundaries[l + 1][0] - 1 for l in range(m - 1)]
-    by_task: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for name in taskset.names:
-        recs = [(s, v) for s, t, v in raw.records if t == name]
-        steps = np.array([s for s, _ in recs], dtype=np.int64)
-        vals = np.array([v for _, v in recs])
-        by_task[name] = (steps, vals)
+    # group the step-sorted records by task; tasks outside the set are ignored
+    row = {name: j for j, name in enumerate(taskset.names)}
+    steps: list[list[int]] = [[] for _ in range(taskset.n)]
+    vals: list[list[float]] = [[] for _ in range(taskset.n)]
+    for s, t, v in raw.records:
+        j = row.get(t)
+        if j is not None:
+            steps[j].append(s)
+            vals[j].append(v)
+    # phase l ends right before the next phase starts; the last phase is open
+    ends = np.array([b for b, _ in raw.boundaries[1:]], dtype=np.int64) - 1
     values = np.zeros((taskset.n, m))
     mask = np.zeros((taskset.n, m), dtype=bool)
-    for j, name in enumerate(taskset.names):
-        steps, vals = by_task[name]
-        if steps.size == 0:
-            continue
-        for l in range(m):
-            if l < m - 1:
-                idx = int(np.searchsorted(steps, ends[l], side="right")) - 1
-            else:
-                idx = steps.size - 1
-            if idx >= 0:
-                values[j, l] = vals[idx]
-                mask[j, l] = True
+    for j in range(taskset.n):
+        # side="right" picks the last of equal steps, so the later row wins
+        idx = np.searchsorted(np.array(steps[j], dtype=np.int64), ends, side="right") - 1
+        idx = np.append(idx, len(steps[j]) - 1)
+        mask[j] = idx >= 0
+        values[j, mask[j]] = np.array(vals[j])[idx[mask[j]]]
     return PerformanceMatrix(algorithm=raw.algorithm, values=values, mask=mask)
 
 

@@ -27,6 +27,7 @@ from .model import (
     PerformanceMatrix,
     ScenarioParams,
     TaskProperties,
+    _checked_arrays,
     _forward_curves,
     _param_arrays,
     _scaled_sigmoid,
@@ -128,20 +129,19 @@ def _check_shapes(curriculum: Curriculum, observed) -> tuple[np.ndarray, np.ndar
     return obs, mask
 
 
-def _raw_loss(arrays, entries, obs, mask) -> float:
-    transfer, difficulty, gamma, retention, translation = arrays
-    pred = _forward_curves(transfer, difficulty, gamma, retention, translation, entries)
-    r = np.where(mask, pred - obs, 0.0)
-    return float(np.sum(r * r))
+def _residuals(pred, obs, mask):
+    """Masked residuals and their summed squares (the raw loss)."""
+    resid = np.where(mask, pred - obs, 0.0)
+    return resid, float(np.sum(resid * resid))
 
 
 def _raw_loss_and_grad(arrays, entries, obs, mask):
     """Forward rollout plus adjoint sweep.
 
-    Returns the raw summed-squares loss, the stacked predictions, and the
-    gradient arrays (transfer, difficulty, gamma, retention, translation).
-    The adjoint runs the curriculum backwards, carrying d(loss)/d(experience)
-    for every algorithm and task.
+    Returns the raw summed-squares loss and the gradient arrays (transfer,
+    difficulty, gamma, retention, translation).  The adjoint runs the
+    curriculum backwards, carrying d(loss)/d(experience) for every algorithm
+    and task.
     """
     transfer, difficulty, gamma, retention, translation = arrays
     p = gamma.shape[0]
@@ -150,8 +150,7 @@ def _raw_loss_and_grad(arrays, entries, obs, mask):
     pred, states = _forward_curves(
         transfer, difficulty, gamma, retention, translation, entries, want_states=True
     )
-    resid = np.where(mask, pred - obs, 0.0)
-    loss = float(np.sum(resid * resid))
+    resid, loss = _residuals(pred, obs, mask)
 
     g_transfer = np.zeros((n, n))
     g_difficulty = np.zeros(n)
@@ -189,84 +188,26 @@ def _raw_loss_and_grad(arrays, entries, obs, mask):
             g_difficulty[i] += np.sum(coef * (-u / difficulty[i]))
         ebar = ebar_prev
 
-    grads = (g_transfer, g_difficulty, g_gamma, g_retention, g_translation)
-    return loss, pred, grads
+    return loss, (g_transfer, g_difficulty, g_gamma, g_retention, g_translation)
+
+
+def _problem(params: ScenarioParams, curriculum: Curriculum, observed):
+    arrays = _checked_arrays(params, curriculum)
+    obs, mask = _check_shapes(curriculum, observed)
+    return arrays, curriculum.entries, obs, mask
 
 
 def loss(params: ScenarioParams, curriculum: Curriculum, observed) -> float:
     """Summed squared error between simulated and observed curves (masked
     entries excluded)."""
-    if curriculum.n_tasks != params.n:
-        raise ValidationError(
-            f"curriculum is over {curriculum.n_tasks} tasks, params have {params.n}"
-        )
-    obs, mask = _check_shapes(curriculum, observed)
-    return _raw_loss(_param_arrays(params), curriculum.entries, obs, mask)
+    arrays, entries, obs, mask = _problem(params, curriculum, observed)
+    return _residuals(_forward_curves(*arrays, entries), obs, mask)[1]
 
 
 def gradient(params: ScenarioParams, curriculum: Curriculum, observed) -> ParamGradient:
     """Exact partial derivatives of ``loss`` with respect to every parameter."""
-    if curriculum.n_tasks != params.n:
-        raise ValidationError(
-            f"curriculum is over {curriculum.n_tasks} tasks, params have {params.n}"
-        )
-    obs, mask = _check_shapes(curriculum, observed)
-    _, _, grads = _raw_loss_and_grad(
-        _param_arrays(params), curriculum.entries, obs, mask
-    )
+    _, grads = _raw_loss_and_grad(*_problem(params, curriculum, observed))
     return ParamGradient(*grads)
-
-
-def _clamp_arrays(transfer, difficulty, gamma, retention, translation):
-    return (
-        np.clip(transfer, -1.0, 1.0),
-        np.maximum(difficulty, D_MIN),
-        np.maximum(gamma, 0.0),
-        np.clip(retention, 0.0, 1.0),
-        np.maximum(translation, 0.0),
-    )
-
-
-def project(params):
-    """Clamp a parameter structure onto the feasible boxes (idempotent).
-
-    Accepts either a ScenarioParams (returned as ScenarioParams) or a
-    mapping with keys ``transfer``, ``difficulty``, ``gamma``, ``h``,
-    ``lambda`` holding possibly-infeasible arrays (returned as a dict of
-    clamped arrays).
-    """
-    if isinstance(params, ScenarioParams):
-        transfer, difficulty, gamma, retention, translation = _clamp_arrays(
-            *_param_arrays(params)
-        )
-        algos = tuple(
-            replace(
-                a,
-                transfer_efficiency=float(gamma[k]),
-                experience_retention=float(retention[k]),
-                expertise_translation=float(translation[k]),
-            )
-            for k, a in enumerate(params.algorithms)
-        )
-        return ScenarioParams(
-            tasks=TaskProperties(transfer=transfer, difficulty=difficulty),
-            algorithms=algos,
-        )
-    try:
-        raw = (
-            np.asarray(params["transfer"], dtype=np.float64),
-            np.asarray(params["difficulty"], dtype=np.float64),
-            np.asarray(params["gamma"], dtype=np.float64),
-            np.asarray(params["h"], dtype=np.float64),
-            np.asarray(params["lambda"], dtype=np.float64),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(
-            "project expects ScenarioParams or a mapping with keys "
-            "transfer/difficulty/gamma/h/lambda"
-        ) from exc
-    clamped = _clamp_arrays(*raw)
-    return dict(zip(("transfer", "difficulty", "gamma", "h", "lambda"), clamped))
 
 
 def _pack(arrays) -> np.ndarray:
@@ -345,7 +286,6 @@ def fit(
     *,
     init_params: ScenarioParams | None = None,
     callback=None,
-    per_algorithm: bool = False,
 ) -> FitResult:
     """Estimate latent parameters from observed curves.
 
@@ -357,10 +297,8 @@ def fit(
     the update's gradient was taken, and whether the projected parameters
     satisfy every box constraint.
 
-    By default every algorithm shares one transfer matrix and difficulty
-    vector.  With ``per_algorithm=True`` each algorithm is instead fitted
-    in isolation, task parameters included, and a tuple of single-algorithm
-    FitResults is returned (in input order).
+    Every algorithm shares one transfer matrix and difficulty vector.  One
+    closing ``simulate_all`` gives the predictions and every final loss.
 
     Raises DivergenceError if the loss or gradient goes non-finite.
     """
@@ -369,22 +307,6 @@ def fit(
     names = [o.algorithm for o in observed]
     if len(set(names)) != len(names):
         raise ValidationError("observed algorithm names must be unique")
-    if per_algorithm:
-        if init_params is not None and init_params.p != p:
-            raise ValidationError("init_params shape does not match inputs")
-        results = []
-        for k, mat in enumerate(observed):
-            sub_init = None
-            if init_params is not None:
-                sub_init = ScenarioParams(
-                    tasks=init_params.tasks,
-                    algorithms=(init_params.algorithms[k],),
-                )
-            results.append(
-                fit(curriculum, [mat], config, init_params=sub_init,
-                    callback=callback)
-            )
-        return tuple(results)
     entries = curriculum.entries
 
     if init_params is not None:
@@ -399,24 +321,21 @@ def fit(
     n_masked = int(np.sum(mask))
     scale = 1.0 / n_masked
 
-    def check_finite(value: float, g_flat: np.ndarray, step: int):
-        bad = np.flatnonzero(~np.isfinite(g_flat))
-        if bad.size:
-            raise DivergenceError(
-                step, "gradient of " + _component_name(int(bad[0]), n, p, names)
-            )
-        if not math.isfinite(value):
-            raise DivergenceError(step, "loss")
-
     moment1 = np.zeros_like(theta)
     moment2 = np.zeros_like(theta)
     trace = np.empty(config.steps + 1)
     for t in range(1, config.steps + 1):
-        value, _, grads = _raw_loss_and_grad(
+        value, grads = _raw_loss_and_grad(
             _unpack(theta, n, p), entries, obs, mask
         )
         g = _pack(grads)
-        check_finite(value, g, t - 1)
+        bad = np.flatnonzero(~np.isfinite(g))
+        if bad.size:
+            raise DivergenceError(
+                t - 1, "gradient of " + _component_name(int(bad[0]), n, p, names)
+            )
+        if not math.isfinite(value):
+            raise DivergenceError(t - 1, "loss")
         trace[t - 1] = value * scale
         moment1 = config.beta1 * moment1 + (1.0 - config.beta1) * g
         moment2 = config.beta2 * moment2 + (1.0 - config.beta2) * (g * g)
@@ -431,15 +350,12 @@ def fit(
             feasible = bool(np.all(theta >= lo) and np.all(theta <= hi))
             callback(t, float(trace[t - 1]), feasible)
 
-    final_arrays = _unpack(theta, n, p)
-    final_raw, pred, _ = _raw_loss_and_grad(final_arrays, entries, obs, mask)
+    params = _params_from_theta(theta, n, p, names)
+    predicted = tuple(simulate_all(params, curriculum))
+    resid, final_raw = _residuals(np.stack([m.values for m in predicted]), obs, mask)
     if not math.isfinite(final_raw):
         raise DivergenceError(config.steps, "loss")
     trace[config.steps] = final_raw * scale
-
-    params = _params_from_theta(theta, n, p, names)
-    predicted = tuple(simulate_all(params, curriculum))
-    resid = np.where(mask, pred - obs, 0.0)
     per_algo = {
         names[a]: float(np.sum(resid[a] * resid[a]) / max(1, int(np.sum(mask[a]))))
         for a in range(p)

@@ -339,6 +339,15 @@ def _param_arrays(params: ScenarioParams):
     return params.tasks.transfer, params.tasks.difficulty, gamma, retention, translation
 
 
+def _checked_arrays(params: ScenarioParams, curriculum: Curriculum):
+    """``_param_arrays`` after checking that both cover the same tasks."""
+    if curriculum.n_tasks != params.n:
+        raise ValidationError(
+            f"curriculum is over {curriculum.n_tasks} tasks, params have {params.n}"
+        )
+    return _param_arrays(params)
+
+
 def simulate(
     params: ScenarioParams, curriculum: Curriculum, algo_index: int
 ) -> PerformanceMatrix:
@@ -351,31 +360,12 @@ def simulate(
         raise ValidationError(
             f"algorithm index {algo_index} out of range for {params.p} algorithms"
         )
-    if curriculum.n_tasks != params.n:
-        raise ValidationError(
-            f"curriculum is over {curriculum.n_tasks} tasks, params have {params.n}"
-        )
-    transfer, difficulty, gamma, retention, translation = _param_arrays(params)
-    sl = slice(algo_index, algo_index + 1)
-    pred = _forward_curves(
-        transfer, difficulty, gamma[sl], retention[sl], translation[sl],
-        curriculum.entries,
-    )
-    return PerformanceMatrix(
-        algorithm=params.algorithms[algo_index].name, values=pred[0]
-    )
+    return simulate_all(params, curriculum)[algo_index]
 
 
 def simulate_all(params: ScenarioParams, curriculum: Curriculum) -> list[PerformanceMatrix]:
     """Forward rollout for every algorithm, order preserved."""
-    if curriculum.n_tasks != params.n:
-        raise ValidationError(
-            f"curriculum is over {curriculum.n_tasks} tasks, params have {params.n}"
-        )
-    transfer, difficulty, gamma, retention, translation = _param_arrays(params)
-    pred = _forward_curves(
-        transfer, difficulty, gamma, retention, translation, curriculum.entries
-    )
+    pred = _forward_curves(*_checked_arrays(params, curriculum), curriculum.entries)
     return [
         PerformanceMatrix(algorithm=a.name, values=pred[k])
         for k, a in enumerate(params.algorithms)

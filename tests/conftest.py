@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from latentperf import (
     AlgorithmProperties,
@@ -48,6 +49,24 @@ def params_as_lists(params):
         for a in params.algorithms
     ]
     return transfer, difficulty, algos
+
+
+# Pieces of plausible and hostile CSV input for byte-level fuzzing.
+CSV_TOKENS = [
+    b"a", b"u", b"v", b",", b"0", b"1", b"-", b".", b"e", b"9" * 30,
+    b"nan", b"\n", b"\r", b'"', b"\xff", b"\x00", b" ",
+]
+
+
+def fuzz_bytes(header: bytes, tokens):
+    """Arbitrary bytes, or ``header`` followed by a run of ``tokens``, so
+    that some inputs get past the header check and into the row parser."""
+    return st.one_of(
+        st.binary(max_size=120),
+        st.lists(st.sampled_from(tokens), max_size=40).map(
+            lambda parts: header + b"".join(parts)
+        ),
+    )
 
 
 @pytest.fixture

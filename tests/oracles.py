@@ -71,3 +71,26 @@ def relative_errors(approx, exact, floor=1e-3):
         abs(a - e) / max(abs(a), abs(e), floor)
         for a, e in zip(approx, exact)
     ]
+
+
+def downsample_ref(records, boundaries, task_names):
+    """Phase-end values of one raw log, as values[task][phase] and
+    mask[task][phase] nested lists.
+
+    records are (step, task, value) sorted by step, equal steps in file
+    order; boundaries are (start step, trained task) per phase.  Phase l
+    ends one step before phase l+1 starts and the last phase never ends.
+    A later record at or before the end overwrites an earlier one.
+    """
+    m = len(boundaries)
+    values = [[0.0] * m for _ in task_names]
+    mask = [[False] * m for _ in task_names]
+    for j, name in enumerate(task_names):
+        for l in range(m):
+            for step, task, value in records:
+                if task != name:
+                    continue
+                if l == m - 1 or step <= boundaries[l + 1][0] - 1:
+                    values[j][l] = value
+                    mask[j][l] = True
+    return values, mask

@@ -1,17 +1,26 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from latentperf import (
+    ParseError,
     TaskSet,
+    ValidationError,
+    load_dataset,
     parse_curves,
     parse_params,
+    parse_raw_log,
     write_params,
 )
 from latentperf.cli import main
 
-from conftest import DATA_DIR, random_instance
+from conftest import CSV_TOKENS, DATA_DIR, fuzz_bytes, random_instance
 
 
 def _bytes(path):
@@ -192,6 +201,28 @@ def test_fit_invalid_restarts_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_fit_init_uniform_alias_matches_default(tmp_path, capsys):
+    data = _generate(tmp_path)
+    _, plain = _fit(tmp_path, data, name="plain")
+    _, alias = _fit(tmp_path, data, extra=("--init", "uniform"), name="alias")
+    for name in ("estimates.json", "predicted.csv", "metrics.json"):
+        assert _bytes(plain / name) == _bytes(alias / name)
+
+
+def test_fit_bad_input_bytes_exit_2(tmp_path, capsys):
+    data = _generate(tmp_path)  # curriculum of length 5
+    header = b"algorithm,step,task,performance\n"
+    for body in (
+        b"a,0,task1,0.5\xff\n",
+        b"a,1" + b"0" * 30 + b",task1,0.5\n",
+        b"a,5,task1,0.5\n",
+    ):
+        (data / "curves.csv").write_bytes(header + body)
+        code, _ = _fit(tmp_path, data)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # ingest
 
@@ -249,6 +280,75 @@ def test_ingest_constant_metric_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "task t" in capsys.readouterr().err
+
+
+def test_ingest_bad_input_bytes_exit_2(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    bounds = tmp_path / "bounds.json"
+    for raw_bytes, bounds_bytes in (
+        (b"algorithm,global_step,task,metric\na,0,t,0.5\xff\n",
+         b'{"tasks": ["t"], "boundaries": [[0, "t"]]}'),
+        (b"algorithm,global_step,task,metric\na,0,t,0.5\n",
+         b'{"tasks": ["\xff"], "boundaries": [[0, "t"]]}'),
+    ):
+        raw.write_bytes(raw_bytes)
+        bounds.write_bytes(bounds_bytes)
+        code = main([
+            "ingest",
+            "--raw", str(raw),
+            "--boundaries", str(bounds),
+            "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def _run_quietly(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _rejects(fn) -> bool:
+    try:
+        fn()
+    except (ParseError, ValidationError):
+        return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    curves=fuzz_bytes(b"algorithm,step,task,performance\n", CSV_TOKENS),
+    raw=fuzz_bytes(b"algorithm,global_step,task,metric\n", CSV_TOKENS),
+)
+def test_fit_and_ingest_on_arbitrary_bytes_exit_cleanly(curves, raw):
+    # main must return, never raise; input the parsers reject exits 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cur = tmp / "cur.json"
+        cur.write_text('{"tasks": ["u", "v"], "curriculum": ["u", "v"]}')
+        bnd = tmp / "b.json"
+        bnd.write_text('{"tasks": ["u", "v"], "boundaries": [[0, "u"], [10, "v"]]}')
+        (tmp / "c.csv").write_bytes(curves)
+        (tmp / "r.csv").write_bytes(raw)
+
+        rejected = _rejects(lambda: load_dataset(tmp / "c.csv", cur))
+        code, err = _run_quietly([
+            "fit", "--data", str(tmp / "c.csv"), "--curriculum", str(cur),
+            "--steps", "1", "--out", str(tmp / "fit"),
+        ])
+        assert code == 2 if rejected else code in (0, 3)
+        assert code == 0 or err.startswith("error:")
+
+        rejected = _rejects(lambda: parse_raw_log(tmp / "r.csv", bnd))
+        code, err = _run_quietly([
+            "ingest", "--raw", str(tmp / "r.csv"), "--boundaries", str(bnd),
+            "--out", str(tmp / "out.csv"),
+        ])
+        assert code == 2 if rejected else code in (0, 2)
+        assert code == 0 or err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

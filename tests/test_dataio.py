@@ -29,7 +29,8 @@ from latentperf import (
     write_params,
 )
 
-from conftest import DATA_DIR, random_instance
+from conftest import CSV_TOKENS, DATA_DIR, fuzz_bytes, random_instance
+from oracles import downsample_ref
 
 
 def _write(tmp_path, name, text):
@@ -139,6 +140,7 @@ def test_curves_parse_errors_carry_line_numbers(tmp_path):
         ("algorithm,step,task,performance\na,0,u\n", 2, "columns"),
         ("algorithm,step,task,performance\na,no,u,0.5\n", 2, "integer"),
         ("algorithm,step,task,performance\na,-1,u,0.5\n", 2, "negative"),
+        ("algorithm,step,task,performance\na,1" + "0" * 30 + ",u,0.5\n", 2, "range"),
         ("algorithm,step,task,performance\na,0,u,zzz\n", 2, "number"),
         ("algorithm,step,task,performance\na,0,u,inf\n", 2, "finite"),
         ("algorithm,step,task,performance\na,0,u,0.5\na,0,u,0.6\n", 3, "duplicate"),
@@ -397,6 +399,36 @@ def test_downsample_single_constant_task():
     assert mat.mask.all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_downsample_matches_reference(data):
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 4))
+    ts = TaskSet([f"t{j}" for j in range(n)])
+    entries = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    starts = sorted(data.draw(st.sets(st.integers(0, 30), min_size=m, max_size=m)))
+    boundaries = tuple((b, ts.names[i]) for b, i in zip(starts, entries))
+    # a narrow step range gives same-step ties and records before the first
+    # boundary; "ghost" is outside the task set and some tasks go unlogged
+    records = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(-3, 35),
+                st.sampled_from(ts.names + ("ghost",)),
+                st.floats(-10.0, 10.0),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    records = sorted(records, key=lambda r: r[0])
+    log = RawLog(algorithm="a", records=records, boundaries=boundaries)
+    mat = downsample_to_boundaries(log, ts, Curriculum(entries=entries, n_tasks=n))
+    values, mask = downsample_ref(records, boundaries, ts.names)
+    assert mat.mask.tolist() == mask
+    assert mat.values.tolist() == values
+
+
 def test_downsample_validates_agreement():
     ts = TaskSet(["a", "b"])
     cur = Curriculum(entries=[0, 1], n_tasks=2)
@@ -552,3 +584,101 @@ def test_load_dataset_rejects_foreign_tasks(rng, tmp_path):
     write_curves(tmp_path / "curves.csv", other, [mat])
     with pytest.raises(ParseError):
         load_dataset(tmp_path / "curves.csv", tmp_path / "cur.json")
+
+
+# ---------------------------------------------------------------------------
+# input boundary
+
+
+_BOUNDARIES = '{"tasks": ["u", "v"], "boundaries": [[0, "u"], [10, "v"]]}'
+_CURRICULUM = '{"tasks": ["u", "v"], "curriculum": ["u", "v"]}'
+
+
+def _write_bytes(tmp_path, name, data):
+    path = os.path.join(tmp_path, name)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return path
+
+
+def test_input_boundary_errors_are_parse_errors(tmp_path):
+    bnd = _write(tmp_path, "b.json", _BOUNDARIES)
+    cur = _write(tmp_path, "c.json", _CURRICULUM)
+    bad_byte = _write_bytes(
+        tmp_path, "x.csv", b"algorithm,step,task,performance\na,0,u,0.5\xff\n"
+    )
+    with pytest.raises(ParseError, match="UTF-8"):
+        parse_curves(bad_byte)
+    raw = _write_bytes(
+        tmp_path, "r.csv", b"algorithm,global_step,task,metric\n\xfe,0,u,1\n"
+    )
+    with pytest.raises(ParseError, match="UTF-8"):
+        parse_raw_log(raw, bnd)
+    for parse in (parse_curriculum, parse_params, parse_boundaries):
+        with pytest.raises(ParseError):
+            parse(_write_bytes(tmp_path, "j.json", b'{"tasks": ["\xff"]}'))
+    with pytest.raises(ParseError):
+        parse_curriculum(_write(tmp_path, "deep.json", "[" * 100_000))
+    big = "1" + "0" * 30
+    huge = _write(
+        tmp_path, "r2.csv", f"algorithm,global_step,task,metric\na,{big},u,1\n"
+    )
+    with pytest.raises(ParseError) as info:
+        parse_raw_log(huge, bnd)
+    assert info.value.line == 2 and "range" in str(info.value)
+    far = _write(
+        tmp_path, "b2.json", f'{{"tasks": ["u"], "boundaries": [[{big}, "u"]]}}'
+    )
+    with pytest.raises(SchemaError):
+        parse_boundaries(far)
+    curves = _write(
+        tmp_path, "c.csv", f"algorithm,step,task,performance\na,{big},u,0.5\n"
+    )
+    with pytest.raises(ParseError):
+        load_dataset(curves, cur)
+    # a step equal to the curriculum length is rejected before sizing arrays
+    step_m = _write(tmp_path, "m.csv", "algorithm,step,task,performance\na,2,u,0.5\n")
+    with pytest.raises(ValidationError, match="span 3 steps, curriculum has 2"):
+        load_dataset(step_m, cur)
+
+
+_JSON_TOKENS = [
+    b'{"tasks": ["u", "v"]', b', "curriculum": ["u"', b', "v"]', b"}", b"[",
+    b"]", b",", b"1" + b"0" * 400, b"1e999", b"NaN", b"-0.5", b'"u"', b"\xff",
+    b'"transfer_matrix": [[1, 0], [0, 1]]', b'"difficulty": [0.5, 0]',
+    b'"algorithms": [{"name": "a", "gamma": 1, "h": 0.5, "lambda": 0}]',
+]
+
+
+def _check_parse(parse, path):
+    try:
+        parse(path)
+    except (ParseError, ValidationError):
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    curves=fuzz_bytes(b"algorithm,step,task,performance\n", CSV_TOKENS),
+    raw=fuzz_bytes(b"algorithm,global_step,task,metric\n", CSV_TOKENS),
+    doc=fuzz_bytes(b"", _JSON_TOKENS),
+)
+def test_arbitrary_bytes_raise_only_documented_errors(curves, raw, doc):
+    # SchemaError is a ParseError; anything else escaping is a bug
+    with tempfile.TemporaryDirectory() as tmp:
+        cur = _write(tmp, "cur.json", _CURRICULUM)
+        bnd = _write(tmp, "b.json", _BOUNDARIES)
+        curves_path = _write_bytes(tmp, "c.csv", curves)
+        raw_path = _write_bytes(tmp, "r.csv", raw)
+        doc_path = _write_bytes(tmp, "d.json", doc)
+        _check_parse(parse_curves, curves_path)
+        _check_parse(lambda p: load_dataset(p, cur), curves_path)
+        _check_parse(parse_curriculum, doc_path)
+        _check_parse(parse_params, doc_path)
+        _check_parse(parse_boundaries, doc_path)
+        try:
+            ts, cr, logs = parse_raw_log(raw_path, bnd)
+            for log in logs:
+                normalize_minmax(downsample_to_boundaries(log, ts, cr))
+        except (ParseError, ValidationError, NormalizationError):
+            pass

@@ -15,7 +15,6 @@ from latentperf import (
     gradient,
     loss,
     parameter_recovery_errors,
-    project,
     recovery_experiment,
     simulate_all,
 )
@@ -183,58 +182,6 @@ def test_gradient_matches_finite_differences(rng):
 
 
 # ---------------------------------------------------------------------------
-# projection
-
-
-def test_project_clamps_dict():
-    raw = {
-        "transfer": np.array([[1.7, -2.0], [0.3, 1.0]]),
-        "difficulty": np.array([0.5, 1e-9]),
-        "gamma": np.array([-3.0, 0.2]),
-        "h": np.array([-0.2, 0.35]),
-        "lambda": np.array([-1.0, 4.0]),
-    }
-    out = project(raw)
-    np.testing.assert_array_equal(out["transfer"], [[1.0, -1.0], [0.3, 1.0]])
-    np.testing.assert_array_equal(out["difficulty"], [0.5, 1e-3])
-    np.testing.assert_array_equal(out["gamma"], [0.0, 0.2])
-    np.testing.assert_array_equal(out["h"], [0.0, 0.35])
-    np.testing.assert_array_equal(out["lambda"], [0.0, 4.0])
-
-
-def test_project_idempotent(rng):
-    for _ in range(20):
-        raw = {
-            "transfer": rng.normal(size=(3, 3)) * 2,
-            "difficulty": rng.normal(size=3),
-            "gamma": rng.normal(size=2),
-            "h": rng.normal(size=2),
-            "lambda": rng.normal(size=2),
-        }
-        once = project(raw)
-        twice = project(once)
-        for key in raw:
-            np.testing.assert_array_equal(once[key], twice[key])
-
-
-def test_project_feasible_params_passthrough(rng):
-    _, params, _ = random_instance(rng, 3, 4, 2)
-    out = project(params)
-    assert isinstance(out, ScenarioParams)
-    np.testing.assert_array_equal(out.tasks.transfer, params.tasks.transfer)
-    np.testing.assert_array_equal(out.tasks.difficulty, params.tasks.difficulty)
-    for a, b in zip(out.algorithms, params.algorithms):
-        assert a == b
-
-
-def test_project_rejects_junk():
-    with pytest.raises(ValidationError):
-        project({"transfer": [[0.0]]})
-    with pytest.raises(ValidationError):
-        project(42)
-
-
-# ---------------------------------------------------------------------------
 # fit
 
 
@@ -290,9 +237,6 @@ def test_fit_steps_zero_returns_projected_init(rng):
     result = fit(cur, observed, FitConfig(steps=0, seed=5))
     assert result.loss_trace.shape == (1,)
     assert result.loss_total == result.loss_trace[0]
-    # returned parameters must be feasible
-    out = project(result.params)
-    np.testing.assert_array_equal(out.tasks.transfer, result.params.tasks.transfer)
 
 
 def test_fit_callback_reports_feasible_steps(rng):
@@ -344,23 +288,6 @@ def test_fit_duplicate_algorithm_names_rejected(rng):
     ]
     with pytest.raises(ValidationError):
         fit(cur, dup, FitConfig(steps=1))
-
-
-def test_fit_per_algorithm_variant(rng):
-    truth, cur, observed = _small_problem(rng, p=2)
-    results = fit(cur, observed, FitConfig(steps=20, seed=9), per_algorithm=True)
-    assert isinstance(results, tuple) and len(results) == 2
-    for res, mat in zip(results, observed):
-        assert res.params.p == 1
-        assert res.params.algorithms[0].name == mat.algorithm
-    # a single-algorithm problem gives the same answer either way
-    solo = [observed[0]]
-    joint = fit(cur, solo, FitConfig(steps=20, seed=9))
-    split = fit(cur, solo, FitConfig(steps=20, seed=9), per_algorithm=True)[0]
-    np.testing.assert_array_equal(
-        joint.params.tasks.transfer, split.params.tasks.transfer
-    )
-    assert joint.loss_total == split.loss_total
 
 
 def test_fit_config_validation():
