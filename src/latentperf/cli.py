@@ -63,9 +63,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_fit(args) -> int:
     taskset, curriculum, observed = dataio.load_dataset(args.data, args.curriculum)
-    config = FitConfig(
-        steps=args.steps, learning_rate=args.lr, seed=args.seed, init_scheme=args.init
-    )
+    config = FitConfig(steps=args.steps, learning_rate=args.lr, seed=args.seed)
     callback = None
     if args.progress:
         def callback(step, value, feasible):
@@ -188,13 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=FitConfig.learning_rate)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1)
-    p.add_argument(
-        "--init",
-        choices=("uniform", "uniform-random", "identity-biased"),
-        default="uniform-random",
-        help="seeded starting point; the transfer diagonal is pinned at 1, "
-             "so identity-biased starts from the same point as uniform-random",
-    )
     p.add_argument("--progress", action="store_true",
                    help="stream 'step,loss' lines while optimizing")
     p.add_argument("--out", required=True, help="output directory")

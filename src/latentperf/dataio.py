@@ -489,8 +489,13 @@ def normalize_minmax(
     With ``per_task`` each task row is scaled by its own min and max;
     otherwise one global min/max applies.  Masked entries are untouched and
     rows with no observations pass through.  Constant groups are an error
-    (there is no scale to infer); ``task_names`` improves that message.
+    (there is no scale to infer); ``task_names``, one per task row,
+    improves that message.
     """
+    if task_names is not None and len(task_names) != matrix.n_tasks:
+        raise ValidationError(
+            f"{len(task_names)} task names for {matrix.n_tasks} task rows"
+        )
     values = matrix.values.copy()
     mask = matrix.mask
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -39,11 +40,8 @@ from .model import (
     _checked_arrays,
     _forward_curves,
     _param_arrays,
-    _scaled_sigmoid,
     simulate_all,
 )
-
-INIT_SCHEMES = ("uniform-random", "identity-biased")
 
 # Per-parameter-group mean-squared-error bounds the recovery check is held
 # to (twice the errors the approach is known to reach on this setup).
@@ -59,42 +57,30 @@ RECOVERY_THRESHOLDS = {
 # collide with the seed that sampled a synthetic ground truth.
 _SEED_SCRAMBLE = 0x9E3779B97F4A7C15
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's values).
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings.  Defaults: 1000 Adam steps, learning rate 1e-2,
-    standard Adam moments.
+    """Optimizer settings.  Defaults: 1000 Adam steps at learning rate 1e-2
+    from seed 0.
 
-    ``init_scheme`` names the seeded starting point, every entry drawn
-    uniformly inside its box.  The fit pins the transfer diagonal at 1
-    for every scheme, so ``identity-biased`` (a unit diagonal) starts
-    from the same point as ``uniform-random``."""
+    ``seed`` draws the starting point, every entry uniformly inside its
+    box; the transfer diagonal is then pinned at 1.  Adam's moment rates
+    and epsilon are the standard 0.9, 0.999 and 1e-8."""
 
     steps: int = 1000
     learning_rate: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
-    init_scheme: str = "uniform-random"
 
     def __post_init__(self):
         if self.steps < 0:
             raise ValidationError("steps must be nonnegative")
         if not self.learning_rate > 0:
             raise ValidationError("learning_rate must be positive")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValidationError("beta1 and beta2 must lie in [0, 1)")
-        if not self.epsilon > 0:
-            raise ValidationError("epsilon must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
-        scheme = {"uniform": "uniform-random", "identity": "identity-biased"}.get(
-            self.init_scheme, self.init_scheme
-        )
-        if scheme not in INIT_SCHEMES:
-            raise ValidationError(f"unknown init scheme {self.init_scheme!r}")
-        object.__setattr__(self, "init_scheme", scheme)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,25 +138,19 @@ def _residuals(pred, obs, mask):
 def _raw_loss_and_grad(arrays, entries, obs, mask):
     """Forward rollout plus adjoint sweep.
 
-    Returns the raw summed-squares loss and the gradient arrays (transfer,
-    difficulty, gamma, retention, translation).  The adjoint runs the
-    curriculum backwards, carrying d(loss)/d(experience) for every algorithm
-    and task.
+    Returns the raw summed-squares loss and its gradient as one flat vector
+    laid out like ``_pack``.  The adjoint runs the curriculum backwards,
+    carrying d(loss)/d(experience) for every algorithm and task.
     """
     transfer, difficulty, gamma, retention, translation = arrays
     p = gamma.shape[0]
     n = difficulty.shape[0]
     m = len(entries)
-    pred, states = _forward_curves(
-        transfer, difficulty, gamma, retention, translation, entries, want_states=True
-    )
+    pred, states, before = _forward_curves(*arrays, entries)
     resid, loss = _residuals(pred, obs, mask)
 
-    g_transfer = np.zeros((n, n))
-    g_difficulty = np.zeros(n)
-    g_gamma = np.zeros(p)
-    g_retention = np.zeros(p)
-    g_translation = np.zeros(p)
+    grad = np.zeros(n * n + n + 3 * p)
+    g_transfer, g_difficulty, g_gamma, g_retention, g_translation = _unpack(grad, n, p)
 
     ebar = np.zeros((p, n))  # d loss / d experience at the current step
     for l in range(m - 1, -1, -1):
@@ -185,7 +165,7 @@ def _raw_loss_and_grad(arrays, entries, obs, mask):
         ebar = ebar + rterm * slope / difficulty[None, :]
         g_difficulty += np.sum(rterm * slope * (-x / difficulty[None, :]), axis=0)
         # recurrence at step l: exp_now = exp_prev*h + gain (x) transfer[i, :]
-        p_prev = _scaled_sigmoid(exp_prev[:, i] / difficulty[i])
+        p_prev = before[l]
         gain = gamma + p_prev * translation
         g_transfer[i, :] += np.sum(ebar * gain[:, None], axis=0)
         dgain = np.sum(ebar * transfer[i][None, :], axis=1)
@@ -202,7 +182,7 @@ def _raw_loss_and_grad(arrays, entries, obs, mask):
             g_difficulty[i] += np.sum(coef * (-u / difficulty[i]))
         ebar = ebar_prev
 
-    return loss, (g_transfer, g_difficulty, g_gamma, g_retention, g_translation)
+    return loss, grad
 
 
 def _problem(params: ScenarioParams, curriculum: Curriculum, observed):
@@ -215,13 +195,13 @@ def loss(params: ScenarioParams, curriculum: Curriculum, observed) -> float:
     """Summed squared error between simulated and observed curves (masked
     entries excluded)."""
     arrays, entries, obs, mask = _problem(params, curriculum, observed)
-    return _residuals(_forward_curves(*arrays, entries), obs, mask)[1]
+    return _residuals(_forward_curves(*arrays, entries)[0], obs, mask)[1]
 
 
 def gradient(params: ScenarioParams, curriculum: Curriculum, observed) -> ParamGradient:
     """Exact partial derivatives of ``loss`` with respect to every parameter."""
-    _, grads = _raw_loss_and_grad(*_problem(params, curriculum, observed))
-    return ParamGradient(*grads)
+    _, grad = _raw_loss_and_grad(*_problem(params, curriculum, observed))
+    return ParamGradient(*_unpack(grad, params.n, params.p))
 
 
 def _pack(arrays) -> np.ndarray:
@@ -268,14 +248,13 @@ def _component_name(flat_index: int, n: int, p: int, algo_names) -> str:
     return f"{label}({algo_names[a]})"
 
 
-def _initial_theta(n: int, p: int, config: FitConfig) -> np.ndarray:
-    rng = np.random.default_rng(config.seed)
-    transfer = rng.uniform(-1.0, 1.0, size=(n, n))
-    difficulty = rng.uniform(0.0, 1.0, size=n)
-    gamma = rng.uniform(0.0, 1.0, size=p)
-    retention = rng.uniform(0.0, 1.0, size=p)
-    translation = rng.uniform(0.0, 1.0, size=p)
-    return _pack((transfer, difficulty, gamma, retention, translation))
+def _initial_theta(n: int, p: int, seed: int) -> np.ndarray:
+    """Packed starting point drawn uniformly inside the box: transfer from
+    [-1, 1], every other entry from [0, 1]."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate(
+        [rng.uniform(-1.0, 1.0, size=n * n), rng.uniform(0.0, 1.0, size=n + 3 * p)]
+    )
 
 
 def _params_from_theta(theta, n, p, algo_names) -> ScenarioParams:
@@ -331,7 +310,7 @@ def fit(
             raise ValidationError("init_params shape does not match inputs")
         theta = _pack(_param_arrays(init_params))
     else:
-        theta = _initial_theta(n, p, config)
+        theta = _initial_theta(n, p, config.seed)
 
     lo, hi = _bounds(n, p)
     theta = np.clip(theta, lo, hi)
@@ -342,10 +321,7 @@ def fit(
     moment2 = np.zeros_like(theta)
     trace = np.empty(config.steps + 1)
     for t in range(1, config.steps + 1):
-        value, grads = _raw_loss_and_grad(
-            _unpack(theta, n, p), entries, obs, mask
-        )
-        g = _pack(grads)
+        value, g = _raw_loss_and_grad(_unpack(theta, n, p), entries, obs, mask)
         bad = np.flatnonzero(~np.isfinite(g))
         if bad.size:
             raise DivergenceError(
@@ -354,14 +330,12 @@ def fit(
         if not math.isfinite(value):
             raise DivergenceError(t - 1, "loss")
         trace[t - 1] = value * scale
-        moment1 = config.beta1 * moment1 + (1.0 - config.beta1) * g
-        moment2 = config.beta2 * moment2 + (1.0 - config.beta2) * (g * g)
-        m_hat = moment1 / (1.0 - config.beta1**t)
-        v_hat = moment2 / (1.0 - config.beta2**t)
+        moment1 = _BETA1 * moment1 + (1.0 - _BETA1) * g
+        moment2 = _BETA2 * moment2 + (1.0 - _BETA2) * (g * g)
+        m_hat = moment1 / (1.0 - _BETA1**t)
+        v_hat = moment2 / (1.0 - _BETA2**t)
         theta = np.clip(
-            theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon),
-            lo,
-            hi,
+            theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON), lo, hi
         )
         if callback is not None:
             feasible = bool(np.all(theta >= lo) and np.all(theta <= hi))
@@ -442,12 +416,14 @@ class RecoveryResult:
         return len(self.per_trial)
 
 
-def _recovery_trial(args) -> tuple[int, dict[str, float] | None, str]:
-    """Run one sample-generate-fit-score trial.  Module-level so process
-    pools can pickle it."""
+def _recovery_trial(
+    seed, n_tasks, n_algos, curriculum_len, config, init_at_truth, trial
+) -> tuple[dict[str, float] | None, str]:
+    """Run one sample-generate-fit-score trial: (errors, "") on success,
+    (None, message) on divergence.  Module-level so process pools can
+    pickle it."""
     from .scenarios import ScenarioSpec, generate
 
-    (trial, seed, n_tasks, n_algos, curriculum_len, config, init_at_truth) = args
     trial_seed = (seed + trial) % 2**64
     spec = ScenarioSpec(
         n_tasks=n_tasks,
@@ -468,8 +444,8 @@ def _recovery_trial(args) -> tuple[int, dict[str, float] | None, str]:
             init_params=truth if init_at_truth else None,
         )
     except DivergenceError as exc:
-        return trial, None, str(exc)
-    return trial, parameter_recovery_errors(truth, result.params), ""
+        return None, str(exc)
+    return parameter_recovery_errors(truth, result.params), ""
 
 
 def recovery_experiment(
@@ -487,24 +463,26 @@ def recovery_experiment(
     each parameter group is recovered.
 
     Trial t uses seed ``seed + t`` for its ground truth, so results are
-    deterministic at any ``jobs`` count.  Failed trials are skipped and
-    reported in the result.
+    deterministic at any ``jobs`` count.  At most ``min(jobs, trials)``
+    worker processes run.  Failed trials are skipped and reported in the
+    result.
     """
     if min(n_tasks, n_algos, curriculum_len, trials) < 1:
         raise ValidationError("all experiment counts must be at least 1")
-    args = [
-        (t, seed, n_tasks, n_algos, curriculum_len, config, init_at_truth)
-        for t in range(trials)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_recovery_trial, args))
+    if jobs < 1:
+        raise ValidationError("jobs must be at least 1")
+    run = partial(
+        _recovery_trial, seed, n_tasks, n_algos, curriculum_len, config, init_at_truth
+    )
+    workers = min(jobs, trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run, range(trials)))
     else:
-        outcomes = [_recovery_trial(a) for a in args]
+        outcomes = list(map(run, range(trials)))
 
-    outcomes.sort(key=lambda o: o[0])
-    per_trial = tuple(errs for _, errs, _ in outcomes if errs is not None)
-    failures = tuple((t, msg) for t, errs, msg in outcomes if errs is None)
+    per_trial = tuple(errs for errs, _ in outcomes if errs is not None)
+    failures = tuple((t, msg) for t, (errs, msg) in enumerate(outcomes) if errs is None)
     keys = ("transfer", "difficulty", "gamma", "h", "lambda")
     if per_trial:
         mse = {k: float(np.mean([errs[k] for errs in per_trial])) for k in keys}

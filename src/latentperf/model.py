@@ -303,33 +303,30 @@ def _forward_curves(
     retention: np.ndarray,
     translation: np.ndarray,
     entries,
-    want_states: bool = False,
 ):
     """Vectorized rollout over all algorithms at once.
 
-    Returns predictions of shape (p, n, m); with ``want_states`` also the
-    experience trajectory of shape (m+1, p, n) (states[0] is all zeros,
-    states[l+1] is experience after curriculum step l).  Used by both the
-    public simulate functions and the estimator's adjoint pass.
+    Returns ``(pred, states, before)``: predictions of shape (p, n, m); the
+    experience trajectory of shape (m+1, p, n), where states[0] is all zeros
+    and states[l+1] is experience after curriculum step l; and ``before`` of
+    shape (m, p), the trained task's performance before step l.  The public
+    simulate functions read ``pred``; the estimator's adjoint reads all
+    three.
     """
     p = gamma.shape[0]
     n = difficulty.shape[0]
     m = len(entries)
-    exp_now = np.zeros((p, n))
     pred = np.empty((p, n, m))
-    states = np.empty((m + 1, p, n)) if want_states else None
-    if want_states:
-        states[0] = 0.0
+    states = np.empty((m + 1, p, n))
+    before = np.empty((m, p))
+    states[0] = 0.0
     for l, i in enumerate(entries):
-        p_prev = _scaled_sigmoid(exp_now[:, i] / difficulty[i])
-        gain = gamma + p_prev * translation
-        exp_now = exp_now * retention[:, None] + gain[:, None] * transfer[i][None, :]
-        if want_states:
-            states[l + 1] = exp_now
-        pred[:, :, l] = _scaled_sigmoid(exp_now / difficulty[None, :])
-    if want_states:
-        return pred, states
-    return pred
+        exp_prev = states[l]
+        before[l] = _scaled_sigmoid(exp_prev[:, i] / difficulty[i])
+        gain = gamma + before[l] * translation
+        states[l + 1] = exp_prev * retention[:, None] + gain[:, None] * transfer[i]
+        pred[:, :, l] = _scaled_sigmoid(states[l + 1] / difficulty[None, :])
+    return pred, states, before
 
 
 def _param_arrays(params: ScenarioParams):
@@ -365,7 +362,7 @@ def simulate(
 
 def simulate_all(params: ScenarioParams, curriculum: Curriculum) -> list[PerformanceMatrix]:
     """Forward rollout for every algorithm, order preserved."""
-    pred = _forward_curves(*_checked_arrays(params, curriculum), curriculum.entries)
+    pred = _forward_curves(*_checked_arrays(params, curriculum), curriculum.entries)[0]
     return [
         PerformanceMatrix(algorithm=a.name, values=pred[k])
         for k, a in enumerate(params.algorithms)

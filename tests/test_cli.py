@@ -201,12 +201,11 @@ def test_fit_invalid_restarts_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_fit_init_uniform_alias_matches_default(tmp_path, capsys):
+def test_fit_has_no_init_option(tmp_path, capsys):
     data = _generate(tmp_path)
-    _, plain = _fit(tmp_path, data, name="plain")
-    _, alias = _fit(tmp_path, data, extra=("--init", "uniform"), name="alias")
-    for name in ("estimates.json", "predicted.csv", "metrics.json"):
-        assert _bytes(plain / name) == _bytes(alias / name)
+    with pytest.raises(SystemExit) as info:
+        _fit(tmp_path, data, extra=("--init", "uniform"))
+    assert info.value.code == 2
 
 
 def test_fit_bad_input_bytes_exit_2(tmp_path, capsys):
@@ -361,6 +360,12 @@ def test_recover_check_fails_thresholds_quickly(capsys):
     out = capsys.readouterr().out
     assert "| parameter | mse | threshold | ok |" in out
     assert "FAIL (1/1 trials)" in out
+
+
+def test_recover_check_zero_jobs_exits_2(capsys):
+    code = main(["recover-check", "--trials", "1", "--steps", "1", "--jobs", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: jobs must be at least 1\n"
 
 
 def test_recover_check_init_at_truth_passes(capsys):

@@ -532,6 +532,14 @@ def test_normalize_constant_row_errors_with_task_name():
     assert info.value.task == "task index 1"
 
 
+def test_normalize_task_names_must_cover_every_row():
+    mat = PerformanceMatrix(algorithm="a", values=np.array([[1.0, 2.0], [0.5, 0.7]]))
+    for names in (["only"], ["a", "b", "c"]):
+        for per_task in (True, False):
+            with pytest.raises(ValidationError, match="task names"):
+                normalize_minmax(mat, per_task=per_task, task_names=names)
+
+
 def test_normalize_global_mode():
     values = np.array([[0.0, 5.0], [10.0, 2.5]])
     mat = PerformanceMatrix(algorithm="a", values=values)

@@ -235,6 +235,26 @@ def test_simulate_single_is_consistent(rng):
         assert (one.values == all_mats[a].values).all()
 
 
+def test_scalar_stepper_matches_kernel_exactly(rng):
+    # performance_map + experience_step is the public one-step view of the
+    # vectorized rollout; it must not drift from it by a single bit.
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 30))
+        p = int(rng.integers(1, 4))
+        _, params, cur = random_instance(rng, n, m, p)
+        d = params.tasks.difficulty
+        for algo, mat in zip(params.algorithms, simulate_all(params, cur)):
+            state = ExperienceState.initial(n)
+            for l, i in enumerate(cur.entries):
+                p_prev = performance_map(state.experience[i], d[i])
+                state = experience_step(state, i, p_prev, params.tasks, algo)
+                column = [
+                    performance_map(e, d[j]) for j, e in enumerate(state.experience)
+                ]
+                assert np.array_equal(column, mat.values[:, l])
+
+
 def test_simulate_zero_gain_algorithm_stays_flat():
     tasks = TaskProperties(transfer=np.eye(3), difficulty=[0.5, 0.5, 0.5])
     params = ScenarioParams(
