@@ -258,8 +258,9 @@ def load_dataset(curves_path, curriculum_path):
     cells, _, max_step = _read_cells(curves_path, taskset)
     if max_step >= curriculum.m:
         # checked before any array is sized from the file's steps
+        longest = max(cells, key=lambda algo: max(step for step, _ in cells[algo]))
         raise ValidationError(
-            f"curves for {next(iter(cells))!r} span {max_step + 1} steps, "
+            f"curves for {longest!r} span {max_step + 1} steps, "
             f"curriculum has {curriculum.m}"
         )
     return taskset, curriculum, _curve_matrices(cells, taskset, curriculum.m)

@@ -15,9 +15,12 @@ itself by the full gain) fixes the column of every trained task.  One
 direction survives it: (difficulty, gamma, lambda) to
 c*(difficulty, gamma, lambda) with transfer unchanged.
 
-Gradients are exact: a hand-derived adjoint (reverse) pass through the
-unrolled experience recurrence, verified elsewhere against central finite
-differences.
+Gradients are exact: a hand-derived adjoint of the unrolled experience
+recurrence, in two phases.  A backward loop carries only ebar, d(loss)/
+d(experience), through the steps that are truly sequential, and records
+it; each parameter group's gradient is then one reduction over those
+records and the forward rollout's.  Tests check it against a forward-mode
+oracle and central finite differences.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ RECOVERY_THRESHOLDS = {
     "h": 0.02,
     "lambda": 0.05,
 }
+# The parameter groups in packed order; every per-group table uses it.
+_GROUPS = tuple(RECOVERY_THRESHOLDS)
 
 # Scrambling constant used to derive an initialization seed that cannot
 # collide with the seed that sampled a synthetic ground truth.
@@ -77,8 +82,8 @@ class FitConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValidationError("steps must be nonnegative")
-        if not self.learning_rate > 0:
-            raise ValidationError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValidationError("learning_rate must be positive and finite")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
 
@@ -136,53 +141,44 @@ def _residuals(pred, obs, mask):
 
 
 def _raw_loss_and_grad(arrays, entries, obs, mask):
-    """Forward rollout plus adjoint sweep.
+    """Forward rollout plus the two-phase adjoint (see the module docstring).
 
     Returns the raw summed-squares loss and its gradient as one flat vector
-    laid out like ``_pack``.  The adjoint runs the curriculum backwards,
-    carrying d(loss)/d(experience) for every algorithm and task.
+    laid out like ``_pack``.  No BLAS call, so results are bitwise
+    deterministic at any thread count.
     """
     transfer, difficulty, gamma, retention, translation = arrays
-    p = gamma.shape[0]
-    n = difficulty.shape[0]
-    m = len(entries)
+    e = np.array(entries)
     pred, states, before = _forward_curves(*arrays, entries)
     resid, loss = _residuals(pred, obs, mask)
+    # What the output map adds to ebar at step l, and what one unit of
+    # dgain adds to the trained task's ebar through its performance.
+    inject = np.moveaxis(resid * (1.0 - pred * pred), -1, 0) / difficulty
+    feedback = translation * (0.5 * (1.0 - before * before)) / difficulty[e, None]
 
-    grad = np.zeros(n * n + n + 3 * p)
-    g_transfer, g_difficulty, g_gamma, g_retention, g_translation = _unpack(grad, n, p)
+    # ebars[l] = d(loss)/d(states[l + 1]), dgains[l] = d(loss)/d(gain at step l)
+    ebars = np.empty_like(inject)
+    dgains = np.empty_like(before)
+    ebar = np.zeros_like(inject[0])
+    for l, i in reversed(list(enumerate(entries))):
+        ebars[l] = ebar = ebar + inject[l]
+        dgains[l] = dgain = np.sum(ebar * transfer[i], axis=1)
+        ebar = ebar * retention[:, None]
+        # at l = 0 this is d(loss)/d(states[0]), which nothing reads
+        ebar[:, i] += dgain * feedback[l]
 
-    ebar = np.zeros((p, n))  # d loss / d experience at the current step
-    for l in range(m - 1, -1, -1):
-        i = entries[l]
-        exp_now = states[l + 1]
-        exp_prev = states[l]
-        # output map at column l: pred = sigmoid(experience / difficulty)
-        s = pred[:, :, l]
-        slope = 0.5 * (1.0 - s * s)
-        x = exp_now / difficulty[None, :]
-        rterm = 2.0 * resid[:, :, l]
-        ebar = ebar + rterm * slope / difficulty[None, :]
-        g_difficulty += np.sum(rterm * slope * (-x / difficulty[None, :]), axis=0)
-        # recurrence at step l: exp_now = exp_prev*h + gain (x) transfer[i, :]
-        p_prev = before[l]
-        gain = gamma + p_prev * translation
-        g_transfer[i, :] += np.sum(ebar * gain[:, None], axis=0)
-        dgain = np.sum(ebar * transfer[i][None, :], axis=1)
-        g_gamma += dgain
-        g_translation += dgain * p_prev
-        g_retention += np.sum(ebar * exp_prev, axis=1)
-        ebar_prev = ebar * retention[:, None]
-        if l > 0:
-            # gain also depends on the trained task's previous experience
-            u = exp_prev[:, i] / difficulty[i]
-            slope_u = 0.5 * (1.0 - p_prev * p_prev)
-            coef = dgain * translation * slope_u
-            ebar_prev[:, i] += coef / difficulty[i]
-            g_difficulty[i] += np.sum(coef * (-u / difficulty[i]))
-        ebar = ebar_prev
-
-    return loss, grad
+    g_transfer = np.zeros_like(transfer)
+    gain = gamma + before * translation
+    np.add.at(g_transfer, e, np.einsum("lpn,lp->ln", ebars, gain))
+    g_difficulty = -np.einsum("lpn,lpn->n", inject, states[1:]) / difficulty
+    # before[l] also reads difficulty[e[l]], through the trained task's
+    # experience before step l (zero at l = 0)
+    trained = states[np.arange(e.size), :, e] / difficulty[e, None]
+    np.add.at(g_difficulty, e, -np.sum(dgains * feedback * trained, axis=1))
+    g_gamma = np.sum(dgains, axis=0)
+    g_retention = np.einsum("lpn,lpn->p", ebars, states[:-1])
+    g_translation = np.sum(dgains * before, axis=0)
+    return loss, _pack((g_transfer, g_difficulty, g_gamma, g_retention, g_translation))
 
 
 def _problem(params: ScenarioParams, curriculum: Curriculum, observed):
@@ -244,7 +240,7 @@ def _component_name(flat_index: int, n: int, p: int, algo_names) -> str:
         return f"difficulty[{flat_index}]"
     flat_index -= n
     group, a = divmod(flat_index, p)
-    label = ("gamma", "h", "lambda")[group]
+    label = _GROUPS[2 + group]
     return f"{label}({algo_names[a]})"
 
 
@@ -296,7 +292,8 @@ def fit(
     diagonal (see the module docstring for why).  One closing
     ``simulate_all`` gives the predictions and every final loss.
 
-    Raises DivergenceError if the loss or gradient goes non-finite.
+    Raises DivergenceError if the loss, the gradient or a parameter goes
+    non-finite.
     """
     obs, mask = _check_shapes(curriculum, observed)
     n, p = curriculum.n_tasks, len(observed)
@@ -337,6 +334,10 @@ def fit(
         theta = np.clip(
             theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON), lo, hi
         )
+        # a step can overflow a parameter that has no upper bound
+        bad = np.flatnonzero(~np.isfinite(theta))
+        if bad.size:
+            raise DivergenceError(t, _component_name(int(bad[0]), n, p, names))
         if callback is not None:
             feasible = bool(np.all(theta >= lo) and np.all(theta <= hi))
             callback(t, float(trace[t - 1]), feasible)
@@ -392,9 +393,8 @@ def parameter_recovery_errors(
     if truth.n != estimate.n or truth.p != estimate.p:
         raise ValidationError("parameter sets have different shapes")
     ta, ea = _param_arrays(truth), _param_arrays(estimate)
-    keys = ("transfer", "difficulty", "gamma", "h", "lambda")
     return {
-        k: float(np.mean((ea[idx] - ta[idx]) ** 2)) for idx, k in enumerate(keys)
+        k: float(np.mean((ea[idx] - ta[idx]) ** 2)) for idx, k in enumerate(_GROUPS)
     }
 
 
@@ -483,11 +483,10 @@ def recovery_experiment(
 
     per_trial = tuple(errs for errs, _ in outcomes if errs is not None)
     failures = tuple((t, msg) for t, (errs, msg) in enumerate(outcomes) if errs is None)
-    keys = ("transfer", "difficulty", "gamma", "h", "lambda")
     if per_trial:
-        mse = {k: float(np.mean([errs[k] for errs in per_trial])) for k in keys}
+        mse = {k: float(np.mean([errs[k] for errs in per_trial])) for k in _GROUPS}
     else:
-        mse = {k: float("nan") for k in keys}
+        mse = {k: float("nan") for k in _GROUPS}
     return RecoveryResult(
         mse=mse, per_trial=per_trial, trials=trials, failures=failures
     )

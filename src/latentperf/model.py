@@ -309,23 +309,20 @@ def _forward_curves(
     Returns ``(pred, states, before)``: predictions of shape (p, n, m); the
     experience trajectory of shape (m+1, p, n), where states[0] is all zeros
     and states[l+1] is experience after curriculum step l; and ``before`` of
-    shape (m, p), the trained task's performance before step l.  The public
-    simulate functions read ``pred``; the estimator's adjoint reads all
-    three.
+    shape (m, p), the trained task's performance before step l.  The loop
+    writes only the records; ``pred`` is one sigmoid over them afterwards.
     """
     p = gamma.shape[0]
     n = difficulty.shape[0]
     m = len(entries)
-    pred = np.empty((p, n, m))
     states = np.empty((m + 1, p, n))
     before = np.empty((m, p))
     states[0] = 0.0
     for l, i in enumerate(entries):
-        exp_prev = states[l]
-        before[l] = _scaled_sigmoid(exp_prev[:, i] / difficulty[i])
+        before[l] = _scaled_sigmoid(states[l, :, i] / difficulty[i])
         gain = gamma + before[l] * translation
-        states[l + 1] = exp_prev * retention[:, None] + gain[:, None] * transfer[i]
-        pred[:, :, l] = _scaled_sigmoid(states[l + 1] / difficulty[None, :])
+        states[l + 1] = states[l] * retention[:, None] + gain[:, None] * transfer[i]
+    pred = np.moveaxis(_scaled_sigmoid(states[1:] / difficulty), 0, -1)
     return pred, states, before
 
 

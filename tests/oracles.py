@@ -54,6 +54,62 @@ def loss_ref(transfer, difficulty, algos, entries, observed, masks, n):
     return total
 
 
+def gradient_tangent_ref(transfer, difficulty, algos, entries, observed, masks, n):
+    """Exact gradient of loss_ref by forward mode, as a flat list.
+
+    Every value of forward_ref's recurrence carries its derivative along
+    each packed coordinate: transfer row by row, difficulty, then gamma, h
+    and lambda per algorithm.
+    """
+    p = len(algos)
+    size = n * n + n + 3 * p
+
+    def unit(k):
+        t = [0.0] * size
+        t[k] = 1.0
+        return t
+
+    def combo(*terms):
+        # sum of coefficient * tangent over (coefficient, tangent) pairs
+        return [sum(c * t[k] for c, t in terms) for k in range(size)]
+
+    def perf(e, de, j):
+        # performance on task j and its tangent, from experience e and de
+        d = difficulty[j]
+        s = scaled_sigmoid_ref(e / d)
+        slope = 0.5 * (1.0 - s * s)
+        return s, combo((slope / d, de), (-slope * e / (d * d), unit(n * n + j)))
+
+    grad = [0.0] * size
+    for a, (gamma, h, lam) in enumerate(algos):
+        k_gamma = n * n + n + a
+        k_h = k_gamma + p
+        k_lam = k_h + p
+        exp = [0.0] * n
+        dexp = [[0.0] * size for _ in range(n)]
+        for l in range(len(entries)):
+            i = entries[l]
+            perf_i, dperf_i = perf(exp[i], dexp[i], i)
+            gain = gamma + perf_i * lam
+            dgain = combo((1.0, unit(k_gamma)), (lam, dperf_i), (perf_i, unit(k_lam)))
+            dexp = [
+                combo(
+                    (h, dexp[j]),
+                    (exp[j], unit(k_h)),
+                    (transfer[i][j], dgain),
+                    (gain, unit(i * n + j)),
+                )
+                for j in range(n)
+            ]
+            exp = [exp[j] * h + transfer[i][j] * gain for j in range(n)]
+            for j in range(n):
+                if masks[a][j][l]:
+                    s, ds = perf(exp[j], dexp[j], j)
+                    r = s - observed[a][j][l]
+                    grad = combo((1.0, grad), (2.0 * r, ds))
+    return grad
+
+
 def fd_gradient(f, theta, eps=1e-6):
     """Central finite differences of a scalar function of a flat vector."""
     grad = [0.0] * len(theta)

@@ -195,6 +195,22 @@ def test_fit_divergence_exits_3(tmp_path, capsys):
     assert "error:" in err and "after 0 optimizer steps" in err
 
 
+def test_fit_parameter_overflow_exits_3(tmp_path, capsys):
+    data = _generate(tmp_path, tasks=5, algos=3, length=9, seed=0)
+    extra = ("--lr", "1e308", "--steps", "5", "--seed", "0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _ = _fit(tmp_path, data, extra=extra)
+    assert code == 3
+    assert "error: non-finite" in capsys.readouterr().err
+
+
+def test_fit_infinite_lr_exits_2(tmp_path, capsys):
+    data = _generate(tmp_path)
+    code, _ = _fit(tmp_path, data, extra=("--lr", "inf"))
+    assert code == 2
+    assert "learning_rate" in capsys.readouterr().err
+
+
 def test_fit_invalid_restarts_exits_2(tmp_path, capsys):
     data = _generate(tmp_path)
     code, _ = _fit(tmp_path, data, extra=("--restarts", "0"))

@@ -581,6 +581,12 @@ def test_load_dataset_rejects_overlong_curves(rng, tmp_path):
     write_curves(tmp_path / "curves.csv", ts, [long])
     with pytest.raises(ValidationError):
         load_dataset(tmp_path / "curves.csv", tmp_path / "cur.json")
+    # the message names the algorithm whose curve is too long, not the first
+    (tmp_path / "curves.csv").write_text(
+        "algorithm,step,task,performance\nA,0,a,0.1\nB,0,a,0.2\nB,5,a,0.3\n"
+    )
+    with pytest.raises(ValidationError, match="curves for 'B' span 6 steps"):
+        load_dataset(tmp_path / "curves.csv", tmp_path / "cur.json")
 
 
 def test_load_dataset_rejects_foreign_tasks(rng, tmp_path):

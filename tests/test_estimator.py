@@ -21,9 +21,10 @@ from latentperf import (
 from latentperf import estimator
 from latentperf.estimator import _pack
 from latentperf.model import D_MIN, _param_arrays
+from latentperf.scenarios import ScenarioSpec, generate
 
 from conftest import params_as_lists, random_instance
-from oracles import fd_gradient, loss_ref, relative_errors
+from oracles import fd_gradient, gradient_tangent_ref, loss_ref, relative_errors
 
 
 def _random_observed(rng, params, cur, masked=True):
@@ -186,6 +187,25 @@ def test_gradient_matches_finite_differences(rng):
         observed = _random_observed(rng, params, cur)
         worst = max(worst, _worst_fd_error(params, cur, observed))
     assert worst < 1e-4
+
+
+def test_gradient_matches_tangent_oracle(rng):
+    for _ in range(20):
+        n, m, p = (int(rng.integers(1, hi)) for hi in (6, 12, 4))
+        _, params, cur = random_instance(rng, n, m, p)
+        observed = _random_observed(rng, params, cur)
+        g = _pack_gradient(gradient(params, cur, observed))
+        transfer, difficulty, algos = params_as_lists(params)
+        ref = gradient_tangent_ref(
+            transfer,
+            difficulty,
+            algos,
+            list(cur.entries),
+            [o.values.tolist() for o in observed],
+            [o.mask.tolist() for o in observed],
+            n,
+        )
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(g))
 
 
 def test_gradient_matches_finite_differences_at_min_difficulty(rng):
@@ -365,6 +385,17 @@ def test_fit_divergence_reports_step_and_parameter():
     assert "after 0 optimizer steps" in str(info.value)
 
 
+def test_fit_divergence_names_overflowing_parameter():
+    # A huge step overflows a parameter with no upper bound while the
+    # gradient there is still finite.
+    _, cur, observed = generate(ScenarioSpec())
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as info:
+            fit(cur, observed, FitConfig(steps=5, learning_rate=1e308))
+    assert info.value.step >= 1
+    assert info.value.parameter.startswith(("difficulty[", "gamma(", "lambda("))
+
+
 def test_fit_duplicate_algorithm_names_rejected(rng):
     _, cur, observed = _small_problem(rng)
     dup = [
@@ -377,8 +408,9 @@ def test_fit_duplicate_algorithm_names_rejected(rng):
 def test_fit_config_validation():
     with pytest.raises(ValidationError):
         FitConfig(steps=-1)
-    with pytest.raises(ValidationError):
-        FitConfig(learning_rate=0.0)
+    for lr in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValidationError):
+            FitConfig(learning_rate=lr)
 
 
 def test_fit_with_restarts_picks_best(rng):
