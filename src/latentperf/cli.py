@@ -100,7 +100,7 @@ def _cmd_ingest(args) -> int:
     for log in logs:
         mat = dataio.downsample_to_boundaries(log, taskset, curriculum)
         if args.normalize == "minmax":
-            mat = dataio.normalize_minmax(mat, per_task=True, task_names=taskset.names)
+            mat = dataio.normalize_minmax(mat, task_names=taskset.names)
         matrices.append(mat)
     dataio.write_curves(args.out, taskset, matrices)
     if args.curriculum_out:
@@ -118,7 +118,6 @@ def _cmd_recover_check(args) -> int:
         config=config,
         seed=args.seed,
         jobs=args.jobs,
-        init_at_truth=args.init_at_truth,
     )
     if result.n_succeeded == 0:
         print("error: every recovery trial diverged", file=sys.stderr)
@@ -210,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=FitConfig.steps)
     p.add_argument("--lr", type=float, default=FitConfig.learning_rate)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--init-at-truth", action="store_true",
-                   help="start each fit at the sampled truth (degenerate check)")
     p.set_defaults(func=_cmd_recover_check)
 
     p = sub.add_parser("report", help="compare estimates across datasets")
@@ -219,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="params JSON files, one per dataset")
     p.add_argument("--labels", nargs="+", required=True,
                    help="dataset labels, same order as --estimates")
-    p.add_argument("--param", choices=("gamma", "h", "lambda"), required=True)
+    p.add_argument("--param", choices=reporting.COMPARISON_PARAMETERS, required=True)
     p.add_argument("--out", required=True, help="output Markdown file")
     p.set_defaults(func=_cmd_report)
 

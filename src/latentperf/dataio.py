@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import NormalizationError, ParseError, SchemaError, ValidationError
 from .model import (
+    ALGORITHM_FIELDS,
     D_MIN,
     AlgorithmProperties,
     Curriculum,
@@ -32,6 +33,7 @@ from .model import (
     ScenarioParams,
     TaskProperties,
     TaskSet,
+    _algorithm_record,
 )
 
 CURVES_HEADER = ("algorithm", "step", "task", "performance")
@@ -281,15 +283,7 @@ def write_params(path, taskset: TaskSet, params: ScenarioParams) -> None:
             [float(v) for v in row] for row in params.tasks.transfer
         ],
         "difficulty": [float(v) for v in params.tasks.difficulty],
-        "algorithms": [
-            {
-                "name": a.name,
-                "gamma": a.transfer_efficiency,
-                "h": a.experience_retention,
-                "lambda": a.expertise_translation,
-            }
-            for a in params.algorithms
-        ],
+        "algorithms": [_algorithm_record(a) for a in params.algorithms],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -331,15 +325,13 @@ def parse_params(path) -> tuple[TaskSet, ScenarioParams]:
     for entry in algos_doc:
         if not isinstance(entry, dict):
             raise SchemaError("each entry must be an object", field="algorithms")
-        _check_keys(entry, ("name", "gamma", "h", "lambda"), "algorithm entry")
+        _check_keys(entry, ("name", *ALGORITHM_FIELDS), "algorithm entry")
         if not isinstance(entry["name"], str) or not entry["name"]:
             raise SchemaError("must be a non-empty string", field="name")
         algos.append(
             AlgorithmProperties(
                 name=entry["name"],
-                transfer_efficiency=_number(entry["gamma"], "gamma"),
-                experience_retention=_number(entry["h"], "h"),
-                expertise_translation=_number(entry["lambda"], "lambda"),
+                **{f: _number(entry[key], key) for key, f in ALGORITHM_FIELDS.items()},
             )
         )
     params = ScenarioParams(
@@ -482,14 +474,12 @@ def downsample_to_boundaries(
     return PerformanceMatrix(algorithm=raw.algorithm, values=values, mask=mask)
 
 
-def normalize_minmax(
-    matrix: PerformanceMatrix, per_task: bool = True, task_names=None
-) -> PerformanceMatrix:
-    """Affinely map observed values onto [0, 1].
+def normalize_minmax(matrix: PerformanceMatrix, task_names=None) -> PerformanceMatrix:
+    """Affinely map each task row's observed values onto [0, 1], by that
+    row's own min and max.
 
-    With ``per_task`` each task row is scaled by its own min and max;
-    otherwise one global min/max applies.  Masked entries are untouched and
-    rows with no observations pass through.  Constant groups are an error
+    Masked entries are untouched and rows with no observations pass
+    through.  A row whose observed values are all equal is an error
     (there is no scale to infer); ``task_names``, one per task row,
     improves that message.
     """
@@ -499,29 +489,15 @@ def normalize_minmax(
         )
     values = matrix.values.copy()
     mask = matrix.mask
-
-    def scale(sel):
-        vals = values[sel]
+    for j in range(matrix.n_tasks):
+        vals = values[j, mask[j]]
         if vals.size == 0:
-            return
+            continue
         vmin, vmax = float(vals.min()), float(vals.max())
         if vmax == vmin:
-            raise NormalizationError("constant values, nothing to normalize")
-        values[sel] = (vals - vmin) / (vmax - vmin)
-
-    if per_task:
-        for j in range(matrix.n_tasks):
-            name = (
-                task_names[j]
-                if task_names is not None
-                else f"task index {j}"
+            name = task_names[j] if task_names is not None else f"task index {j}"
+            raise NormalizationError(
+                f"task {name}: constant values, nothing to normalize", task=str(name)
             )
-            try:
-                scale((j, mask[j]))
-            except NormalizationError as exc:
-                raise NormalizationError(
-                    f"task {name}: {exc}", task=str(name)
-                ) from None
-    else:
-        scale(mask)
+        values[j, mask[j]] = (vals - vmin) / (vmax - vmin)
     return PerformanceMatrix(algorithm=matrix.algorithm, values=values, mask=mask)

@@ -35,14 +35,13 @@ import numpy as np
 from .errors import DivergenceError, ValidationError
 from .model import (
     D_MIN,
-    AlgorithmProperties,
     Curriculum,
     PerformanceMatrix,
     ScenarioParams,
-    TaskProperties,
     _checked_arrays,
     _forward_curves,
     _param_arrays,
+    _params_from_arrays,
     simulate_all,
 )
 
@@ -253,22 +252,6 @@ def _initial_theta(n: int, p: int, seed: int) -> np.ndarray:
     )
 
 
-def _params_from_theta(theta, n, p, algo_names) -> ScenarioParams:
-    transfer, difficulty, gamma, retention, translation = _unpack(theta, n, p)
-    return ScenarioParams(
-        tasks=TaskProperties(transfer=transfer.copy(), difficulty=difficulty.copy()),
-        algorithms=tuple(
-            AlgorithmProperties(
-                name=algo_names[a],
-                transfer_efficiency=float(gamma[a]),
-                experience_retention=float(retention[a]),
-                expertise_translation=float(translation[a]),
-            )
-            for a in range(p)
-        ),
-    )
-
-
 def fit(
     curriculum: Curriculum,
     observed,
@@ -292,8 +275,8 @@ def fit(
     diagonal (see the module docstring for why).  One closing
     ``simulate_all`` gives the predictions and every final loss.
 
-    Raises DivergenceError if the loss, the gradient or a parameter goes
-    non-finite.
+    Raises DivergenceError if the loss, the gradient of a parameter the
+    fit moves, or a parameter goes non-finite; the loss is checked first.
     """
     obs, mask = _check_shapes(curriculum, observed)
     n, p = curriculum.n_tasks, len(observed)
@@ -310,6 +293,7 @@ def fit(
         theta = _initial_theta(n, p, config.seed)
 
     lo, hi = _bounds(n, p)
+    free = lo < hi
     theta = np.clip(theta, lo, hi)
     n_masked = int(np.sum(mask))
     scale = 1.0 / n_masked
@@ -319,13 +303,15 @@ def fit(
     trace = np.empty(config.steps + 1)
     for t in range(1, config.steps + 1):
         value, g = _raw_loss_and_grad(_unpack(theta, n, p), entries, obs, mask)
+        if not math.isfinite(value):
+            raise DivergenceError(t - 1, "loss")
+        # the pinned diagonal's gradient is never used, so never examined
+        g = np.where(free, g, 0.0)
         bad = np.flatnonzero(~np.isfinite(g))
         if bad.size:
             raise DivergenceError(
                 t - 1, "gradient of " + _component_name(int(bad[0]), n, p, names)
             )
-        if not math.isfinite(value):
-            raise DivergenceError(t - 1, "loss")
         trace[t - 1] = value * scale
         moment1 = _BETA1 * moment1 + (1.0 - _BETA1) * g
         moment2 = _BETA2 * moment2 + (1.0 - _BETA2) * (g * g)
@@ -342,7 +328,7 @@ def fit(
             feasible = bool(np.all(theta >= lo) and np.all(theta <= hi))
             callback(t, float(trace[t - 1]), feasible)
 
-    params = _params_from_theta(theta, n, p, names)
+    params = _params_from_arrays(*_unpack(theta, n, p), names)
     predicted = tuple(simulate_all(params, curriculum))
     resid, final_raw = _residuals(np.stack([m.values for m in predicted]), obs, mask)
     if not math.isfinite(final_raw):
@@ -417,7 +403,7 @@ class RecoveryResult:
 
 
 def _recovery_trial(
-    seed, n_tasks, n_algos, curriculum_len, config, init_at_truth, trial
+    seed, n_tasks, n_algos, curriculum_len, config, trial
 ) -> tuple[dict[str, float] | None, str]:
     """Run one sample-generate-fit-score trial: (errors, "") on success,
     (None, message) on divergence.  Module-level so process pools can
@@ -437,12 +423,7 @@ def _recovery_trial(
     fit_seed = (trial_seed ^ _SEED_SCRAMBLE) % 2**64
     cfg = replace(config, seed=fit_seed)
     try:
-        result = fit(
-            curriculum,
-            data,
-            cfg,
-            init_params=truth if init_at_truth else None,
-        )
+        result = fit(curriculum, data, cfg)
     except DivergenceError as exc:
         return None, str(exc)
     return parameter_recovery_errors(truth, result.params), ""
@@ -457,23 +438,22 @@ def recovery_experiment(
     *,
     seed: int = 0,
     jobs: int = 1,
-    init_at_truth: bool = False,
 ) -> RecoveryResult:
     """Sample ground-truth scenarios, fit from scratch, and report how well
     each parameter group is recovered.
 
-    Trial t uses seed ``seed + t`` for its ground truth, so results are
-    deterministic at any ``jobs`` count.  At most ``min(jobs, trials)``
-    worker processes run.  Failed trials are skipped and reported in the
-    result.
+    Trial t uses seed ``seed + t`` for its ground truth and a scrambled
+    function of it for the fit's random start, which therefore never
+    begins at the truth (a fit from the truth is ``fit(init_params=...)``).
+    Results are deterministic at any ``jobs`` count.  At most
+    ``min(jobs, trials)`` worker processes run.  Failed trials are skipped
+    and reported in the result.
     """
     if min(n_tasks, n_algos, curriculum_len, trials) < 1:
         raise ValidationError("all experiment counts must be at least 1")
     if jobs < 1:
         raise ValidationError("jobs must be at least 1")
-    run = partial(
-        _recovery_trial, seed, n_tasks, n_algos, curriculum_len, config, init_at_truth
-    )
+    run = partial(_recovery_trial, seed, n_tasks, n_algos, curriculum_len, config)
     workers = min(jobs, trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -150,6 +150,24 @@ class AlgorithmProperties:
         object.__setattr__(self, "expertise_translation", lam)
 
 
+# The short name of each algorithm property (its params-file key and table
+# header) and its AlgorithmProperties field, in packed order, which is also
+# the field order.
+ALGORITHM_FIELDS = {
+    "gamma": "transfer_efficiency",
+    "h": "experience_retention",
+    "lambda": "expertise_translation",
+}
+
+
+def _algorithm_record(algo: AlgorithmProperties) -> dict:
+    """``{"name", "gamma", "h", "lambda"}``, as a params file and the
+    property table's machine form hold one algorithm."""
+    return {"name": algo.name} | {
+        key: getattr(algo, f) for key, f in ALGORITHM_FIELDS.items()
+    }
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioParams:
     """Full latent parameter set: shared task properties plus one
@@ -327,10 +345,28 @@ def _forward_curves(
 
 
 def _param_arrays(params: ScenarioParams):
-    gamma = np.array([a.transfer_efficiency for a in params.algorithms])
-    retention = np.array([a.experience_retention for a in params.algorithms])
-    translation = np.array([a.expertise_translation for a in params.algorithms])
-    return params.tasks.transfer, params.tasks.difficulty, gamma, retention, translation
+    """``(transfer, difficulty, gamma, retention, translation)``: one array
+    per parameter group, the last three with one entry per algorithm in
+    ALGORITHM_FIELDS order.  ``_params_from_arrays`` inverts it."""
+    return params.tasks.transfer, params.tasks.difficulty, *(
+        np.array([getattr(a, f) for a in params.algorithms])
+        for f in ALGORITHM_FIELDS.values()
+    )
+
+
+def _params_from_arrays(
+    transfer, difficulty, gamma, retention, translation, names
+) -> ScenarioParams:
+    """The inverse of ``_param_arrays``: entry a of each per-algorithm
+    array belongs to the algorithm named ``names[a]``.  The arrays are
+    copied, never kept."""
+    return ScenarioParams(
+        tasks=TaskProperties(transfer=transfer, difficulty=difficulty),
+        algorithms=tuple(
+            AlgorithmProperties(name, *values)
+            for name, *values in zip(names, gamma, retention, translation, strict=True)
+        ),
+    )
 
 
 def _checked_arrays(params: ScenarioParams, curriculum: Curriculum):

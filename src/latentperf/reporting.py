@@ -14,20 +14,16 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import (
+    ALGORITHM_FIELDS,
     AlgorithmProperties,
     Curriculum,
     PerformanceMatrix,
     ScenarioParams,
     TaskSet,
+    _algorithm_record,
 )
 
-COMPARISON_PARAMETERS = ("gamma", "h", "lambda")
-
-_PARAM_FIELD = {
-    "gamma": "transfer_efficiency",
-    "h": "experience_retention",
-    "lambda": "expertise_translation",
-}
+COMPARISON_PARAMETERS = tuple(ALGORITHM_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -81,32 +77,14 @@ def property_table(results) -> Table:
     names = [a.name for a in algos]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate algorithm names in property table")
-    rows = tuple(
-        (
-            a.name,
-            _fmt2(a.transfer_efficiency),
-            _fmt2(a.experience_retention),
-            _fmt2(a.expertise_translation),
-        )
-        for a in algos
-    )
-    machine = {
-        "table": "algorithm_properties",
-        "algorithms": [
-            {
-                "name": a.name,
-                "gamma": a.transfer_efficiency,
-                "h": a.experience_retention,
-                "lambda": a.expertise_translation,
-            }
-            for a in algos
-        ],
-    }
+    records = [_algorithm_record(a) for a in algos]
     return Table(
         title="Estimated algorithm properties",
-        headers=("algorithm", "gamma", "h", "lambda"),
-        rows=rows,
-        machine=machine,
+        headers=("algorithm", *ALGORITHM_FIELDS),
+        rows=tuple(
+            (r["name"], *(_fmt2(r[key]) for key in ALGORITHM_FIELDS)) for r in records
+        ),
+        machine={"table": "algorithm_properties", "algorithms": records},
     )
 
 
@@ -200,7 +178,7 @@ def comparison_table(estimates, parameter: str) -> Table:
         )
     if not estimates:
         raise ValidationError("no estimates to compare")
-    field = _PARAM_FIELD[parameter]
+    field = ALGORITHM_FIELDS[parameter]
     labels = list(estimates.keys())
     per_label: dict[str, dict[str, float]] = {}
     algo_order: list[str] = []

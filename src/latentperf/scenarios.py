@@ -9,11 +9,10 @@ import numpy as np
 from .errors import ValidationError
 from .model import (
     D_MIN,
-    AlgorithmProperties,
     Curriculum,
     PerformanceMatrix,
     ScenarioParams,
-    TaskProperties,
+    _params_from_arrays,
     simulate_all,
 )
 
@@ -65,18 +64,8 @@ def sample_params(spec: ScenarioSpec) -> ScenarioParams:
     gamma = rng.uniform(0.0, 1.0, size=spec.n_algos)
     retention = rng.uniform(0.0, 1.0, size=spec.n_algos)
     translation = rng.uniform(0.0, 1.0, size=spec.n_algos)
-    return ScenarioParams(
-        tasks=TaskProperties(transfer=transfer, difficulty=difficulty),
-        algorithms=tuple(
-            AlgorithmProperties(
-                name=f"algo{a + 1}",
-                transfer_efficiency=float(gamma[a]),
-                experience_retention=float(retention[a]),
-                expertise_translation=float(translation[a]),
-            )
-            for a in range(spec.n_algos)
-        ),
-    )
+    names = [f"algo{a + 1}" for a in range(spec.n_algos)]
+    return _params_from_arrays(transfer, difficulty, gamma, retention, translation, names)
 
 
 def sample_curriculum(spec: ScenarioSpec) -> Curriculum:

@@ -384,16 +384,6 @@ def test_recover_check_zero_jobs_exits_2(capsys):
     assert capsys.readouterr().err == "error: jobs must be at least 1\n"
 
 
-def test_recover_check_init_at_truth_passes(capsys):
-    code = main([
-        "recover-check", "--trials", "1", "--steps", "5", "--init-at-truth",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "PASS (1/1 trials)" in out
-    assert "| transfer | 0.0000 | 0.24 | yes |" in out
-
-
 # ---------------------------------------------------------------------------
 # report
 

@@ -340,6 +340,16 @@ def test_params_schema_errors(tmp_path):
     assert info.value.field == "gamma"
     assert "field 'gamma':" in str(info.value)
 
+    for key in ("gamma", "h", "lambda"):
+        lacking = {"name": "x", "gamma": 0.1, "h": 0.5, "lambda": 0.2}
+        del lacking[key]
+        stringly = {"name": "x", "gamma": 0.1, "h": 0.5, "lambda": 0.2, key: "0.3"}
+        for entry in (lacking, stringly):
+            doc = json.dumps(variant(algorithms=[entry]))
+            with pytest.raises(SchemaError) as info:
+                parse_params(_write(tmp_path, f"{key}.json", doc))
+            assert info.value.field == key
+
 
 # ---------------------------------------------------------------------------
 # raw logs and downsampling
@@ -535,16 +545,8 @@ def test_normalize_constant_row_errors_with_task_name():
 def test_normalize_task_names_must_cover_every_row():
     mat = PerformanceMatrix(algorithm="a", values=np.array([[1.0, 2.0], [0.5, 0.7]]))
     for names in (["only"], ["a", "b", "c"]):
-        for per_task in (True, False):
-            with pytest.raises(ValidationError, match="task names"):
-                normalize_minmax(mat, per_task=per_task, task_names=names)
-
-
-def test_normalize_global_mode():
-    values = np.array([[0.0, 5.0], [10.0, 2.5]])
-    mat = PerformanceMatrix(algorithm="a", values=values)
-    out = normalize_minmax(mat, per_task=False)
-    np.testing.assert_array_equal(out.values, [[0.0, 0.5], [1.0, 0.25]])
+        with pytest.raises(ValidationError, match="task names"):
+            normalize_minmax(mat, task_names=names)
 
 
 def test_normalize_empty_row_passes_through():

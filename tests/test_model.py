@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,7 +18,12 @@ from latentperf import (
     simulate,
     simulate_all,
 )
-from latentperf.model import D_MIN
+from latentperf.model import (
+    ALGORITHM_FIELDS,
+    D_MIN,
+    _param_arrays,
+    _params_from_arrays,
+)
 
 from conftest import params_as_lists, random_instance
 from oracles import forward_ref
@@ -81,6 +88,24 @@ def test_algorithm_properties_validation():
         AlgorithmProperties("bad", 0.5, 0.5, -2.0)
     with pytest.raises(ValidationError):
         AlgorithmProperties("", 0.5, 0.5, 0.5)
+
+
+def test_params_from_arrays_inverts_param_arrays(rng):
+    # positional construction relies on the table following the fields
+    assert tuple(ALGORITHM_FIELDS.values()) == tuple(
+        f.name for f in dataclasses.fields(AlgorithmProperties)
+    )[1:]
+    for n, p in [(1, 1), (1, 3), (4, 1), (3, 2), (6, 5)]:
+        _, params, _ = random_instance(rng, n, 4, p)
+        names = params.algorithm_names()
+        back = _params_from_arrays(*_param_arrays(params), names)
+        assert back.algorithms == params.algorithms
+        for got, want in zip(_param_arrays(back), _param_arrays(params)):
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        assert back.tasks.transfer is not params.tasks.transfer
+        with pytest.raises(ValueError):
+            _params_from_arrays(*_param_arrays(params), names[:-1])
 
 
 def test_experience_state_initial_must_be_zero():
