@@ -16,7 +16,7 @@ from latentperf import (
     TaskProperties,
     experience_step,
     performance_map,
-    simulate,
+    simulate_all,
 )
 
 # Task 0 transfers strongly to task 1 (0.6) but task 1 slightly hurts
@@ -55,8 +55,8 @@ for trained in curriculum.entries:
 # The same curriculum through the vectorized simulator gives the same
 # curve, column by column.
 params = ScenarioParams(tasks=tasks, algorithms=(algo,))
-curve = simulate(params, curriculum, 0)
-print("\nsimulate() performance matrix (tasks x curriculum steps):")
+curve = simulate_all(params, curriculum)[0]
+print("\nsimulate_all() performance matrix (tasks x curriculum steps):")
 print(np.array2string(curve.values, precision=3))
 
 # Retention alone: with no gain, experience just decays by h each step.

@@ -18,7 +18,6 @@ from .model import (
     TaskSet,
     experience_step,
     performance_map,
-    simulate,
     simulate_all,
 )
 from .estimator import (

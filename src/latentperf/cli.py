@@ -109,6 +109,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_recover_check(args) -> int:
+    if args.jobs < 1:
+        raise ValidationError("jobs must be at least 1")
     config = FitConfig(steps=args.steps, learning_rate=args.lr)
     result = recovery_experiment(
         n_tasks=args.tasks,
@@ -117,7 +119,6 @@ def _cmd_recover_check(args) -> int:
         trials=args.trials,
         config=config,
         seed=args.seed,
-        jobs=args.jobs,
     )
     if result.n_succeeded == 0:
         print("error: every recovery trial diverged", file=sys.stderr)
@@ -208,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=9)
     p.add_argument("--steps", type=int, default=FitConfig.steps)
     p.add_argument("--lr", type=float, default=FitConfig.learning_rate)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_recover_check)
 
     p = sub.add_parser("report", help="compare estimates across datasets")

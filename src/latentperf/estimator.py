@@ -26,9 +26,7 @@ oracle and central finite differences.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -44,6 +42,7 @@ from .model import (
     _params_from_arrays,
     simulate_all,
 )
+from .scenarios import ScenarioSpec, generate
 
 # Per-parameter-group mean-squared-error bounds the recovery check is held
 # to (twice the errors the approach is known to reach on this setup).
@@ -194,7 +193,7 @@ def loss(params: ScenarioParams, curriculum: Curriculum, observed) -> float:
 
 
 def gradient(params: ScenarioParams, curriculum: Curriculum, observed) -> ParamGradient:
-    """Exact partial derivatives of ``loss`` with respect to every parameter."""
+    """Exact derivatives of ``loss`` with respect to every parameter."""
     _, grad = _raw_loss_and_grad(*_problem(params, curriculum, observed))
     return ParamGradient(*_unpack(grad, params.n, params.p))
 
@@ -301,38 +300,40 @@ def fit(
     moment1 = np.zeros_like(theta)
     moment2 = np.zeros_like(theta)
     trace = np.empty(config.steps + 1)
-    for t in range(1, config.steps + 1):
-        value, g = _raw_loss_and_grad(_unpack(theta, n, p), entries, obs, mask)
-        if not math.isfinite(value):
-            raise DivergenceError(t - 1, "loss")
-        # the pinned diagonal's gradient is never used, so never examined
-        g = np.where(free, g, 0.0)
-        bad = np.flatnonzero(~np.isfinite(g))
-        if bad.size:
-            raise DivergenceError(
-                t - 1, "gradient of " + _component_name(int(bad[0]), n, p, names)
-            )
-        trace[t - 1] = value * scale
-        moment1 = _BETA1 * moment1 + (1.0 - _BETA1) * g
-        moment2 = _BETA2 * moment2 + (1.0 - _BETA2) * (g * g)
-        m_hat = moment1 / (1.0 - _BETA1**t)
-        v_hat = moment2 / (1.0 - _BETA2**t)
-        theta = np.clip(
-            theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON), lo, hi
-        )
-        # a step can overflow a parameter that has no upper bound
-        bad = np.flatnonzero(~np.isfinite(theta))
-        if bad.size:
-            raise DivergenceError(t, _component_name(int(bad[0]), n, p, names))
-        if callback is not None:
-            feasible = bool(np.all(theta >= lo) and np.all(theta <= hi))
-            callback(t, float(trace[t - 1]), feasible)
+    # Overflow is expected on the way to divergence; every non-finite value
+    # in this block is checked and reported, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, config.steps + 1):
+            value, g = _raw_loss_and_grad(_unpack(theta, n, p), entries, obs, mask)
+            if not math.isfinite(value):
+                raise DivergenceError(t - 1, "loss")
+            # the pinned diagonal's gradient is never used, so never examined
+            g = np.where(free, g, 0.0)
+            bad = np.flatnonzero(~np.isfinite(g))
+            if bad.size:
+                raise DivergenceError(
+                    t - 1, "gradient of " + _component_name(int(bad[0]), n, p, names)
+                )
+            trace[t - 1] = value * scale
+            moment1 = _BETA1 * moment1 + (1.0 - _BETA1) * g
+            moment2 = _BETA2 * moment2 + (1.0 - _BETA2) * (g * g)
+            m_hat = moment1 / (1.0 - _BETA1**t)
+            v_hat = moment2 / (1.0 - _BETA2**t)
+            step = config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
+            theta = np.clip(theta - step, lo, hi)
+            # a step can overflow a parameter that has no upper bound
+            bad = np.flatnonzero(~np.isfinite(theta))
+            if bad.size:
+                raise DivergenceError(t, _component_name(int(bad[0]), n, p, names))
+            if callback is not None:
+                feasible = bool(np.all(theta >= lo) and np.all(theta <= hi))
+                callback(t, float(trace[t - 1]), feasible)
 
-    params = _params_from_arrays(*_unpack(theta, n, p), names)
-    predicted = tuple(simulate_all(params, curriculum))
-    resid, final_raw = _residuals(np.stack([m.values for m in predicted]), obs, mask)
-    if not math.isfinite(final_raw):
-        raise DivergenceError(config.steps, "loss")
+        params = _params_from_arrays(*_unpack(theta, n, p), names)
+        predicted = tuple(simulate_all(params, curriculum))
+        resid, final_raw = _residuals(np.stack([m.values for m in predicted]), obs, mask)
+        if not math.isfinite(final_raw):
+            raise DivergenceError(config.steps, "loss")
     trace[config.steps] = final_raw * scale
     per_algo = {
         names[a]: float(np.sum(resid[a] * resid[a]) / max(1, int(np.sum(mask[a]))))
@@ -402,33 +403,6 @@ class RecoveryResult:
         return len(self.per_trial)
 
 
-def _recovery_trial(
-    seed, n_tasks, n_algos, curriculum_len, config, trial
-) -> tuple[dict[str, float] | None, str]:
-    """Run one sample-generate-fit-score trial: (errors, "") on success,
-    (None, message) on divergence.  Module-level so process pools can
-    pickle it."""
-    from .scenarios import ScenarioSpec, generate
-
-    trial_seed = (seed + trial) % 2**64
-    spec = ScenarioSpec(
-        n_tasks=n_tasks,
-        n_algos=n_algos,
-        curriculum_len=curriculum_len,
-        seed=trial_seed,
-    )
-    truth, curriculum, data = generate(spec)
-    # The fit must not start at the truth it is trying to recover, so its
-    # init seed is a scrambled function of the trial seed.
-    fit_seed = (trial_seed ^ _SEED_SCRAMBLE) % 2**64
-    cfg = replace(config, seed=fit_seed)
-    try:
-        result = fit(curriculum, data, cfg)
-    except DivergenceError as exc:
-        return None, str(exc)
-    return parameter_recovery_errors(truth, result.params), ""
-
-
 def recovery_experiment(
     n_tasks: int = 5,
     n_algos: int = 3,
@@ -437,7 +411,6 @@ def recovery_experiment(
     config: FitConfig = FitConfig(),
     *,
     seed: int = 0,
-    jobs: int = 1,
 ) -> RecoveryResult:
     """Sample ground-truth scenarios, fit from scratch, and report how well
     each parameter group is recovered.
@@ -445,28 +418,34 @@ def recovery_experiment(
     Trial t uses seed ``seed + t`` for its ground truth and a scrambled
     function of it for the fit's random start, which therefore never
     begins at the truth (a fit from the truth is ``fit(init_params=...)``).
-    Results are deterministic at any ``jobs`` count.  At most
-    ``min(jobs, trials)`` worker processes run.  Failed trials are skipped
-    and reported in the result.
+    Trials run one after another in this process.  A trial whose fit
+    diverges is skipped and reported in the result.
     """
     if min(n_tasks, n_algos, curriculum_len, trials) < 1:
         raise ValidationError("all experiment counts must be at least 1")
-    if jobs < 1:
-        raise ValidationError("jobs must be at least 1")
-    run = partial(_recovery_trial, seed, n_tasks, n_algos, curriculum_len, config)
-    workers = min(jobs, trials)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, range(trials)))
-    else:
-        outcomes = list(map(run, range(trials)))
+    per_trial, failures = [], []
+    for t in range(trials):
+        trial_seed = (seed + t) % 2**64
+        spec = ScenarioSpec(
+            n_tasks=n_tasks,
+            n_algos=n_algos,
+            curriculum_len=curriculum_len,
+            seed=trial_seed,
+        )
+        truth, curriculum, data = generate(spec)
+        # The fit's init seed is scrambled so it cannot start at the truth.
+        cfg = replace(config, seed=(trial_seed ^ _SEED_SCRAMBLE) % 2**64)
+        try:
+            result = fit(curriculum, data, cfg)
+        except DivergenceError as exc:
+            failures.append((t, str(exc)))
+            continue
+        per_trial.append(parameter_recovery_errors(truth, result.params))
 
-    per_trial = tuple(errs for errs, _ in outcomes if errs is not None)
-    failures = tuple((t, msg) for t, (errs, msg) in enumerate(outcomes) if errs is None)
     if per_trial:
         mse = {k: float(np.mean([errs[k] for errs in per_trial])) for k in _GROUPS}
     else:
         mse = {k: float("nan") for k in _GROUPS}
     return RecoveryResult(
-        mse=mse, per_trial=per_trial, trials=trials, failures=failures
+        mse=mse, per_trial=tuple(per_trial), trials=trials, failures=tuple(failures)
     )

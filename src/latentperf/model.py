@@ -328,7 +328,8 @@ def _forward_curves(
     experience trajectory of shape (m+1, p, n), where states[0] is all zeros
     and states[l+1] is experience after curriculum step l; and ``before`` of
     shape (m, p), the trained task's performance before step l.  The loop
-    writes only the records; ``pred`` is one sigmoid over them afterwards.
+    writes only the records; ``pred`` is one sigmoid over them afterwards,
+    computed in a single (m, p, n) buffer.
     """
     p = gamma.shape[0]
     n = difficulty.shape[0]
@@ -340,8 +341,10 @@ def _forward_curves(
         before[l] = _scaled_sigmoid(states[l, :, i] / difficulty[i])
         gain = gamma + before[l] * translation
         states[l + 1] = states[l] * retention[:, None] + gain[:, None] * transfer[i]
-    pred = np.moveaxis(_scaled_sigmoid(states[1:] / difficulty), 0, -1)
-    return pred, states, before
+    x = states[1:] / difficulty
+    x *= 0.5
+    np.tanh(x, out=x)  # _scaled_sigmoid, in place
+    return np.moveaxis(x, 0, -1), states, before
 
 
 def _param_arrays(params: ScenarioParams):
@@ -376,21 +379,6 @@ def _checked_arrays(params: ScenarioParams, curriculum: Curriculum):
             f"curriculum is over {curriculum.n_tasks} tasks, params have {params.n}"
         )
     return _param_arrays(params)
-
-
-def simulate(
-    params: ScenarioParams, curriculum: Curriculum, algo_index: int
-) -> PerformanceMatrix:
-    """Roll the forward model out for one algorithm.
-
-    Column l of the result holds every task's performance after curriculum
-    steps 0..l have been applied.  Deterministic; full mask.
-    """
-    if not 0 <= algo_index < params.p:
-        raise ValidationError(
-            f"algorithm index {algo_index} out of range for {params.p} algorithms"
-        )
-    return simulate_all(params, curriculum)[algo_index]
 
 
 def simulate_all(params: ScenarioParams, curriculum: Curriculum) -> list[PerformanceMatrix]:

@@ -1,6 +1,7 @@
 import io
 import json
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from latentperf import (
+    DivergenceError,
     ParseError,
     TaskSet,
     ValidationError,
@@ -18,6 +20,7 @@ from latentperf import (
     parse_raw_log,
     write_params,
 )
+from latentperf import estimator
 from latentperf.cli import main
 
 from conftest import CSV_TOKENS, DATA_DIR, fuzz_bytes, random_instance
@@ -188,7 +191,8 @@ def test_fit_divergence_exits_3(tmp_path, capsys):
             for j in range(ts.n):
                 text.append(f"{mat.algorithm},{l},{ts.names[j]},1e308")
     (data / "curves.csv").write_text("\n".join(text) + "\n")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, _ = _fit(tmp_path, data)
     assert code == 3
     err = capsys.readouterr().err
@@ -198,7 +202,8 @@ def test_fit_divergence_exits_3(tmp_path, capsys):
 def test_fit_parameter_overflow_exits_3(tmp_path, capsys):
     data = _generate(tmp_path, tasks=5, algos=3, length=9, seed=0)
     extra = ("--lr", "1e308", "--steps", "5", "--seed", "0")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, _ = _fit(tmp_path, data, extra=extra)
     assert code == 3
     assert "error: non-finite" in capsys.readouterr().err
@@ -382,6 +387,33 @@ def test_recover_check_zero_jobs_exits_2(capsys):
     code = main(["recover-check", "--trials", "1", "--steps", "1", "--jobs", "0"])
     assert code == 2
     assert capsys.readouterr().err == "error: jobs must be at least 1\n"
+
+
+def test_recover_check_every_trial_diverged_exits_3(capsys):
+    # Only the error line reaches stderr: no numpy overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["recover-check", "--trials", "2", "--steps", "5", "--lr", "1e308"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: every recovery trial diverged\n"
+
+
+def test_recover_check_reports_skipped_trial(monkeypatch, capsys):
+    real_fit = estimator.fit
+    calls = []
+
+    def fit_failing_second_trial(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise DivergenceError(0, "loss")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "fit", fit_failing_second_trial)
+    code = main(["recover-check", "--trials", "3", "--steps", "5"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "\nskipped 1 diverged trial(s) of 3\n" in out
+    assert "FAIL (2/3 trials)" in out
 
 
 # ---------------------------------------------------------------------------

@@ -477,43 +477,32 @@ def test_parameter_recovery_errors_shape_mismatch(rng):
         parameter_recovery_errors(a, b)
 
 
-def test_recovery_experiment_deterministic_across_jobs():
+def test_recovery_experiment_seeds_each_trial():
+    # Trial t fits generate(seed + t) from the scrambled init seed, so each
+    # entry of per_trial can be reproduced by hand.
     cfg = FitConfig(steps=25)
-    serial = recovery_experiment(trials=3, config=cfg, seed=11, jobs=1)
-    parallel = recovery_experiment(trials=3, config=cfg, seed=11, jobs=2)
-    assert serial.mse == parallel.mse
-    assert serial.per_trial == parallel.per_trial
+    result = recovery_experiment(
+        n_tasks=3, n_algos=2, curriculum_len=6, trials=3, config=cfg, seed=11
+    )
+    assert result.trials == 3 and result.failures == ()
+    for t, errs in enumerate(result.per_trial):
+        spec = ScenarioSpec(n_tasks=3, n_algos=2, curriculum_len=6, seed=11 + t)
+        truth, cur, data = generate(spec)
+        init_seed = (11 + t) ^ estimator._SEED_SCRAMBLE
+        by_hand = fit(cur, data, FitConfig(steps=25, seed=init_seed))
+        assert errs == parameter_recovery_errors(truth, by_hand.params)
+
+
+def test_recovery_experiment_every_trial_diverged():
+    cfg = FitConfig(steps=5, learning_rate=1e308)
+    result = recovery_experiment(trials=3, config=cfg, seed=0)
+    assert result.n_succeeded == 0 and result.per_trial == ()
+    assert [t for t, _ in result.failures] == [0, 1, 2]
+    assert all(msg.startswith("non-finite ") for _, msg in result.failures)
+    assert set(result.mse) == set(estimator.RECOVERY_THRESHOLDS)
+    assert all(np.isnan(v) for v in result.mse.values())
 
 
 def test_recovery_experiment_validates_counts():
     with pytest.raises(ValidationError):
         recovery_experiment(trials=0)
-    with pytest.raises(ValidationError):
-        recovery_experiment(trials=1, jobs=0)
-
-
-def test_recovery_experiment_pool_never_exceeds_trials(monkeypatch):
-    sizes = []
-
-    class InlineExecutor:
-        """Stands in for ProcessPoolExecutor: records its size and runs the
-        trials in this process, so no worker is ever started."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(estimator, "ProcessPoolExecutor", InlineExecutor)
-    cfg = FitConfig(steps=2)
-    pooled = recovery_experiment(trials=3, config=cfg, seed=5, jobs=5000)
-    assert sizes == [3]
-    serial = recovery_experiment(trials=3, config=cfg, seed=5)
-    assert pooled.per_trial == serial.per_trial

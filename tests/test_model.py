@@ -15,7 +15,6 @@ from latentperf import (
     ValidationError,
     experience_step,
     performance_map,
-    simulate,
     simulate_all,
 )
 from latentperf.model import (
@@ -252,14 +251,6 @@ def test_simulate_matches_reference(rng):
             assert mat.algorithm == params.algorithms[a].name
 
 
-def test_simulate_single_is_consistent(rng):
-    _, params, cur = random_instance(rng, 3, 6, 3)
-    all_mats = simulate_all(params, cur)
-    for a in range(3):
-        one = simulate(params, cur, a)
-        assert (one.values == all_mats[a].values).all()
-
-
 def test_scalar_stepper_matches_kernel_exactly(rng):
     # performance_map + experience_step is the public one-step view of the
     # vectorized rollout; it must not drift from it by a single bit.
@@ -286,7 +277,7 @@ def test_simulate_zero_gain_algorithm_stays_flat():
         tasks=tasks, algorithms=[AlgorithmProperties("inert", 0.0, 0.7, 0.0)]
     )
     cur = Curriculum(entries=[0, 1, 2, 0], n_tasks=3)
-    mat = simulate(params, cur, 0)
+    mat = simulate_all(params, cur)[0]
     assert (mat.values == 0.0).all()
 
 
@@ -297,12 +288,12 @@ def test_simulate_rejects_mismatched_curriculum():
     )
     cur = Curriculum(entries=[0, 1, 2], n_tasks=3)
     with pytest.raises(ValidationError):
-        simulate(params, cur, 0)
-    with pytest.raises(ValidationError):
-        simulate(params, Curriculum(entries=[0], n_tasks=2), 5)
+        simulate_all(params, cur)[0]
+    with pytest.raises(IndexError):
+        simulate_all(params, Curriculum(entries=[0], n_tasks=2))[5]
 
 
 def test_simulate_outputs_are_float64(rng):
     _, params, cur = random_instance(rng, 2, 4, 1)
-    mat = simulate(params, cur, 0)
+    mat = simulate_all(params, cur)[0]
     assert mat.values.dtype == np.float64

@@ -1,9 +1,11 @@
 """Record the benchmark's figures for every workload in one BENCH_*.json.
 
-Run from a clean checkout's root, naming the file to write (the
-environment it records names the commit, not uncommitted edits):
+Run from a clean checkout's root, naming the file to write:
 
     python3 tools/bench_record.py BENCH_<n>.json
+
+The environment it records names the commit, not uncommitted edits, so
+it exits nonzero before running anything if a tracked file is modified.
 
 For each workload that BENCHMARK.json declares, it runs the benchmark
 command from that file (``perfbench/run.py``) as a subprocess with
@@ -42,6 +44,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="the BENCH_*.json file to write")
     args = parser.parse_args(argv)
+    dirty = subprocess.run(
+        ["git", "status", "--porcelain", "--untracked-files=no"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout
+    if dirty:
+        sys.exit(f"uncommitted changes; commit them first:\n{dirty}")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
 
