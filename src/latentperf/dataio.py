@@ -43,12 +43,6 @@ RAW_HEADER = ("algorithm", "global_step", "task", "metric")
 _STEP_LIMIT = 2**63
 
 
-def _fmt(v: float) -> str:
-    # repr of a Python float is the shortest string that parses back to
-    # the same double, so round-trips are exact.
-    return repr(float(v))
-
-
 # ---------------------------------------------------------------------------
 # curves CSV
 
@@ -64,13 +58,18 @@ def write_curves(path, taskset: TaskSet, matrices) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(CURVES_HEADER)
+        # tolist() gives Python floats, which csv writes as str(v): the
+        # shortest string that parses back to the same double, so round
+        # trips are exact.
         for mat in matrices:
-            for l in range(mat.n_steps):
-                for j in range(taskset.n):
-                    if mat.mask[j, l]:
-                        w.writerow(
-                            (mat.algorithm, l, taskset.names[j], _fmt(mat.values[j, l]))
-                        )
+            w.writerows(
+                (mat.algorithm, l, name, v)
+                for l, (values, mask) in enumerate(
+                    zip(mat.values.T.tolist(), mat.mask.T.tolist())
+                )
+                for name, v, observed in zip(taskset.names, values, mask)
+                if observed
+            )
 
 
 def _read_rows(path, header, what: str):
@@ -153,12 +152,14 @@ def _read_cells(path, taskset: TaskSet | None):
 
 
 def _curve_matrices(cells, taskset: TaskSet, m: int) -> list[PerformanceMatrix]:
+    # every task in ``cells`` was checked against the task set on reading
+    rows = {name: j for j, name in enumerate(taskset.names)}
     matrices = []
     for algo, algo_cells in cells.items():
         values = np.zeros((taskset.n, m))
         mask = np.zeros((taskset.n, m), dtype=bool)
         for (step, task), perf in algo_cells.items():
-            j = taskset.index(task)
+            j = rows[task]
             values[j, step] = perf
             mask[j, step] = True
         matrices.append(PerformanceMatrix(algorithm=algo, values=values, mask=mask))

@@ -21,12 +21,21 @@ d(experience), through the steps that are truly sequential, and records
 it; each parameter group's gradient is then one reduction over those
 records and the forward rollout's.  Tests check it against a forward-mode
 oracle and central finite differences.
+
+A fit sets up one ``_Problem`` per (curriculum, observed, mask), holding
+every buffer the rollout and the adjoint write and their per-step views,
+and allocates its Adam moments once.  Each optimizer step then runs as
+ufuncs writing into those buffers, in the same operations, order and
+memory layout as the plain expressions, so results are bitwise those of
+an allocating evaluation.  ``loss`` and ``gradient`` build one problem
+per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +45,7 @@ from .model import (
     Curriculum,
     PerformanceMatrix,
     ScenarioParams,
+    _Rollout,
     _checked_arrays,
     _forward_curves,
     _param_arrays,
@@ -132,70 +142,151 @@ def _check_shapes(curriculum: Curriculum, observed) -> tuple[np.ndarray, np.ndar
     return obs, mask
 
 
-def _residuals(pred, obs, mask):
-    """Masked residuals and their summed squares (the raw loss)."""
-    resid = np.where(mask, pred - obs, 0.0)
-    return resid, float(np.sum(resid * resid))
+class _Problem:
+    """One (curriculum, observed, mask) and every buffer that evaluating
+    its loss and gradient writes, set up once.
 
-
-def _raw_loss_and_grad(arrays, entries, obs, mask):
-    """Forward rollout plus the two-phase adjoint (see the module docstring).
-
-    Returns the raw summed-squares loss and its gradient as one flat vector
-    laid out like ``_pack``.  No BLAS call, so results are bitwise
-    deterministic at any thread count.
+    A fit evaluates the same problem at every optimizer step, so each
+    evaluation refills these buffers through ufuncs with ``out=`` instead
+    of allocating.  An evaluation writes every buffer in full before it
+    reads it (states[0] alone is set once, to zero), in the order and
+    memory layout of the expression it evaluates; results are therefore
+    bitwise the same whatever an earlier evaluation left behind.
+    ``grad`` is the flat gradient laid out like ``_pack``, and
+    ``grad_groups`` its ``_unpack`` views.
     """
-    transfer, difficulty, gamma, retention, translation = arrays
-    e = np.array(entries)
-    pred, states, before = _forward_curves(*arrays, entries)
-    resid, loss = _residuals(pred, obs, mask)
-    # What the output map adds to ebar at step l, and what one unit of
-    # dgain adds to the trained task's ebar through its performance.
-    inject = np.moveaxis(resid * (1.0 - pred * pred), -1, 0) / difficulty
-    feedback = translation * (0.5 * (1.0 - before * before)) / difficulty[e, None]
 
-    # ebars[l] = d(loss)/d(states[l + 1]), dgains[l] = d(loss)/d(gain at step l)
-    ebars = np.empty_like(inject)
-    dgains = np.empty_like(before)
-    ebar = np.zeros_like(inject[0])
-    for l, i in reversed(list(enumerate(entries))):
-        ebars[l] = ebar = ebar + inject[l]
-        dgains[l] = dgain = np.sum(ebar * transfer[i], axis=1)
-        ebar = ebar * retention[:, None]
-        # at l = 0 this is d(loss)/d(states[0]), which nothing reads
-        ebar[:, i] += dgain * feedback[l]
+    def __init__(self, curriculum: Curriculum, obs: np.ndarray, mask: np.ndarray):
+        p, n, m = obs.shape
+        self.rollout = ws = _Rollout(n, p, curriculum.entries)
+        self.obs = obs
+        self.unobserved = ~mask
+        self.resid = np.empty((p, n, m))
+        # first the squared residuals, then what the output map adds to
+        # ebar at step l, read as (m, p, n)
+        self.squares = np.empty((p, n, m))
+        self.inject = np.moveaxis(self.squares, -1, 0)
+        # what one unit of dgain adds to the trained task's ebar through
+        # its performance
+        self.feedback = np.empty((m, p))
+        # ebars[l] = d(loss)/d(states[l + 1]), dgains[l] = d(loss)/d(gain
+        # at step l); ebar carries d(loss)/d(states[l]) between steps.
+        # ebars has inject's (p, n, m) memory layout: the gradient einsums
+        # sum in an order that depends on it.
+        self.ebars = np.moveaxis(np.empty((p, n, m)), -1, 0)
+        self.dgains = np.empty((m, p))
+        self.ebar = np.empty((p, n))
+        self.scratch = np.empty(p)
+        self.per_row = np.empty((m, n))
+        self.per_algo = np.empty((m, p))
+        self.per_step = np.empty(m)
+        self.grad = np.empty(n * n + n + 3 * p)
+        self.grad_groups = _unpack(self.grad, n, p)
 
-    g_transfer = np.zeros_like(transfer)
-    gain = gamma + before * translation
-    np.add.at(g_transfer, e, np.einsum("lpn,lp->ln", ebars, gain))
-    g_difficulty = -np.einsum("lpn,lpn->n", inject, states[1:]) / difficulty
-    # before[l] also reads difficulty[e[l]], through the trained task's
-    # experience before step l (zero at l = 0)
-    trained = states[np.arange(e.size), :, e] / difficulty[e, None]
-    np.add.at(g_difficulty, e, -np.sum(dgains * feedback * trained, axis=1))
-    g_gamma = np.sum(dgains, axis=0)
-    g_retention = np.einsum("lpn,lpn->p", ebars, states[:-1])
-    g_translation = np.sum(dgains * before, axis=0)
-    return loss, _pack((g_transfer, g_difficulty, g_gamma, g_retention, g_translation))
+    @cached_property
+    def phases(self):
+        """Per step l, last step first: inject[l], ebars[l], transfer[i],
+        dgains[l], feedback[l] and ebar[:, i].  Built on the first
+        gradient, as ``loss`` never reads them."""
+        columns = list(self.ebar.T)
+        return list(
+            zip(
+                self.inject[::-1],
+                self.ebars[::-1],
+                self.rollout.rows[::-1],
+                self.dgains[::-1],
+                self.feedback[::-1],
+                [columns[i] for i in self.rollout.entries[::-1]],
+            )
+        )
+
+    def loss(self, arrays) -> float:
+        """Rollout at the parameter groups ``arrays``; leaves the masked
+        residuals in ``resid`` and returns their summed squares (the raw
+        loss)."""
+        pred = _forward_curves(self.rollout, *arrays)
+        np.subtract(pred, self.obs, out=self.resid)
+        np.copyto(self.resid, 0.0, where=self.unobserved)
+        np.multiply(self.resid, self.resid, out=self.squares)
+        return float(np.add.reduce(self.squares, axis=None))
+
+    def loss_and_grad(self, arrays) -> float:
+        """Forward rollout plus the two-phase adjoint (see the module
+        docstring) at the parameter groups ``arrays``.
+
+        Returns the raw summed-squares loss and leaves its gradient in
+        ``grad``.  No BLAS call, so results are bitwise deterministic at any
+        thread count.
+        """
+        transfer, difficulty, gamma, retention, translation = arrays
+        loss = self.loss(arrays)
+        ws = self.rollout
+        e, pred = ws.entries, ws.pred
+        inject, feedback = self.inject, self.feedback
+        # inject = resid * (1 - pred * pred) / difficulty
+        np.multiply(pred, pred, out=self.squares)
+        np.subtract(1.0, self.squares, out=self.squares)
+        np.multiply(self.resid, self.squares, out=self.squares)
+        np.divide(inject, difficulty, out=inject)
+        # feedback = lambda * (0.5 * (1 - before * before)) / difficulty[e]
+        np.multiply(ws.before, ws.before, out=feedback)
+        np.subtract(1.0, feedback, out=feedback)
+        np.multiply(feedback, 0.5, out=feedback)
+        np.multiply(translation, feedback, out=feedback)
+        np.divide(feedback, ws.row_difficulty[:, None], out=feedback)
+
+        ebar, pn, scratch = self.ebar, ws.scratch, self.scratch
+        keep = retention[:, None]
+        ebar.fill(0.0)
+        for inj, ebar_l, row, dgain, fb, trained_ebar in self.phases:
+            np.add(ebar, inj, out=ebar_l)
+            np.multiply(ebar_l, row, out=pn)
+            np.add.reduce(pn, axis=1, out=dgain)
+            np.multiply(ebar_l, keep, out=ebar)
+            # at l = 0 this is d(loss)/d(states[0]), which nothing reads
+            np.multiply(dgain, fb, out=scratch)
+            np.add(trained_ebar, scratch, out=trained_ebar)
+
+        g_transfer, g_difficulty, g_gamma, g_retention, g_translation = self.grad_groups
+        dgains = self.dgains
+        g_transfer.fill(0.0)
+        np.einsum("lpn,lp->ln", self.ebars, ws.gains, out=self.per_row)
+        np.add.at(g_transfer, e, self.per_row)
+        np.einsum("lpn,lpn->n", inject, ws.states[1:], out=g_difficulty)
+        np.negative(g_difficulty, out=g_difficulty)
+        np.divide(g_difficulty, difficulty, out=g_difficulty)
+        # before[l] also reads difficulty[e[l]], through the trained task's
+        # experience before step l (zero at l = 0)
+        per_algo, per_step = self.per_algo, self.per_step
+        np.multiply(dgains, feedback, out=per_algo)
+        np.multiply(per_algo, ws.trained, out=per_algo)
+        np.add.reduce(per_algo, axis=1, out=per_step)
+        np.negative(per_step, out=per_step)
+        np.add.at(g_difficulty, e, per_step)
+        np.add.reduce(dgains, axis=0, out=g_gamma)
+        np.einsum("lpn,lpn->p", self.ebars, ws.states[:-1], out=g_retention)
+        np.multiply(dgains, ws.before, out=per_algo)
+        np.add.reduce(per_algo, axis=0, out=g_translation)
+        return loss
 
 
 def _problem(params: ScenarioParams, curriculum: Curriculum, observed):
     arrays = _checked_arrays(params, curriculum)
-    obs, mask = _check_shapes(curriculum, observed)
-    return arrays, curriculum.entries, obs, mask
+    return arrays, _Problem(curriculum, *_check_shapes(curriculum, observed))
 
 
 def loss(params: ScenarioParams, curriculum: Curriculum, observed) -> float:
     """Summed squared error between simulated and observed curves (masked
     entries excluded)."""
-    arrays, entries, obs, mask = _problem(params, curriculum, observed)
-    return _residuals(_forward_curves(*arrays, entries)[0], obs, mask)[1]
+    arrays, problem = _problem(params, curriculum, observed)
+    return problem.loss(arrays)
 
 
 def gradient(params: ScenarioParams, curriculum: Curriculum, observed) -> ParamGradient:
     """Exact derivatives of ``loss`` with respect to every parameter."""
-    _, grad = _raw_loss_and_grad(*_problem(params, curriculum, observed))
-    return ParamGradient(*_unpack(grad, params.n, params.p))
+    arrays, problem = _problem(params, curriculum, observed)
+    problem.loss_and_grad(arrays)
+    return ParamGradient(*problem.grad_groups)
 
 
 def _pack(arrays) -> np.ndarray:
@@ -242,6 +333,16 @@ def _component_name(flat_index: int, n: int, p: int, algo_names) -> str:
     return f"{label}({algo_names[a]})"
 
 
+def _first_nonfinite(x: np.ndarray) -> int | None:
+    """Index of the first non-finite entry of ``x``, or None."""
+    # A finite sum has only finite terms, so the scan runs only after an
+    # overflow or a NaN.
+    if math.isfinite(np.add.reduce(x)):
+        return None
+    bad = np.flatnonzero(~np.isfinite(x))
+    return int(bad[0]) if bad.size else None
+
+
 def _initial_theta(n: int, p: int, seed: int) -> np.ndarray:
     """Packed starting point drawn uniformly inside the box: transfer from
     [-1, 1], every other entry from [0, 1]."""
@@ -271,8 +372,10 @@ def fit(
 
     Every algorithm shares one transfer matrix and difficulty vector.  Its
     diagonal is held at exactly 1, also when ``init_params`` has another
-    diagonal (see the module docstring for why).  One closing
-    ``simulate_all`` gives the predictions and every final loss.
+    diagonal (see the module docstring for why).  The final losses come
+    from one more evaluation at the last parameters, and one closing
+    ``simulate_all`` gives the predictions: the same kernel, so the same
+    curves bit for bit.
 
     Raises DivergenceError if the loss, the gradient of a parameter the
     fit moves, or a parameter goes non-finite; the loss is checked first.
@@ -282,7 +385,6 @@ def fit(
     names = [o.algorithm for o in observed]
     if len(set(names)) != len(names):
         raise ValidationError("observed algorithm names must be unique")
-    entries = curriculum.entries
 
     if init_params is not None:
         if init_params.n != n or init_params.p != p:
@@ -292,53 +394,72 @@ def fit(
         theta = _initial_theta(n, p, config.seed)
 
     lo, hi = _bounds(n, p)
-    free = lo < hi
+    pinned = lo == hi
     theta = np.clip(theta, lo, hi)
     n_masked = int(np.sum(mask))
     scale = 1.0 / n_masked
 
+    # Adam updates theta in place, so these views follow every step.
+    problem, arrays = _Problem(curriculum, obs, mask), _unpack(theta, n, p)
+    g = problem.grad
     moment1 = np.zeros_like(theta)
     moment2 = np.zeros_like(theta)
+    step, denom = np.empty_like(theta), np.empty_like(theta)
     trace = np.empty(config.steps + 1)
     # Overflow is expected on the way to divergence; every non-finite value
     # in this block is checked and reported, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.steps + 1):
-            value, g = _raw_loss_and_grad(_unpack(theta, n, p), entries, obs, mask)
+            value = problem.loss_and_grad(arrays)
             if not math.isfinite(value):
                 raise DivergenceError(t - 1, "loss")
             # the pinned diagonal's gradient is never used, so never examined
-            g = np.where(free, g, 0.0)
-            bad = np.flatnonzero(~np.isfinite(g))
-            if bad.size:
+            np.copyto(g, 0.0, where=pinned)
+            bad = _first_nonfinite(g)
+            if bad is not None:
                 raise DivergenceError(
-                    t - 1, "gradient of " + _component_name(int(bad[0]), n, p, names)
+                    t - 1, "gradient of " + _component_name(bad, n, p, names)
                 )
             trace[t - 1] = value * scale
-            moment1 = _BETA1 * moment1 + (1.0 - _BETA1) * g
-            moment2 = _BETA2 * moment2 + (1.0 - _BETA2) * (g * g)
-            m_hat = moment1 / (1.0 - _BETA1**t)
-            v_hat = moment2 / (1.0 - _BETA2**t)
-            step = config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
-            theta = np.clip(theta - step, lo, hi)
+            # moment1 = beta1 * moment1 + (1 - beta1) * g
+            moment1 *= _BETA1
+            np.multiply(g, 1.0 - _BETA1, out=step)
+            moment1 += step
+            # moment2 = beta2 * moment2 + (1 - beta2) * (g * g)
+            moment2 *= _BETA2
+            np.multiply(g, g, out=step)
+            step *= 1.0 - _BETA2
+            moment2 += step
+            # step = lr * m_hat / (sqrt(v_hat) + epsilon), bias-corrected
+            np.divide(moment2, 1.0 - _BETA2**t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += _EPSILON
+            np.divide(moment1, 1.0 - _BETA1**t, out=step)
+            step *= config.learning_rate
+            step /= denom
+            theta -= step
+            theta.clip(lo, hi, out=theta)
             # a step can overflow a parameter that has no upper bound
-            bad = np.flatnonzero(~np.isfinite(theta))
-            if bad.size:
-                raise DivergenceError(t, _component_name(int(bad[0]), n, p, names))
+            bad = _first_nonfinite(theta)
+            if bad is not None:
+                raise DivergenceError(t, _component_name(bad, n, p, names))
             if callback is not None:
                 feasible = bool(np.all(theta >= lo) and np.all(theta <= hi))
                 callback(t, float(trace[t - 1]), feasible)
 
-        params = _params_from_arrays(*_unpack(theta, n, p), names)
-        predicted = tuple(simulate_all(params, curriculum))
-        resid, final_raw = _residuals(np.stack([m.values for m in predicted]), obs, mask)
+        final_raw = problem.loss(arrays)
         if not math.isfinite(final_raw):
             raise DivergenceError(config.steps, "loss")
+        resid = problem.resid
+        per_algo = {
+            names[a]: float(np.sum(resid[a] * resid[a]) / max(1, int(np.sum(mask[a]))))
+            for a in range(p)
+        }
+        # free the workspace before the closing rollout allocates its own
+        del problem, resid
+        params = _params_from_arrays(*arrays, names)
+        predicted = tuple(simulate_all(params, curriculum))
     trace[config.steps] = final_raw * scale
-    per_algo = {
-        names[a]: float(np.sum(resid[a] * resid[a]) / max(1, int(np.sum(mask[a]))))
-        for a in range(p)
-    }
     return FitResult(
         params=params,
         predicted=predicted,

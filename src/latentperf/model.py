@@ -3,8 +3,13 @@
 The model describes a lifelong learner working through a curriculum of
 tasks.  Each task holds a hidden *experience* level that grows when related
 tasks are trained and decays with forgetting; observed performance is a
-shifted sigmoid of experience.  All functions here are pure: inputs are
-never mutated and equal inputs give bitwise-equal outputs.
+shifted sigmoid of experience.  All public functions here are pure: inputs
+are never mutated and equal inputs give bitwise-equal outputs.
+
+The vectorized rollout, ``_forward_curves``, writes into a ``_Rollout``:
+buffers and per-step views set up once per curriculum, so the estimator's
+thousand rollouts per fit allocate nothing.  ``simulate_all`` builds one
+per call.
 """
 
 from __future__ import annotations
@@ -314,37 +319,89 @@ def experience_step(
     return ExperienceState(experience=new, step=state.step + 1)
 
 
+class _Rollout:
+    """Every buffer a rollout of one curriculum writes, and the per-phase
+    views into them, set up once so that repeated rollouts allocate
+    nothing.
+
+    ``states`` (m+1, p, n) is the experience trajectory: states[0] is all
+    zeros and states[l+1] is experience after curriculum step l.  Of shape
+    (m, p): ``trained``, the trained task's experience over its difficulty
+    before step l; ``before``, that task's performance; ``gains``, the
+    gain gamma + before * lambda that step l adds along its transfer row.
+    ``curves`` (m, p, n) is the sigmoid of states[1:], and ``pred`` the
+    same numbers as (p, n, m).
+    """
+
+    def __init__(self, n: int, p: int, entries):
+        m = len(entries)
+        self.entries = np.array(entries, dtype=np.intp)
+        self.states = np.empty((m + 1, p, n))
+        self.states[0] = 0.0  # never written again
+        self.trained = np.empty((m, p))
+        self.before = np.empty((m, p))
+        self.gains = np.empty((m, p))
+        # transfer[entries] and difficulty[entries], refilled per rollout
+        self.rows = np.empty((m, n))
+        self.row_difficulty = np.empty(m)
+        self.curves = np.empty((m, p, n))
+        self.pred = np.moveaxis(self.curves, 0, -1)
+        self.scratch = np.empty((p, n))
+        # per step l: states[l], states[l + 1], states[l, :, i] and one
+        # row of each record
+        self.phases = list(
+            zip(
+                self.states[:-1],
+                self.states[1:],
+                [s[:, i] for s, i in zip(self.states, self.entries)],
+                self.row_difficulty[:, None],
+                self.trained,
+                self.before,
+                self.gains,
+                self.gains[:, :, None],
+                self.rows,
+            )
+        )
+
+
 def _forward_curves(
+    ws: _Rollout,
     transfer: np.ndarray,
     difficulty: np.ndarray,
     gamma: np.ndarray,
     retention: np.ndarray,
     translation: np.ndarray,
-    entries,
-):
-    """Vectorized rollout over all algorithms at once.
+) -> np.ndarray:
+    """Vectorized rollout over all algorithms at once, in ``ws``'s buffers.
 
-    Returns ``(pred, states, before)``: predictions of shape (p, n, m); the
-    experience trajectory of shape (m+1, p, n), where states[0] is all zeros
-    and states[l+1] is experience after curriculum step l; and ``before`` of
-    shape (m, p), the trained task's performance before step l.  The loop
-    writes only the records; ``pred`` is one sigmoid over them afterwards,
-    computed in a single (m, p, n) buffer.
+    Fills every record of ``ws`` and returns ``ws.pred``, the predictions
+    of shape (p, n, m).  The loop writes only the records; ``pred`` is one
+    sigmoid over them afterwards.  Every step is a ufunc writing into a
+    buffer, in the order of the expression it evaluates, so results do not
+    depend on whether a buffer held an earlier rollout.
     """
-    p = gamma.shape[0]
-    n = difficulty.shape[0]
-    m = len(entries)
-    states = np.empty((m + 1, p, n))
-    before = np.empty((m, p))
-    states[0] = 0.0
-    for l, i in enumerate(entries):
-        before[l] = _scaled_sigmoid(states[l, :, i] / difficulty[i])
-        gain = gamma + before[l] * translation
-        states[l + 1] = states[l] * retention[:, None] + gain[:, None] * transfer[i]
-    x = states[1:] / difficulty
+    # entries are in range (Curriculum checks them); "clip" lets take
+    # write straight into out instead of through a buffer
+    np.take(transfer, ws.entries, axis=0, out=ws.rows, mode="clip")
+    np.take(difficulty, ws.entries, out=ws.row_difficulty, mode="clip")
+    keep = retention[:, None]
+    scratch = ws.scratch
+    for prev, nxt, src, d, trained, before, gain, gain_col, row in ws.phases:
+        # before = tanh(0.5 * (experience / d)), the _scaled_sigmoid
+        np.divide(src, d, out=trained)
+        np.multiply(trained, 0.5, out=before)
+        np.tanh(before, out=before)
+        np.multiply(before, translation, out=gain)
+        np.add(gamma, gain, out=gain)
+        # nxt = prev * h + gain * transfer[i]
+        np.multiply(prev, keep, out=nxt)
+        np.multiply(gain_col, row, out=scratch)
+        np.add(nxt, scratch, out=nxt)
+    x = ws.curves
+    np.divide(ws.states[1:], difficulty, out=x)
     x *= 0.5
     np.tanh(x, out=x)  # _scaled_sigmoid, in place
-    return np.moveaxis(x, 0, -1), states, before
+    return ws.pred
 
 
 def _param_arrays(params: ScenarioParams):
@@ -383,7 +440,8 @@ def _checked_arrays(params: ScenarioParams, curriculum: Curriculum):
 
 def simulate_all(params: ScenarioParams, curriculum: Curriculum) -> list[PerformanceMatrix]:
     """Forward rollout for every algorithm, order preserved."""
-    pred = _forward_curves(*_checked_arrays(params, curriculum), curriculum.entries)[0]
+    arrays = _checked_arrays(params, curriculum)
+    pred = _forward_curves(_Rollout(params.n, params.p, curriculum.entries), *arrays)
     return [
         PerformanceMatrix(algorithm=a.name, values=pred[k])
         for k, a in enumerate(params.algorithms)

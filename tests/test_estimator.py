@@ -20,7 +20,7 @@ from latentperf import (
 )
 from latentperf import estimator
 from latentperf.estimator import _pack
-from latentperf.model import D_MIN, _param_arrays
+from latentperf.model import D_MIN, _param_arrays, _params_from_arrays
 from latentperf.scenarios import ScenarioSpec, generate
 
 from conftest import params_as_lists, random_instance
@@ -261,6 +261,34 @@ def test_gradient_matches_finite_differences_at_saturated_experience(rng):
     assert worst < 1e-4
 
 
+def test_gradient_results_do_not_share_buffers(rng):
+    _, params_a, cur = random_instance(rng, 4, 7, 2)
+    _, params_b, _ = random_instance(rng, 4, 7, 2)
+    observed = _random_observed(rng, params_a, cur)
+    first = gradient(params_a, cur, observed)
+    kept = _pack_gradient(first).copy()
+    gradient(params_b, cur, observed)
+    np.testing.assert_array_equal(_pack_gradient(first), kept)
+
+
+def test_problem_workspace_leaves_no_stale_state(rng):
+    # One workspace evaluates a, b, a again; each must be bitwise what a
+    # fresh workspace gives, so no evaluation reads a buffer left over
+    # from the one before (the trajectory, ebar, the gradient groups).
+    _, params_a, cur = random_instance(rng, 4, 9, 3)
+    _, params_b, _ = random_instance(rng, 4, 9, 3)
+    obs, mask = estimator._check_shapes(cur, _random_observed(rng, params_a, cur))
+    shared = estimator._Problem(cur, obs, mask)
+    for params in (params_a, params_b, params_a):
+        arrays = _param_arrays(params)
+        fresh = estimator._Problem(cur, obs, mask)
+        assert shared.loss_and_grad(arrays) == fresh.loss_and_grad(arrays)
+        np.testing.assert_array_equal(shared.grad, fresh.grad)
+        np.testing.assert_array_equal(shared.rollout.pred, fresh.rollout.pred)
+        assert (shared.rollout.states[0] == 0.0).all()
+        assert shared.loss(arrays) == fresh.loss(arrays)
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -323,6 +351,35 @@ def test_fit_deterministic(rng):
     np.testing.assert_array_equal(r1.loss_trace, r2.loss_trace)
     for m1, m2 in zip(r1.predicted, r2.predicted):
         np.testing.assert_array_equal(m1.values, m2.values)
+
+
+def test_fit_matches_allocating_reference(rng):
+    # fit reuses one workspace and updates Adam in place; a loop that calls
+    # the public loss and gradient afresh every step and allocates every
+    # temporary must reach bitwise the same trace and parameters.
+    truth, cur, _ = _small_problem(rng, n=4, m=9, p=3)
+    observed = _random_observed(rng, truth, cur)
+    names = [o.algorithm for o in observed]
+    config = FitConfig(steps=25, learning_rate=0.05)
+    result = fit(cur, observed, config, init_params=truth)
+
+    n, p = truth.n, truth.p
+    b1, b2, eps = estimator._BETA1, estimator._BETA2, estimator._EPSILON
+    lo, hi = estimator._bounds(n, p)
+    scale = 1.0 / sum(int(o.mask.sum()) for o in observed)
+    theta = np.clip(_pack(_param_arrays(truth)), lo, hi)
+    moment1 = moment2 = np.zeros_like(theta)
+    for t in range(1, config.steps + 1):
+        params = _params_from_arrays(*estimator._unpack(theta, n, p), names)
+        assert result.loss_trace[t - 1] == loss(params, cur, observed) * scale
+        g = np.where(lo < hi, _pack_gradient(gradient(params, cur, observed)), 0.0)
+        moment1 = b1 * moment1 + (1.0 - b1) * g
+        moment2 = b2 * moment2 + (1.0 - b2) * (g * g)
+        m_hat = moment1 / (1.0 - b1**t)
+        v_hat = moment2 / (1.0 - b2**t)
+        step = config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        theta = np.clip(theta - step, lo, hi)
+    np.testing.assert_array_equal(_pack(_param_arrays(result.params)), theta)
 
 
 def test_fit_trace_and_losses(rng):
