@@ -76,7 +76,7 @@ def _cmd_fit(args) -> int:
     dataio.write_params(out / "estimates.json", taskset, result.params)
     dataio.write_curves(out / "predicted.csv", taskset, result.predicted)
     tables = [
-        reporting.property_table([result.params]),
+        reporting.property_table(result.params.algorithms),
         reporting.transfer_table(result.params, taskset),
         reporting.difficulty_table(result.params, taskset),
     ]
@@ -149,7 +149,7 @@ def _cmd_report(args) -> int:
         if label in estimates:
             raise ValidationError(f"duplicate label {label!r}")
         _, params = dataio.parse_params(path)
-        estimates[label] = params
+        estimates[label] = params.algorithms
     table = reporting.comparison_table(estimates, args.param)
     out = Path(args.out)
     out.write_text(table.markdown(), encoding="utf-8")

@@ -80,7 +80,7 @@ def _read_rows(path, header, what: str):
     step_name, value_name = header[1], header[3]
     seen = False
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
         try:
             first = next(reader, None)
             if first is None:
@@ -90,9 +90,10 @@ def _read_rows(path, header, what: str):
                     f"expected header {','.join(header)}, got {','.join(first)}",
                     line=1,
                 )
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
+                lineno = reader.line_num  # a quoted field may span lines
                 if len(row) != 4:
                     raise ParseError(f"expected 4 columns, got {len(row)}", line=lineno)
                 algo, step_s, task, value_s = row

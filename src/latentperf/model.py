@@ -26,13 +26,6 @@ from .errors import ValidationError
 D_MIN = 1e-3
 
 
-def _as_float_vector(x, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional, got shape {a.shape}")
-    return a
-
-
 @dataclass(frozen=True)
 class TaskSet:
     """Ordered collection of distinct task names."""
@@ -267,11 +260,6 @@ class PerformanceMatrix:
         return self.values.shape[1]
 
 
-def _scaled_sigmoid(x):
-    # 2/(1+e^-x) - 1 == tanh(x/2); the tanh form cannot overflow.
-    return np.tanh(0.5 * x)
-
-
 def performance_map(experience: float, difficulty: float) -> float:
     """Map accumulated experience to performance in (-1, 1).
 
@@ -283,7 +271,8 @@ def performance_map(experience: float, difficulty: float) -> float:
         raise ValidationError("experience and difficulty must be finite")
     if d < D_MIN:
         raise ValidationError(f"difficulty must be at least {D_MIN}")
-    return float(_scaled_sigmoid(e / d))
+    # 2/(1+e^-x) - 1 == tanh(x/2); the tanh form cannot overflow.
+    return float(np.tanh(0.5 * (e / d)))
 
 
 def experience_step(
@@ -387,7 +376,7 @@ def _forward_curves(
     keep = retention[:, None]
     scratch = ws.scratch
     for prev, nxt, src, d, trained, before, gain, gain_col, row in ws.phases:
-        # before = tanh(0.5 * (experience / d)), the _scaled_sigmoid
+        # before = tanh(0.5 * (experience / d)), as in performance_map
         np.divide(src, d, out=trained)
         np.multiply(trained, 0.5, out=before)
         np.tanh(before, out=before)
@@ -400,7 +389,7 @@ def _forward_curves(
     x = ws.curves
     np.divide(ws.states[1:], difficulty, out=x)
     x *= 0.5
-    np.tanh(x, out=x)  # _scaled_sigmoid, in place
+    np.tanh(x, out=x)  # performance_map, in place
     return ws.pred
 
 

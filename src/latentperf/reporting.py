@@ -7,7 +7,9 @@ SVG strings built by hand so equal inputs give byte-identical output.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,6 @@ from .model import (
     ALGORITHM_FIELDS,
     AlgorithmProperties,
     Curriculum,
-    PerformanceMatrix,
     ScenarioParams,
     TaskSet,
     _algorithm_record,
@@ -56,28 +57,14 @@ def _fmt_rank(r: float) -> str:
     return str(int(r)) if r == int(r) else f"{r:.1f}"
 
 
-def _algorithms_of(item):
-    """Accept a FitResult, ScenarioParams, or an iterable of
-    AlgorithmProperties and return the algorithm list."""
-    params = getattr(item, "params", item)
-    if isinstance(params, ScenarioParams):
-        return list(params.algorithms)
-    if isinstance(params, AlgorithmProperties):
-        return [params]
-    return list(params)
-
-
-def property_table(results) -> Table:
+def property_table(algorithms: Iterable[AlgorithmProperties]) -> Table:
     """One row per algorithm with its gamma, h, and lambda estimates."""
-    algos = []
-    for item in results if isinstance(results, (list, tuple)) else [results]:
-        algos.extend(_algorithms_of(item))
-    if not algos:
+    records = [_algorithm_record(a) for a in algorithms]
+    if not records:
         raise ValidationError("no algorithms to tabulate")
-    names = [a.name for a in algos]
+    names = [r["name"] for r in records]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate algorithm names in property table")
-    records = [_algorithm_record(a) for a in algos]
     return Table(
         title="Estimated algorithm properties",
         headers=("algorithm", *ALGORITHM_FIELDS),
@@ -135,19 +122,12 @@ def difficulty_table(params: ScenarioParams, taskset: TaskSet) -> Table:
 
 
 def _average_ranks(values) -> list[float]:
-    """Rank 1 goes to the largest value; ties share the average position."""
-    order = sorted(range(len(values)), key=lambda i: -values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + 1 + j + 1) / 2.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
+    """Rank 1 goes to the largest value; ties share the average position,
+    ``1 + #greater + (#equal - 1) / 2``."""
+    return [
+        1 + sum(w > v for w in values) + (sum(w == v for w in values) - 1) / 2
+        for v in values
+    ]
 
 
 def _spearman(x_ranks, y_ranks) -> float:
@@ -161,10 +141,12 @@ def _spearman(x_ranks, y_ranks) -> float:
     return float(np.sum(xd * yd) / denom)
 
 
-def comparison_table(estimates, parameter: str) -> Table:
+def comparison_table(
+    estimates: Mapping[str, Iterable[AlgorithmProperties]], parameter: str
+) -> Table:
     """Compare one algorithm property across datasets.
 
-    ``estimates`` maps a dataset label to a FitResult or ScenarioParams.
+    ``estimates`` maps a dataset label to that dataset's algorithms.
     Rows are algorithms (first-appearance order), columns datasets; each
     cell shows the value with the within-column rank, e.g. ``0.96 (1)``.
     Algorithms missing from a dataset leave a blank cell.  The machine
@@ -179,66 +161,53 @@ def comparison_table(estimates, parameter: str) -> Table:
     if not estimates:
         raise ValidationError("no estimates to compare")
     field = ALGORITHM_FIELDS[parameter]
-    labels = list(estimates.keys())
     per_label: dict[str, dict[str, float]] = {}
-    algo_order: list[str] = []
-    for label in labels:
-        values = {}
-        for a in _algorithms_of(estimates[label]):
+    for label, algorithms in estimates.items():
+        values = per_label[label] = {}
+        for a in algorithms:
             if a.name in values:
                 raise ValidationError(
                     f"duplicate algorithm {a.name!r} under {label!r}"
                 )
             values[a.name] = float(getattr(a, field))
-            if a.name not in algo_order:
-                algo_order.append(a.name)
-        per_label[label] = values
+    labels = list(per_label)
+    algo_order = list(dict.fromkeys(n for values in per_label.values() for n in values))
 
-    ranks: dict[str, dict[str, float]] = {}
-    for label in labels:
-        names = [n for n in algo_order if n in per_label[label]]
-        rs = _average_ranks([per_label[label][n] for n in names])
-        ranks[label] = dict(zip(names, rs))
+    def ranks_of(label, names) -> list[float]:
+        return _average_ranks([per_label[label][n] for n in names])
 
-    rows = []
-    for name in algo_order:
-        cells = [name]
-        for label in labels:
-            if name in per_label[label]:
-                cells.append(
-                    f"{_fmt2(per_label[label][name])} ({_fmt_rank(ranks[label][name])})"
-                )
-            else:
-                cells.append("")
-        rows.append(tuple(cells))
+    ranks = {}
+    for label, values in per_label.items():
+        names = [n for n in algo_order if n in values]
+        ranks[label] = dict(zip(names, ranks_of(label, names)))
 
+    def cell(label, name) -> str:
+        if name not in per_label[label]:
+            return ""
+        return f"{_fmt2(per_label[label][name])} ({_fmt_rank(ranks[label][name])})"
+
+    rows = tuple((name, *(cell(l, name) for l in labels)) for name in algo_order)
     spearman = {}
-    for i, la in enumerate(labels):
-        for lb in labels[i + 1 :]:
-            shared = [
-                n for n in algo_order if n in per_label[la] and n in per_label[lb]
-            ]
-            key = f"{la}|{lb}"
-            if len(shared) < 2:
-                spearman[key] = None
-            else:
-                ra = _average_ranks([per_label[la][n] for n in shared])
-                rb = _average_ranks([per_label[lb][n] for n in shared])
-                spearman[key] = _spearman(ra, rb)
+    for la, lb in itertools.combinations(labels, 2):
+        shared = [n for n in algo_order if n in per_label[la] and n in per_label[lb]]
+        spearman[f"{la}|{lb}"] = (
+            _spearman(ranks_of(la, shared), ranks_of(lb, shared))
+            if len(shared) >= 2 else None
+        )
 
     machine = {
         "table": "comparison",
         "parameter": parameter,
         "datasets": labels,
         "algorithms": algo_order,
-        "values": {l: per_label[l] for l in labels},
-        "ranks": {l: ranks[l] for l in labels},
+        "values": per_label,
+        "ranks": ranks,
         "spearman": spearman,
     }
     return Table(
         title=f"Cross-dataset comparison of {parameter}",
         headers=("algorithm", *labels),
-        rows=tuple(rows),
+        rows=rows,
         machine=machine,
     )
 
@@ -266,17 +235,12 @@ def _series_fragments(values, mask, to_x, to_y, color, dashed) -> list[str]:
     """Polyline per contiguous observed run; lone points become dots."""
     out = []
     dash = ' stroke-dasharray="5 3"' if dashed else ""
-    m = values.shape[0]
-    l = 0
-    while l < m:
-        if not mask[l]:
-            l += 1
+    for observed, run in itertools.groupby(range(len(mask)), key=mask.__getitem__):
+        if not observed:
             continue
-        r = l
-        while r + 1 < m and mask[r + 1]:
-            r += 1
-        xs = [to_x(k) for k in range(l, r + 1)]
-        ys = [to_y(values[k]) for k in range(l, r + 1)]
+        steps = list(run)
+        xs = [to_x(k) for k in steps]
+        ys = [to_y(values[k]) for k in steps]
         if len(xs) == 1:
             out.append(
                 f'<circle cx="{xs[0]:.2f}" cy="{ys[0]:.2f}" r="2" fill="{color}"/>'
@@ -286,20 +250,17 @@ def _series_fragments(values, mask, to_x, to_y, color, dashed) -> list[str]:
                 f'<polyline points="{_coords(xs, ys)}" fill="none" '
                 f'stroke="{color}" stroke-width="1.5"{dash}/>'
             )
-        l = r + 1
     return out
 
 
-def plot_curves(
-    observed, predicted, curriculum: Curriculum, taskset: TaskSet | None = None
-) -> str:
+def plot_curves(observed, predicted, curriculum: Curriculum, taskset: TaskSet) -> str:
     """Render an algorithm-by-task grid of performance curves as SVG.
 
-    Observed curves are solid, predicted curves dashed, and each phase
-    where a task was trained is shaded behind its panel.  Predicted
-    matrices are matched to observed ones by algorithm name; an empty
-    ``predicted`` list draws observed curves only.  Output bytes are a
-    pure function of the inputs.
+    Columns are headed by ``taskset``'s names.  Observed curves are
+    solid, predicted curves dashed, and each phase where a task was
+    trained is shaded behind its panel.  Predicted matrices are matched to
+    observed ones by algorithm name; an empty ``predicted`` list draws
+    observed curves only.  Output bytes are a pure function of the inputs.
     """
     observed = list(observed)
     if not observed:
@@ -309,7 +270,7 @@ def plot_curves(
         raise ValidationError(
             f"curriculum is over {curriculum.n_tasks} tasks, curves have {n}"
         )
-    if taskset is not None and taskset.n != n:
+    if taskset.n != n:
         raise ValidationError(f"task set has {taskset.n} names, curves have {n} tasks")
     m = curriculum.m
     for mat in observed:
@@ -319,19 +280,15 @@ def plot_curves(
                 f"expected {(n, m)}"
             )
     pred_by_name = {}
-    for mat in predicted or []:
+    for mat in predicted:
         if mat.values.shape != (n, m):
             raise ValidationError(
                 f"predicted curves for {mat.algorithm!r} have shape "
                 f"{mat.values.shape}, expected {(n, m)}"
             )
         pred_by_name[mat.algorithm] = mat
-    task_names = list(taskset.names) if taskset is not None else [
-        f"task {j + 1}" for j in range(n)
-    ]
 
-    all_vals = [mat.values[mat.mask] for mat in observed if mat.mask.any()]
-    all_vals += [mat.values[mat.mask] for mat in pred_by_name.values() if mat.mask.any()]
+    all_vals = [mat.values[mat.mask] for mat in (*observed, *pred_by_name.values())]
     lo = min([-1.0] + [float(v.min()) for v in all_vals if v.size])
     hi = max([1.0] + [float(v.max()) for v in all_vals if v.size])
 
@@ -344,7 +301,7 @@ def plot_curves(
         "<style>text{font-family:monospace;font-size:10px;fill:#444}</style>",
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
     ]
-    for j, name in enumerate(task_names):
+    for j, name in enumerate(taskset.names):
         cx = _LEFT + j * (_PANEL_W + _GAP) + _PANEL_W / 2
         parts.append(
             f'<text x="{cx:.2f}" y="{_TOP - 8:.2f}" text-anchor="middle">{name}</text>'

@@ -456,3 +456,12 @@ def test_report_label_count_mismatch_exits_2(tmp_path, rng, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    code = main([
+        "report",
+        "--estimates", str(path), str(path),
+        "--labels", "a", "a",
+        "--param", "gamma",
+        "--out", str(tmp_path / "cmp.md"),
+    ])
+    assert code == 2
+    assert "error: duplicate label 'a'" in capsys.readouterr().err

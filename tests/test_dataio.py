@@ -146,6 +146,10 @@ def test_curves_parse_errors_carry_line_numbers(tmp_path):
         ("algorithm,step,task,performance\na,0,u,0.5\na,0,u,0.6\n", 3, "duplicate"),
         ("", 1, "empty"),
         ("algorithm,step,task,performance\n", 1, "no data"),
+        ("algorithm,step,task,performance\n,0,u,0.5\n", 2, "empty algorithm"),
+        # a quoted field spanning lines 2-3 shifts the bad row to line 4
+        ('algorithm,step,task,performance\n"a\nb",0,u,0.5\na,no,u,0.5\n', 4, "integer"),
+        ('algorithm,step,task,performance\na,0,u,"0.5', 2, "malformed"),
     ]
     for k, (text, line, needle) in enumerate(cases):
         path = _write(tmp_path, f"bad{k}.csv", text)
@@ -340,6 +344,18 @@ def test_params_schema_errors(tmp_path):
     assert info.value.field == "gamma"
     assert "field 'gamma':" in str(info.value)
 
+    valid = good["algorithms"][0]
+    for k, (doc, field) in enumerate([
+        (variant(difficulty=[0.5]), "difficulty"),
+        (variant(algorithms=[]), "algorithms"),
+        (variant(algorithms=[valid, "x"]), "algorithms"),
+        (variant(algorithms=[{**valid, "name": ""}]), "name"),
+    ]):
+        path = _write(tmp_path, f"s{k}.json", json.dumps(doc))
+        with pytest.raises(SchemaError) as info:
+            parse_params(path)
+        assert info.value.field == field
+
     for key in ("gamma", "h", "lambda"):
         lacking = {"name": "x", "gamma": 0.1, "h": 0.5, "lambda": 0.2}
         del lacking[key]
@@ -484,6 +500,11 @@ def test_parse_boundaries_errors(tmp_path):
     )
     with pytest.raises(SchemaError):
         parse_boundaries(badpair)
+
+    empty = _write(tmp_path, "e.json", '{"tasks": ["a"], "boundaries": []}')
+    with pytest.raises(SchemaError) as info:
+        parse_boundaries(empty)
+    assert info.value.field == "boundaries"
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +663,12 @@ def test_input_boundary_errors_are_parse_errors(tmp_path):
     with pytest.raises(ParseError) as info:
         parse_raw_log(huge, bnd)
     assert info.value.line == 2 and "range" in str(info.value)
+    stranger = _write(
+        tmp_path, "r3.csv", "algorithm,global_step,task,metric\na,0,u,1\na,5,w,1\n"
+    )
+    with pytest.raises(ParseError) as info:
+        parse_raw_log(stranger, bnd)
+    assert info.value.line == 3 and "unknown task 'w'" in str(info.value)
     far = _write(
         tmp_path, "b2.json", f'{{"tasks": ["u"], "boundaries": [[{big}, "u"]]}}'
     )

@@ -134,6 +134,11 @@ def test_loss_shape_mismatch_raises(rng):
         loss(params, cur, bad)
     with pytest.raises(ValidationError):
         loss(params, cur, [])
+    unobserved = PerformanceMatrix(
+        algorithm="a", values=np.zeros((2, 5)), mask=np.zeros((2, 5), dtype=bool)
+    )
+    with pytest.raises(ValidationError, match="no masked-true entries"):
+        loss(params, cur, [unobserved])
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +481,42 @@ def test_fit_duplicate_algorithm_names_rejected(rng):
         fit(cur, dup, FitConfig(steps=1))
 
 
+def test_component_name_follows_packed_layout():
+    for n, p in ((1, 1), (2, 3), (3, 2)):
+        names = [f"algo{a}" for a in range(p)]
+        flat = np.arange(n * n + n + 3 * p)
+        transfer, difficulty, *per_algorithm = estimator._unpack(flat, n, p)
+        expected = {}
+        for (i, j), k in np.ndenumerate(transfer):
+            expected[k] = f"transfer[{i},{j}]"
+        for j, k in enumerate(difficulty):
+            expected[k] = f"difficulty[{j}]"
+        for label, group in zip(("gamma", "h", "lambda"), per_algorithm):
+            for a, k in enumerate(group):
+                expected[k] = f"{label}({names[a]})"
+        assert sorted(expected) == list(flat)
+        for k in flat:
+            assert estimator._component_name(int(k), n, p, names) == expected[k]
+
+
+def test_fit_init_params_must_match_inputs(rng):
+    _, cur, observed = _small_problem(rng, n=3, p=2)
+    wrong_n = random_instance(rng, 2, cur.m, 2)[1]
+    wrong_p = random_instance(rng, 3, cur.m, 1)[1]
+    for init in (wrong_n, wrong_p):
+        with pytest.raises(ValidationError, match="init_params shape"):
+            fit(cur, observed, FitConfig(steps=1), init_params=init)
+
+
 def test_fit_config_validation():
     with pytest.raises(ValidationError):
         FitConfig(steps=-1)
     for lr in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValidationError):
             FitConfig(learning_rate=lr)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValidationError, match="unsigned 64-bit"):
+            FitConfig(seed=seed)
 
 
 def test_fit_with_restarts_picks_best(rng):

@@ -57,7 +57,7 @@ def _algos_with_gamma(gammas):
 
 def test_property_table_renders_fixture_row():
     _, params = parse_params(f"{DATA_DIR}/atari_estimates.json")
-    table = property_table(params)
+    table = property_table(params.algorithms)
     assert table.rows[0] == ("Clear", "0.12", "0.90", "0.03")
     md = table.markdown()
     assert "| Clear | 0.12 | 0.90 | 0.03 |" in md
@@ -252,6 +252,8 @@ def test_comparison_other_parameters_and_errors():
         comparison_table({"d": algos}, "difficulty")
     with pytest.raises(ValidationError):
         comparison_table({}, "gamma")
+    with pytest.raises(ValidationError, match="duplicate algorithm 'a' under 'd'"):
+        comparison_table({"d": algos + algos}, "gamma")
 
 
 # ---------------------------------------------------------------------------
@@ -356,3 +358,7 @@ def test_plot_validates_shapes():
         plot_curves(bad, [], cur, taskset=ts)
     with pytest.raises(ValidationError):
         plot_curves(observed, bad, cur, taskset=ts)
+    with pytest.raises(ValidationError, match="task set has 1 names"):
+        plot_curves(observed, predicted, cur, taskset=TaskSet(["u"]))
+    with pytest.raises(ValidationError, match="curriculum is over 3 tasks"):
+        plot_curves(observed, predicted, Curriculum(entries=[0, 1, 2], n_tasks=3), ts)

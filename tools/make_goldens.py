@@ -60,7 +60,7 @@ def build() -> dict[str, str]:
         out[f"{stem}.md"] = t.markdown()
         out[f"{stem}.json"] = t.to_json()
 
-    table("property", property_table(params))
+    table("property", property_table(params.algorithms))
     table("transfer", transfer_table(params, taskset))
     table("difficulty", difficulty_table(params, taskset))
     estimates = {
