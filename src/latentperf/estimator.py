@@ -25,10 +25,12 @@ oracle and central finite differences.
 A fit sets up one ``_Problem`` per (curriculum, observed, mask), holding
 every buffer the rollout and the adjoint write and their per-step views,
 and allocates its Adam moments once.  Each optimizer step then runs as
-ufuncs writing into those buffers, in the same operations, order and
-memory layout as the plain expressions, so results are bitwise those of
-an allocating evaluation.  ``loss`` and ``gradient`` build one problem
-per call.
+ufuncs writing into those buffers, in the same operations and order as
+the plain expressions, so results are bitwise those of an allocating
+evaluation.  The backward loop reads and writes contiguous step-major
+copies; the reductions after it read the plain expressions' memory
+layout, on which their summation order depends.  ``loss`` and
+``gradient`` build one problem per call.
 """
 
 from __future__ import annotations
@@ -149,9 +151,12 @@ class _Problem:
     A fit evaluates the same problem at every optimizer step, so each
     evaluation refills these buffers through ufuncs with ``out=`` instead
     of allocating.  An evaluation writes every buffer in full before it
-    reads it (states[0] alone is set once, to zero), in the order and
-    memory layout of the expression it evaluates; results are therefore
-    bitwise the same whatever an earlier evaluation left behind.
+    reads it (states[0] alone is set once, to zero), in the order of the
+    expression it evaluates; results are therefore bitwise the same
+    whatever an earlier evaluation left behind.  The backward loop's
+    (p, n) operands are all contiguous: ``inject_steps`` and ``records``
+    are (m, p, n) copies of ``inject`` and ``ebars``, and it reads the
+    rollout's ``rows_p`` and ``keep``.
     ``grad`` is the flat gradient laid out like ``_pack``, and
     ``grad_groups`` its ``_unpack`` views.
     """
@@ -163,16 +168,20 @@ class _Problem:
         self.unobserved = ~mask
         self.resid = np.empty((p, n, m))
         # first the squared residuals, then what the output map adds to
-        # ebar at step l, read as (m, p, n)
+        # ebar at step l, read as (m, p, n); the loop reads a contiguous
+        # copy of it
         self.squares = np.empty((p, n, m))
         self.inject = np.moveaxis(self.squares, -1, 0)
+        self.inject_steps = np.empty((m, p, n))
         # what one unit of dgain adds to the trained task's ebar through
         # its performance
         self.feedback = np.empty((m, p))
         # ebars[l] = d(loss)/d(states[l + 1]), dgains[l] = d(loss)/d(gain
         # at step l); ebar carries d(loss)/d(states[l]) between steps.
-        # ebars has inject's (p, n, m) memory layout: the gradient einsums
-        # sum in an order that depends on it.
+        # The loop writes ebars' numbers to the contiguous records; ebars
+        # itself has inject's (p, n, m) memory layout, as the gradient
+        # einsums sum in an order that depends on it.
+        self.records = np.empty((m, p, n))
         self.ebars = np.moveaxis(np.empty((p, n, m)), -1, 0)
         self.dgains = np.empty((m, p))
         self.ebar = np.empty((p, n))
@@ -185,15 +194,16 @@ class _Problem:
 
     @cached_property
     def phases(self):
-        """Per step l, last step first: inject[l], ebars[l], transfer[i],
-        dgains[l], feedback[l] and ebar[:, i].  Built on the first
-        gradient, as ``loss`` never reads them."""
+        """Per step l, last step first: inject[l] and ebars[l] (as their
+        contiguous copies), transfer[i] per algorithm, dgains[l],
+        feedback[l] and ebar[:, i].  Built on the first gradient, as
+        ``loss`` never reads them."""
         columns = list(self.ebar.T)
         return list(
             zip(
-                self.inject[::-1],
-                self.ebars[::-1],
-                self.rollout.rows[::-1],
+                self.inject_steps[::-1],
+                self.records[::-1],
+                self.rollout.rows_p[::-1],
                 self.dgains[::-1],
                 self.feedback[::-1],
                 [columns[i] for i in self.rollout.entries[::-1]],
@@ -218,8 +228,8 @@ class _Problem:
         ``grad``.  No BLAS call, so results are bitwise deterministic at any
         thread count.
         """
-        transfer, difficulty, gamma, retention, translation = arrays
-        loss = self.loss(arrays)
+        _, difficulty, _, _, translation = arrays
+        loss = self.loss(arrays)  # also fills the rollout's keep
         ws = self.rollout
         e, pred = ws.entries, ws.pred
         inject, feedback = self.inject, self.feedback
@@ -228,24 +238,26 @@ class _Problem:
         np.subtract(1.0, self.squares, out=self.squares)
         np.multiply(self.resid, self.squares, out=self.squares)
         np.divide(inject, difficulty, out=inject)
+        np.copyto(self.inject_steps, inject)
         # feedback = lambda * (0.5 * (1 - before * before)) / difficulty[e]
         np.multiply(ws.before, ws.before, out=feedback)
         np.subtract(1.0, feedback, out=feedback)
         np.multiply(feedback, 0.5, out=feedback)
         np.multiply(translation, feedback, out=feedback)
-        np.divide(feedback, ws.row_difficulty[:, None], out=feedback)
+        np.divide(feedback, ws.row_difficulty, out=feedback)
 
-        ebar, pn, scratch = self.ebar, ws.scratch, self.scratch
-        keep = retention[:, None]
+        add, multiply, reduce = np.add, np.multiply, np.add.reduce
+        ebar, keep, pn, scratch = self.ebar, ws.keep, ws.scratch, self.scratch
         ebar.fill(0.0)
         for inj, ebar_l, row, dgain, fb, trained_ebar in self.phases:
-            np.add(ebar, inj, out=ebar_l)
-            np.multiply(ebar_l, row, out=pn)
-            np.add.reduce(pn, axis=1, out=dgain)
-            np.multiply(ebar_l, keep, out=ebar)
+            add(ebar, inj, ebar_l)
+            multiply(ebar_l, row, pn)
+            reduce(pn, axis=1, out=dgain)
+            multiply(ebar_l, keep, ebar)
             # at l = 0 this is d(loss)/d(states[0]), which nothing reads
-            np.multiply(dgain, fb, out=scratch)
-            np.add(trained_ebar, scratch, out=trained_ebar)
+            multiply(dgain, fb, scratch)
+            add(trained_ebar, scratch, trained_ebar)
+        np.copyto(self.ebars, self.records)
 
         g_transfer, g_difficulty, g_gamma, g_retention, g_translation = self.grad_groups
         dgains = self.dgains

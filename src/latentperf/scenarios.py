@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ class ScenarioSpec:
             raise ValidationError("scenario dimensions must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
-        if not self.noise_std >= 0:
-            raise ValidationError("noise_std must be nonnegative")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValidationError("noise_std must be nonnegative and finite")
 
 
 def _stream(spec: ScenarioSpec, tag: int) -> np.random.Generator:

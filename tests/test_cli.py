@@ -67,6 +67,15 @@ def test_generate_deterministic(tmp_path):
         assert _bytes(a / name) == _bytes(b / name)
 
 
+def test_generate_infinite_noise_exits_2(tmp_path, capsys):
+    # infinite noise would turn every curve entry into a +-1 coin flip
+    out = tmp_path / "gen"
+    argv = ["generate", "--noise", "inf", "--out", str(out)]
+    assert main(argv) == 2
+    assert "noise_std" in capsys.readouterr().err
+    assert not (out / "curves.csv").exists()
+
+
 def test_simulate_reproduces_generated_curves(tmp_path):
     out = _generate(tmp_path)
     sim = tmp_path / "sim.csv"

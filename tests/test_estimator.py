@@ -277,21 +277,75 @@ def test_gradient_results_do_not_share_buffers(rng):
 
 
 def test_problem_workspace_leaves_no_stale_state(rng):
-    # One workspace evaluates a, b, a again; each must be bitwise what a
-    # fresh workspace gives, so no evaluation reads a buffer left over
-    # from the one before (the trajectory, ebar, the gradient groups).
+    # One workspace runs forward-only losses interleaved with losses plus
+    # gradients; each must be bitwise what a fresh workspace gives, so no
+    # evaluation reads a buffer left over from the one before (the
+    # trajectory, keep, the transfer rows and difficulties, the inject
+    # copy, the adjoint records, ebar, the gradient groups).  b shares a's
+    # gamma and lambda and differs in retention, transfer and difficulty,
+    # the inputs of those buffers.
     _, params_a, cur = random_instance(rng, 4, 9, 3)
-    _, params_b, _ = random_instance(rng, 4, 9, 3)
+    names = params_a.algorithm_names()
+    transfer, difficulty, gamma, retention, translation = _param_arrays(params_a)
+    params_b = _params_from_arrays(
+        np.clip(transfer + rng.uniform(-0.5, 0.5, transfer.shape), -1.0, 1.0),
+        difficulty + rng.uniform(0.1, 1.0, difficulty.shape),
+        gamma,
+        1.0 - retention,
+        translation,
+        names,
+    )
+    _, params_c, _ = random_instance(rng, 4, 9, 3)
     obs, mask = estimator._check_shapes(cur, _random_observed(rng, params_a, cur))
     shared = estimator._Problem(cur, obs, mask)
-    for params in (params_a, params_b, params_a):
+    sequence = [
+        ("loss_and_grad", params_a),
+        ("loss", params_b),
+        ("loss_and_grad", params_b),
+        ("loss", params_a),
+        ("loss", params_c),
+        ("loss_and_grad", params_a),
+        ("loss_and_grad", params_c),
+        ("loss", params_b),
+    ]
+    for method, params in sequence:
         arrays = _param_arrays(params)
         fresh = estimator._Problem(cur, obs, mask)
-        assert shared.loss_and_grad(arrays) == fresh.loss_and_grad(arrays)
-        np.testing.assert_array_equal(shared.grad, fresh.grad)
+        value = getattr(shared, method)(arrays)
+        assert value == getattr(fresh, method)(arrays)
         np.testing.assert_array_equal(shared.rollout.pred, fresh.rollout.pred)
+        np.testing.assert_array_equal(shared.resid, fresh.resid)
+        if method == "loss_and_grad":
+            np.testing.assert_array_equal(shared.grad, fresh.grad)
         assert (shared.rollout.states[0] == 0.0).all()
-        assert shared.loss(arrays) == fresh.loss(arrays)
+
+
+def test_kernel_loops_read_contiguous_same_shape_operands(rng):
+    # numpy's fast path: every 2-D operand a per-step ufunc call reads or
+    # writes is a C-contiguous (p, n) array, as a broadcast or strided
+    # operand costs about twice as much per call.  The forward's outer
+    # product gain[:, None] * transfer[i] is the one exception.
+    _, params, cur = random_instance(rng, 4, 9, 3)
+    n, p = params.n, params.p
+    obs, mask = estimator._check_shapes(cur, _random_observed(rng, params, cur))
+    problem = estimator._Problem(cur, obs, mask)
+    problem.loss_and_grad(_param_arrays(params))
+    ws = problem.rollout
+
+    def fast(a):
+        return a.shape == (p, n) and a.flags.c_contiguous
+
+    assert len(ws.phases) == len(problem.phases) == cur.m
+    for inj, ebar_l, row, *_ in problem.phases:
+        assert fast(row)
+        assert fast(ebar_l)
+        assert fast(inj)
+    for prev, nxt, _, d, trained, _, _, gain_col, row in ws.phases:
+        assert fast(prev) and fast(nxt)
+        assert d.shape == trained.shape == (p,) and d.flags.c_contiguous
+        assert gain_col.shape == (p, 1) and row.shape == (n,)
+    assert fast(ws.keep) and fast(ws.scratch) and fast(problem.ebar)
+    assert ws.half.shape == (p,)
 
 
 # ---------------------------------------------------------------------------

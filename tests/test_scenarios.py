@@ -18,8 +18,9 @@ def test_spec_validation():
         ScenarioSpec(n_tasks=0)
     with pytest.raises(ValidationError):
         ScenarioSpec(curriculum_len=0)
-    with pytest.raises(ValidationError):
-        ScenarioSpec(noise_std=-0.1)
+    for noise in (-0.1, float("inf"), float("nan")):
+        with pytest.raises(ValidationError):
+            ScenarioSpec(noise_std=noise)
     with pytest.raises(ValidationError):
         ScenarioSpec(seed=-1)
 
