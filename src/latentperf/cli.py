@@ -140,6 +140,14 @@ def _cmd_recover_check(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    out = Path(args.out)
+    json_out = out.with_suffix(".json")
+    inputs = {Path(f).resolve() for f in args.estimates}
+    if json_out == out or {out.resolve(), json_out.resolve()} & inputs:
+        raise ValidationError(
+            f"outputs {out} and {json_out} must differ from each other and "
+            "from every --estimates file"
+        )
     if len(args.estimates) != len(args.labels):
         raise ValidationError(
             f"{len(args.estimates)} estimate files but {len(args.labels)} labels"
@@ -151,9 +159,8 @@ def _cmd_report(args) -> int:
         _, params = dataio.parse_params(path)
         estimates[label] = params.algorithms
     table = reporting.comparison_table(estimates, args.param)
-    out = Path(args.out)
     out.write_text(table.markdown(), encoding="utf-8")
-    out.with_suffix(".json").write_text(table.to_json(), encoding="utf-8")
+    json_out.write_text(table.to_json(), encoding="utf-8")
     return 0
 
 
@@ -219,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", nargs="+", required=True,
                    help="dataset labels, same order as --estimates")
     p.add_argument("--param", choices=reporting.COMPARISON_PARAMETERS, required=True)
-    p.add_argument("--out", required=True, help="output Markdown file")
+    p.add_argument("--out", required=True,
+                   help="output Markdown file; the JSON table goes next to it "
+                        "with the suffix .json; neither may be an input")
     p.set_defaults(func=_cmd_report)
 
     return parser

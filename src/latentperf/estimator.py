@@ -27,10 +27,11 @@ every buffer the rollout and the adjoint write and their per-step views,
 and allocates its Adam moments once.  Each optimizer step then runs as
 ufuncs writing into those buffers, in the same operations and order as
 the plain expressions, so results are bitwise those of an allocating
-evaluation.  The backward loop reads and writes contiguous step-major
-copies; the reductions after it read the plain expressions' memory
-layout, on which their summation order depends.  ``loss`` and
-``gradient`` build one problem per call.
+evaluation.  Every (steps, algorithms, tasks) array is stored step-major
+and C-contiguous: the observed curves are stacked that way once, the
+loops read and write those buffers directly, and the reductions sum over
+them in that layout.  ``loss`` and ``gradient`` build one problem per
+call.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ class ParamGradient:
 
 
 def _check_shapes(curriculum: Curriculum, observed) -> tuple[np.ndarray, np.ndarray]:
-    """Stack observed matrices to (p, n, m) values and mask arrays."""
+    """Stack observed matrices to step-major (m, p, n) values and mask
+    arrays."""
     if len(observed) < 1:
         raise ValidationError("at least one observed matrix is required")
     n, m = curriculum.n_tasks, curriculum.m
@@ -137,8 +139,8 @@ def _check_shapes(curriculum: Curriculum, observed) -> tuple[np.ndarray, np.ndar
                 f"observed matrix for {o.algorithm!r} has shape {o.values.shape}, "
                 f"expected {(n, m)}"
             )
-    obs = np.stack([o.values for o in observed])
-    mask = np.stack([o.mask for o in observed])
+    obs = np.stack([o.values for o in observed]).transpose(2, 0, 1).copy()
+    mask = np.stack([o.mask for o in observed]).transpose(2, 0, 1).copy()
     if not mask.any():
         raise ValidationError("observed data has no masked-true entries")
     return obs, mask
@@ -153,36 +155,28 @@ class _Problem:
     of allocating.  An evaluation writes every buffer in full before it
     reads it (states[0] alone is set once, to zero), in the order of the
     expression it evaluates; results are therefore bitwise the same
-    whatever an earlier evaluation left behind.  The backward loop's
-    (p, n) operands are all contiguous: ``inject_steps`` and ``records``
-    are (m, p, n) copies of ``inject`` and ``ebars``, and it reads the
-    rollout's ``rows_p`` and ``keep``.
+    whatever an earlier evaluation left behind.  Every (m, p, n) buffer
+    is C-contiguous with the step axis first, like the rollout's, so each
+    step's (p, n) slice is a contiguous operand of the backward loop.
     ``grad`` is the flat gradient laid out like ``_pack``, and
     ``grad_groups`` its ``_unpack`` views.
     """
 
     def __init__(self, curriculum: Curriculum, obs: np.ndarray, mask: np.ndarray):
-        p, n, m = obs.shape
-        self.rollout = ws = _Rollout(n, p, curriculum.entries)
+        m, p, n = obs.shape
+        self.rollout = _Rollout(n, p, curriculum.entries)
         self.obs = obs
         self.unobserved = ~mask
-        self.resid = np.empty((p, n, m))
+        self.resid = np.empty((m, p, n))
         # first the squared residuals, then what the output map adds to
-        # ebar at step l, read as (m, p, n); the loop reads a contiguous
-        # copy of it
-        self.squares = np.empty((p, n, m))
-        self.inject = np.moveaxis(self.squares, -1, 0)
-        self.inject_steps = np.empty((m, p, n))
+        # ebar at step l
+        self.inject = np.empty((m, p, n))
         # what one unit of dgain adds to the trained task's ebar through
         # its performance
         self.feedback = np.empty((m, p))
         # ebars[l] = d(loss)/d(states[l + 1]), dgains[l] = d(loss)/d(gain
         # at step l); ebar carries d(loss)/d(states[l]) between steps.
-        # The loop writes ebars' numbers to the contiguous records; ebars
-        # itself has inject's (p, n, m) memory layout, as the gradient
-        # einsums sum in an order that depends on it.
-        self.records = np.empty((m, p, n))
-        self.ebars = np.moveaxis(np.empty((p, n, m)), -1, 0)
+        self.ebars = np.empty((m, p, n))
         self.dgains = np.empty((m, p))
         self.ebar = np.empty((p, n))
         self.scratch = np.empty(p)
@@ -194,15 +188,14 @@ class _Problem:
 
     @cached_property
     def phases(self):
-        """Per step l, last step first: inject[l] and ebars[l] (as their
-        contiguous copies), transfer[i] per algorithm, dgains[l],
-        feedback[l] and ebar[:, i].  Built on the first gradient, as
-        ``loss`` never reads them."""
+        """Per step l, last step first: inject[l], ebars[l], transfer[i]
+        per algorithm, dgains[l], feedback[l] and ebar[:, i].  Built on
+        the first gradient, as ``loss`` never reads them."""
         columns = list(self.ebar.T)
         return list(
             zip(
-                self.inject_steps[::-1],
-                self.records[::-1],
+                self.inject[::-1],
+                self.ebars[::-1],
                 self.rollout.rows_p[::-1],
                 self.dgains[::-1],
                 self.feedback[::-1],
@@ -217,8 +210,8 @@ class _Problem:
         pred = _forward_curves(self.rollout, *arrays)
         np.subtract(pred, self.obs, out=self.resid)
         np.copyto(self.resid, 0.0, where=self.unobserved)
-        np.multiply(self.resid, self.resid, out=self.squares)
-        return float(np.add.reduce(self.squares, axis=None))
+        np.multiply(self.resid, self.resid, out=self.inject)
+        return float(np.add.reduce(self.inject, axis=None))
 
     def loss_and_grad(self, arrays) -> float:
         """Forward rollout plus the two-phase adjoint (see the module
@@ -231,14 +224,13 @@ class _Problem:
         _, difficulty, _, _, translation = arrays
         loss = self.loss(arrays)  # also fills the rollout's keep
         ws = self.rollout
-        e, pred = ws.entries, ws.pred
+        e, pred = ws.entries, ws.curves
         inject, feedback = self.inject, self.feedback
         # inject = resid * (1 - pred * pred) / difficulty
-        np.multiply(pred, pred, out=self.squares)
-        np.subtract(1.0, self.squares, out=self.squares)
-        np.multiply(self.resid, self.squares, out=self.squares)
+        np.multiply(pred, pred, out=inject)
+        np.subtract(1.0, inject, out=inject)
+        np.multiply(self.resid, inject, out=inject)
         np.divide(inject, difficulty, out=inject)
-        np.copyto(self.inject_steps, inject)
         # feedback = lambda * (0.5 * (1 - before * before)) / difficulty[e]
         np.multiply(ws.before, ws.before, out=feedback)
         np.subtract(1.0, feedback, out=feedback)
@@ -257,7 +249,6 @@ class _Problem:
             # at l = 0 this is d(loss)/d(states[0]), which nothing reads
             multiply(dgain, fb, scratch)
             add(trained_ebar, scratch, trained_ebar)
-        np.copyto(self.ebars, self.records)
 
         g_transfer, g_difficulty, g_gamma, g_retention, g_translation = self.grad_groups
         dgains = self.dgains
@@ -462,13 +453,11 @@ def fit(
         final_raw = problem.loss(arrays)
         if not math.isfinite(final_raw):
             raise DivergenceError(config.steps, "loss")
-        resid = problem.resid
-        per_algo = {
-            names[a]: float(np.sum(resid[a] * resid[a]) / max(1, int(np.sum(mask[a]))))
-            for a in range(p)
-        }
+        squares = np.einsum("lpn,lpn->p", problem.resid, problem.resid)
+        counts = np.maximum(mask.sum(axis=(0, 2)), 1)
+        per_algo = {name: float(s / c) for name, s, c in zip(names, squares, counts)}
         # free the workspace before the closing rollout allocates its own
-        del problem, resid
+        del problem
         params = _params_from_arrays(*arrays, names)
         predicted = tuple(simulate_all(params, curriculum))
     trace[config.steps] = final_raw * scale

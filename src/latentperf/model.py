@@ -8,9 +8,10 @@ are never mutated and equal inputs give bitwise-equal outputs.
 
 The vectorized rollout, ``_forward_curves``, writes into a ``_Rollout``:
 buffers and per-step views set up once per curriculum, so the estimator's
-thousand rollouts per fit allocate nothing.  Its loop runs on numpy's
-contiguous same-shape fast path wherever a value can be repeated into a
-buffer first.  ``simulate_all`` builds one per call.
+thousand rollouts per fit allocate nothing.  Every buffer is step-major,
+and its loop runs on numpy's contiguous same-shape fast path wherever a
+value can be repeated into a buffer first.  ``simulate_all`` builds one
+per call.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def _algorithm_record(algo: AlgorithmProperties) -> dict:
 @dataclass(frozen=True, eq=False)
 class ScenarioParams:
     """Full latent parameter set: shared task properties plus one
-    AlgorithmProperties per algorithm."""
+    AlgorithmProperties per algorithm, each with its own name."""
 
     tasks: TaskProperties
     algorithms: tuple[AlgorithmProperties, ...]
@@ -182,6 +183,9 @@ class ScenarioParams:
         for a in self.algorithms:
             if not isinstance(a, AlgorithmProperties):
                 raise ValidationError("algorithms must be AlgorithmProperties")
+        names = self.algorithm_names()
+        if len(set(names)) != len(names):
+            raise ValidationError(f"duplicate algorithm name in {list(names)}")
 
     @property
     def n(self) -> int:
@@ -234,13 +238,13 @@ class PerformanceMatrix:
     mask: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64, order="C")
         if v.ndim != 2:
             raise ValidationError(f"values must be 2-d, got shape {v.shape}")
         if self.mask is None:
             m = np.ones(v.shape, dtype=bool)
         else:
-            m = np.array(self.mask, dtype=bool)
+            m = np.array(self.mask, dtype=bool, order="C")
         if m.shape != v.shape:
             raise ValidationError(
                 f"mask shape {m.shape} does not match values {v.shape}"
@@ -319,8 +323,8 @@ class _Rollout:
     (m, p): ``trained``, the trained task's experience over its difficulty
     before step l; ``before``, that task's performance; ``gains``, the
     gain gamma + before * lambda that step l adds along its transfer row.
-    ``curves`` (m, p, n) is the sigmoid of states[1:], and ``pred`` the
-    same numbers as (p, n, m).
+    ``curves`` (m, p, n) is the sigmoid of states[1:].  Every buffer is
+    C-contiguous with the step axis first.
 
     The loop's operands are laid out for numpy's contiguous same-shape
     fast path, which costs about half of a broadcasting or strided call:
@@ -346,7 +350,6 @@ class _Rollout:
         self.keep = np.empty((p, n))
         self.half = np.full(p, 0.5)
         self.curves = np.empty((m, p, n))
-        self.pred = np.moveaxis(self.curves, 0, -1)
         self.scratch = np.empty((p, n))
         # per step l: states[l], states[l + 1], states[l, :, i] and one
         # row of each record
@@ -375,11 +378,11 @@ def _forward_curves(
 ) -> np.ndarray:
     """Vectorized rollout over all algorithms at once, in ``ws``'s buffers.
 
-    Fills every record of ``ws`` and returns ``ws.pred``, the predictions
-    of shape (p, n, m).  The loop writes only the records; ``pred`` is one
-    sigmoid over them afterwards.  Every step is a ufunc writing into a
-    buffer, in the order of the expression it evaluates, so results do not
-    depend on whether a buffer held an earlier rollout.
+    Fills every record of ``ws`` and returns ``ws.curves``, the
+    predictions of shape (m, p, n).  The loop writes only the records;
+    ``curves`` is one sigmoid over them afterwards.  Every step is a ufunc
+    writing into a buffer, in the order of the expression it evaluates, so
+    results do not depend on whether a buffer held an earlier rollout.
     """
     # entries are in range (Curriculum checks them); "clip" lets take
     # write straight into out instead of through a buffer
@@ -403,7 +406,7 @@ def _forward_curves(
     np.divide(ws.states[1:], difficulty, out=x)
     x *= 0.5
     np.tanh(x, out=x)  # performance_map, in place
-    return ws.pred
+    return x
 
 
 def _param_arrays(params: ScenarioParams):
@@ -443,8 +446,9 @@ def _checked_arrays(params: ScenarioParams, curriculum: Curriculum):
 def simulate_all(params: ScenarioParams, curriculum: Curriculum) -> list[PerformanceMatrix]:
     """Forward rollout for every algorithm, order preserved."""
     arrays = _checked_arrays(params, curriculum)
-    pred = _forward_curves(_Rollout(params.n, params.p, curriculum.entries), *arrays)
+    ws = _Rollout(params.n, params.p, curriculum.entries)
+    curves = _forward_curves(ws, *arrays)
     return [
-        PerformanceMatrix(algorithm=a.name, values=pred[k])
+        PerformanceMatrix(algorithm=a.name, values=curves[:, k].T)
         for k, a in enumerate(params.algorithms)
     ]

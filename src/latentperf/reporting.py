@@ -11,6 +11,7 @@ import itertools
 import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from html import escape
 
 import numpy as np
 
@@ -37,11 +38,13 @@ class Table:
     machine: dict
 
     def markdown(self) -> str:
-        lines = [f"### {self.title}", ""]
-        lines.append("| " + " | ".join(self.headers) + " |")
+        def line(cells):
+            # a "|" inside a cell would start a new one
+            return "| " + " | ".join(c.replace("|", r"\|") for c in cells) + " |"
+
+        lines = [f"### {self.title}", "", line(self.headers)]
         lines.append("|" + "|".join(" --- " for _ in self.headers) + "|")
-        for row in self.rows:
-            lines.append("| " + " | ".join(row) + " |")
+        lines.extend(line(row) for row in self.rows)
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -304,13 +307,14 @@ def plot_curves(observed, predicted, curriculum: Curriculum, taskset: TaskSet) -
     for j, name in enumerate(taskset.names):
         cx = _LEFT + j * (_PANEL_W + _GAP) + _PANEL_W / 2
         parts.append(
-            f'<text x="{cx:.2f}" y="{_TOP - 8:.2f}" text-anchor="middle">{name}</text>'
+            f'<text x="{cx:.2f}" y="{_TOP - 8:.2f}" text-anchor="middle">'
+            f"{escape(name, quote=False)}</text>"
         )
     for a, mat in enumerate(observed):
         y0 = _TOP + a * (_PANEL_H + _GAP)
         parts.append(
             f'<text x="{_LEFT - 8:.2f}" y="{y0 + _PANEL_H / 2:.2f}" '
-            f'text-anchor="end">{mat.algorithm}</text>'
+            f'text-anchor="end">{escape(mat.algorithm, quote=False)}</text>'
         )
         pred = pred_by_name.get(mat.algorithm)
         for j in range(n):

@@ -104,6 +104,25 @@ def test_simulate_rejects_mismatched_tasks(tmp_path, capsys, rng):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_duplicate_algorithm_names_exits_2(tmp_path, capsys):
+    # a curves CSV with two algorithms of one name could not be read back
+    out = _generate(tmp_path)
+    doc = json.loads((out / "params.json").read_text())
+    doc["algorithms"][1]["name"] = doc["algorithms"][0]["name"]
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps(doc))
+    sim = tmp_path / "sim.csv"
+    code = main([
+        "simulate",
+        "--params", str(dup),
+        "--curriculum", str(out / "curriculum.json"),
+        "--out", str(sim),
+    ])
+    assert code == 2
+    assert "duplicate algorithm name" in capsys.readouterr().err
+    assert not sim.exists()
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     code = main([
         "simulate",
@@ -450,6 +469,27 @@ def test_report_compares_two_estimate_files(tmp_path, rng):
     doc = json.loads((tmp_path / "cmp.json").read_text())
     assert doc["parameter"] == "gamma"
     assert "first|second" in doc["spearman"]
+
+
+def test_report_refuses_to_overwrite_its_output_or_inputs(tmp_path, rng, capsys):
+    # the JSON table goes to out.with_suffix(".json"); neither output may
+    # be the other or an estimates file
+    ts, params, _ = random_instance(rng, 2, 3, 1)
+    path = tmp_path / "est.json"
+    write_params(path, ts, params)
+    kept = path.read_bytes()
+    for out in (tmp_path / "r.json", tmp_path / "est.md", path):
+        code = main([
+            "report",
+            "--estimates", str(path),
+            "--labels", "a",
+            "--param", "gamma",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "must differ from each other" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "est.md").exists()
+    assert path.read_bytes() == kept
 
 
 def test_report_label_count_mismatch_exits_2(tmp_path, rng, capsys):

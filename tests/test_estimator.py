@@ -280,8 +280,8 @@ def test_problem_workspace_leaves_no_stale_state(rng):
     # One workspace runs forward-only losses interleaved with losses plus
     # gradients; each must be bitwise what a fresh workspace gives, so no
     # evaluation reads a buffer left over from the one before (the
-    # trajectory, keep, the transfer rows and difficulties, the inject
-    # copy, the adjoint records, ebar, the gradient groups).  b shares a's
+    # trajectory, keep, the transfer rows and difficulties, inject, the
+    # adjoint records, ebar, the gradient groups).  b shares a's
     # gamma and lambda and differs in retention, transfer and difficulty,
     # the inputs of those buffers.
     _, params_a, cur = random_instance(rng, 4, 9, 3)
@@ -313,7 +313,7 @@ def test_problem_workspace_leaves_no_stale_state(rng):
         fresh = estimator._Problem(cur, obs, mask)
         value = getattr(shared, method)(arrays)
         assert value == getattr(fresh, method)(arrays)
-        np.testing.assert_array_equal(shared.rollout.pred, fresh.rollout.pred)
+        np.testing.assert_array_equal(shared.rollout.curves, fresh.rollout.curves)
         np.testing.assert_array_equal(shared.resid, fresh.resid)
         if method == "loss_and_grad":
             np.testing.assert_array_equal(shared.grad, fresh.grad)
@@ -346,6 +346,28 @@ def test_kernel_loops_read_contiguous_same_shape_operands(rng):
         assert gain_col.shape == (p, 1) and row.shape == (n,)
     assert fast(ws.keep) and fast(ws.scratch) and fast(problem.ebar)
     assert ws.half.shape == (p,)
+
+
+def test_problem_buffers_have_one_step_major_layout(rng):
+    # Every (steps, algorithms, tasks) array a problem or its rollout holds
+    # is C-contiguous with the step axis first; no buffer keeps a second,
+    # algorithm-major copy of the same numbers.
+    _, params, cur = random_instance(rng, 4, 9, 3)
+    n, p, m = params.n, params.p, cur.m
+    obs, mask = estimator._check_shapes(cur, _random_observed(rng, params, cur))
+    problem = estimator._Problem(cur, obs, mask)
+    problem.loss_and_grad(_param_arrays(params))
+    buffers = {
+        name: value
+        for owner in (problem, problem.rollout)
+        for name, value in vars(owner).items()
+        if isinstance(value, np.ndarray) and value.ndim == 3
+    }
+    expected = {"obs", "unobserved", "resid", "inject", "ebars", "states", "curves", "rows_p"}
+    assert expected <= set(buffers)
+    for name, a in buffers.items():
+        assert a.shape == ((m + 1, p, n) if name == "states" else (m, p, n)), name
+        assert a.flags.c_contiguous, name
 
 
 # ---------------------------------------------------------------------------

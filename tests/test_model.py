@@ -89,6 +89,20 @@ def test_algorithm_properties_validation():
         AlgorithmProperties("", 0.5, 0.5, 0.5)
 
 
+def test_scenario_params_rejects_duplicate_algorithm_names():
+    tasks = TaskProperties(transfer=np.eye(2), difficulty=[0.5, 0.5])
+    ScenarioParams(tasks, [AlgorithmProperties("a", 0.1, 0.5, 0.1)])
+    with pytest.raises(ValidationError, match="duplicate algorithm name"):
+        ScenarioParams(
+            tasks,
+            [
+                AlgorithmProperties("a", 0.1, 0.5, 0.1),
+                AlgorithmProperties("b", 0.2, 0.5, 0.2),
+                AlgorithmProperties("a", 0.3, 0.5, 0.3),
+            ],
+        )
+
+
 def test_params_from_arrays_inverts_param_arrays(rng):
     # positional construction relies on the table following the fields
     assert tuple(ALGORITHM_FIELDS.values()) == tuple(

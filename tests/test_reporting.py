@@ -1,4 +1,6 @@
 import json
+import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from latentperf import (
     transfer_table,
 )
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, GOLDEN_DIR
 
 # transfer efficiencies estimated for the same eight algorithms on two
 # task-incremental benchmarks; used as a hand-checkable ranking example
@@ -68,6 +70,29 @@ def test_property_table_single_algorithm():
     table = property_table([AlgorithmProperties("Clear", 0.12, 0.90, 0.03)])
     assert len(table.rows) == 1
     assert table.rows[0] == ("Clear", "0.12", "0.90", "0.03")
+
+
+def test_markdown_escapes_pipes_in_cells():
+    # a "|" in a name is text, so every row keeps one cell per header
+    def cells(line):
+        return re.split(r"(?<!\\)\|", line)[1:-1]
+
+    tables = [
+        property_table([AlgorithmProperties("a|b", 0.1, 0.2, 0.3)]),
+        transfer_table(
+            ScenarioParams(
+                tasks=TaskProperties(transfer=np.eye(2), difficulty=[0.5, 0.5]),
+                algorithms=[AlgorithmProperties("a", 0.1, 0.5, 0.1)],
+            ),
+            TaskSet(["u|v", "w"]),
+        ),
+    ]
+    for table in tables:
+        header, _, *rows = table.markdown().splitlines()[2:]
+        assert len(cells(header)) == len(table.headers)
+        assert rows and all(len(cells(row)) == len(table.headers) for row in rows)
+    assert "| a\\|b | 0.10 | 0.20 | 0.30 |" in tables[0].markdown()
+    assert "| u\\|v |" in tables[1].markdown()
 
 
 def test_property_table_machine_round_trip():
@@ -302,6 +327,16 @@ def test_plot_structure():
     # algorithm a has predictions, so dashed polylines exist
     assert 'stroke-dasharray="5 3"' in svg
     assert "observed" in svg and "predicted" in svg
+
+
+def test_plot_is_well_formed_xml_whatever_the_names():
+    ts = TaskSet(["u<1>", "v & w"])
+    cur = Curriculum(entries=[0, 1, 0], n_tasks=2)
+    observed = [PerformanceMatrix(algorithm="Progress & Compress", values=np.zeros((2, 3)))]
+    root = ElementTree.fromstring(plot_curves(observed, [], cur, taskset=ts))
+    texts = {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
+    assert {"u<1>", "v & w", "Progress & Compress"} <= texts
+    ElementTree.parse(f"{GOLDEN_DIR}/curves.svg")
 
 
 def test_plot_without_predictions_has_no_dashes():
