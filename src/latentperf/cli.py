@@ -95,6 +95,13 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    outputs = [Path(f).resolve() for f in (args.out, args.curriculum_out) if f]
+    inputs = {Path(args.raw).resolve(), Path(args.boundaries).resolve()}
+    if len(set(outputs)) < len(outputs) or set(outputs) & inputs:
+        raise ValidationError(
+            "--out and --curriculum-out must name different files, "
+            "and neither may be --raw or --boundaries"
+        )
     taskset, curriculum, logs = dataio.parse_raw_log(args.raw, args.boundaries)
     matrices = []
     for log in logs:
@@ -202,9 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", required=True, help="raw metrics CSV")
     p.add_argument("--boundaries", required=True, help="phase boundaries JSON")
     p.add_argument("--normalize", choices=("minmax", "none"), default="minmax")
-    p.add_argument("--out", required=True, help="output curves CSV")
+    p.add_argument("--out", required=True,
+                   help="output curves CSV; may not be an input")
     p.add_argument("--curriculum-out", default=None,
-                   help="also write the curriculum implied by the boundaries")
+                   help="also write the curriculum implied by the boundaries; "
+                        "may not be --out or an input")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("recover-check",

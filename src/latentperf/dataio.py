@@ -11,7 +11,10 @@ Three small formats, all human-auditable:
 
 Raw training logs arrive as ``algorithm,global_step,task,metric`` CSV plus
 a boundaries JSON marking where each curriculum phase starts; they are
-downsampled to one column per phase before fitting.
+downsampled to one column per phase before fitting.  A parsed log holds its
+rows as 24-byte records (int64 step, int64 index into the log's task name
+table, float64 metric), stably sorted by step so that rows at the same step
+keep their file order.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,25 +351,60 @@ def parse_params(path) -> tuple[TaskSet, ScenarioParams]:
 # raw logs
 
 
-@dataclass(frozen=True)
+# One raw-log row: step, index into the log's task name table, metric.
+_RECORD = np.dtype([("step", np.int64), ("task", np.int64), ("metric", np.float64)])
+
+
+@dataclass(frozen=True, eq=False)
 class RawLog:
     """One algorithm's raw training log.
 
-    ``records`` holds (global_step, task, metric) tuples sorted by step;
-    ``boundaries`` holds (global_step, trained_task) pairs marking where
-    each curriculum phase starts, strictly increasing.
+    ``records`` is a read-only numpy structured array with one 24-byte
+    record per logged row: ``step`` (int64 global step), ``task`` (int64
+    index into ``tasks``, the log's task name table, so each name is held
+    once per log, not once per row) and ``metric`` (finite float64).  It is
+    sorted by step, and rows at the same step keep their input order, so a
+    later row wins a tie.  ``boundaries`` holds (global_step, trained_task)
+    pairs marking where each curriculum phase starts, strictly increasing.
+
+    Without ``tasks``, ``records`` may be any sequence of (global_step,
+    task name, metric) triples, and ``tasks`` becomes their names in order
+    of first appearance.
     """
 
     algorithm: str
-    records: tuple[tuple[int, str, float], ...]
+    records: np.ndarray
     boundaries: tuple[tuple[int, str], ...]
+    tasks: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
+        tasks = self.tasks
+        try:
+            if tasks is None:
+                table: dict[str, int] = {}  # name -> index, in first-appearance order
+                records = np.array(
+                    [(s, table.setdefault(t, len(table)), v) for s, t, v in self.records],
+                    dtype=_RECORD,
+                )
+                tasks = table
+            else:
+                records = np.asarray(self.records, dtype=_RECORD)
+        except OverflowError:
+            raise ValidationError("record steps must fit in 64 bits") from None
+        tasks = tuple(tasks)
+        codes = records["task"]
+        if len(codes) and not (0 <= codes.min() and codes.max() < len(tasks)):
+            raise ValidationError("record tasks must index the task name table")
+        records = records.view()
+        records.setflags(write=False)
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "tasks", tasks)
         object.__setattr__(self, "boundaries", tuple(self.boundaries))
-        steps = [r[0] for r in self.records]
-        if steps != sorted(steps):
+        steps = records["step"]
+        if np.any(steps[1:] < steps[:-1]):
             raise ValidationError("records must be sorted by global_step")
+        if not np.isfinite(records["metric"]).all():
+            raise ValidationError("record metrics must be finite")
         bsteps = [b[0] for b in self.boundaries]
         if len(self.boundaries) < 1:
             raise ValidationError("at least one boundary is required")
@@ -414,22 +453,31 @@ def parse_raw_log(metrics_path, boundaries_path):
         entries=tuple(taskset.index(t) for _, t in boundaries),
         n_tasks=taskset.n,
     )
-    known = set(taskset.names)
-    per_algo: dict[str, list[tuple[int, str, float]]] = {}
+    # per algorithm: step, task index and metric columns, in file order
+    known = {name: j for j, name in enumerate(taskset.names)}
+    columns: dict[str, tuple[array, array, array]] = {}
     for lineno, algo, step, task, metric in _read_rows(metrics_path, RAW_HEADER, "raw log"):
-        if task not in known:
+        j = known.get(task)
+        if j is None:
             raise ParseError(f"unknown task {task!r}", line=lineno)
-        if algo not in per_algo:
-            per_algo[algo] = []
-        per_algo[algo].append((step, task, metric))
-    logs = [
-        RawLog(
-            algorithm=algo,
-            records=tuple(sorted(records, key=lambda r: r[0])),
-            boundaries=boundaries,
+        cols = columns.get(algo)
+        if cols is None:
+            cols = columns[algo] = (array("q"), array("q"), array("d"))
+        cols[0].append(step)
+        cols[1].append(j)
+        cols[2].append(metric)
+    logs = []
+    for algo in list(columns):
+        # popped so that each log's columns are freed once its array is built
+        steps, tasks, metrics = (
+            np.frombuffer(c, dtype=c.typecode) for c in columns.pop(algo)
         )
-        for algo, records in per_algo.items()
-    ]
+        order = np.argsort(steps, kind="stable")
+        records = np.empty(len(order), dtype=_RECORD)
+        records["step"] = steps[order]
+        records["task"] = tasks[order]
+        records["metric"] = metrics[order]
+        logs.append(RawLog(algo, records, boundaries, tasks=taskset.names))
     return taskset, curriculum, logs
 
 
@@ -452,27 +500,25 @@ def downsample_to_boundaries(
                 f"phase {l} trains {trained!r} in the log but "
                 f"{taskset.names[curriculum.entries[l]]!r} in the curriculum"
             )
-    if not raw.records:
+    if len(raw.records) == 0:
         raise ValidationError(f"raw log for {raw.algorithm!r} has no records")
-    # group the step-sorted records by task; tasks outside the set are ignored
+    # each record's task set row; tasks outside the set get -1 and are ignored
     row = {name: j for j, name in enumerate(taskset.names)}
-    steps: list[list[int]] = [[] for _ in range(taskset.n)]
-    vals: list[list[float]] = [[] for _ in range(taskset.n)]
-    for s, t, v in raw.records:
-        j = row.get(t)
-        if j is not None:
-            steps[j].append(s)
-            vals[j].append(v)
+    rows = np.array([row.get(name, -1) for name in raw.tasks], dtype=np.int64)
+    task_rows = rows[raw.records["task"]]
+    steps, metrics = raw.records["step"], raw.records["metric"]
     # phase l ends right before the next phase starts; the last phase is open
     ends = np.array([b for b, _ in raw.boundaries[1:]], dtype=np.int64) - 1
     values = np.zeros((taskset.n, m))
     mask = np.zeros((taskset.n, m), dtype=bool)
     for j in range(taskset.n):
+        mine = task_rows == j  # task j's records, still sorted by step
+        task_steps = steps[mine]
         # side="right" picks the last of equal steps, so the later row wins
-        idx = np.searchsorted(np.array(steps[j], dtype=np.int64), ends, side="right") - 1
-        idx = np.append(idx, len(steps[j]) - 1)
+        idx = np.searchsorted(task_steps, ends, side="right") - 1
+        idx = np.append(idx, len(task_steps) - 1)
         mask[j] = idx >= 0
-        values[j, mask[j]] = np.array(vals[j])[idx[mask[j]]]
+        values[j, mask[j]] = metrics[mine][idx[mask[j]]]
     return PerformanceMatrix(algorithm=raw.algorithm, values=values, mask=mask)
 
 

@@ -230,7 +230,8 @@ class PerformanceMatrix:
 
     ``mask[j, l]`` is True where the entry is observed/defined; masked-out
     entries are ignored by all loss computations.  Observed data may span
-    any real range; model output always lies in (-1, 1).
+    any finite range (masked entries may hold anything); model output
+    always lies in (-1, 1).
     """
 
     algorithm: str
@@ -251,6 +252,8 @@ class PerformanceMatrix:
             )
         if not isinstance(self.algorithm, str) or not self.algorithm:
             raise ValidationError("algorithm name must be a non-empty string")
+        if not np.isfinite(v[m]).all():
+            raise ValidationError("observed values must be finite")
         v.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "values", v)

@@ -311,6 +311,30 @@ def test_ingest_without_normalization_keeps_raw_values(tmp_path):
     np.testing.assert_array_equal(mats[0].values[0], [0.2, 0.5, 0.85])
 
 
+def test_ingest_refuses_to_overwrite_its_inputs(tmp_path, monkeypatch, capsys):
+    raw = tmp_path / "raw.csv"
+    bounds = tmp_path / "bounds.json"
+    raw.write_bytes(_bytes(f"{DATA_DIR}/raw_metrics.csv"))
+    bounds.write_bytes(_bytes(f"{DATA_DIR}/raw_boundaries.json"))
+    kept = {path: path.read_bytes() for path in (raw, bounds)}
+    monkeypatch.chdir(tmp_path)
+    curves = tmp_path / "curves.csv"
+    for out, cur_out in (
+        ("raw.csv", None),
+        ("./bounds.json", None),
+        (str(curves), str(raw)),
+        (str(curves), "bounds.json"),
+        (str(curves), "./curves.csv"),
+    ):
+        argv = ["ingest", "--raw", str(raw), "--boundaries", str(bounds), "--out", out]
+        if cur_out is not None:
+            argv += ["--curriculum-out", cur_out]
+        assert main(argv) == 2
+        assert "must name different files" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in kept} == kept
+    assert not curves.exists()
+
+
 def test_ingest_constant_metric_exits_2(tmp_path, capsys):
     raw = tmp_path / "flat.csv"
     raw.write_text(

@@ -1,6 +1,8 @@
 import json
+import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -481,6 +483,121 @@ def test_rawlog_validation():
         RawLog(algorithm="a", records=(), boundaries=((0, "t"), (0, "t")))
     with pytest.raises(ValidationError):
         RawLog(algorithm="a", records=(), boundaries=())
+
+
+def test_rawlog_records_are_read_only_columns():
+    log = RawLog(
+        algorithm="a",
+        records=((0, "y", 0.5), (0, "x", 0.25), (3, "y", 1.0)),
+        boundaries=((0, "x"),),
+    )
+    assert log.tasks == ("y", "x")
+    assert log.records["step"].tolist() == [0, 0, 3]
+    assert log.records["task"].tolist() == [0, 1, 0]
+    assert log.records["metric"].tolist() == [0.5, 0.25, 1.0]
+    assert log.records.itemsize == 24
+    with pytest.raises(ValueError):
+        log.records["metric"][0] = 2.0
+
+
+def test_rawlog_rejects_bad_records():
+    bounds = ((0, "t"),)
+    for metric in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            RawLog(algorithm="a", records=((0, "t", metric),), boundaries=bounds)
+    for step in (2**63, 2**64, -(2**63) - 1):
+        with pytest.raises(ValidationError, match="64 bits"):
+            RawLog(algorithm="a", records=((step, "t", 1.0),), boundaries=bounds)
+    edge = RawLog(
+        algorithm="a",
+        records=((-(2**63), "t", 1.0), (2**63 - 1, "t", 1.0)),
+        boundaries=bounds,
+    )
+    assert edge.records["step"].tolist() == [-(2**63), 2**63 - 1]
+    coded = RawLog(algorithm="a", records=((0, "t", 1.0),), boundaries=bounds)
+    assert RawLog("a", coded.records, bounds, tasks=("t",)).tasks == ("t",)
+    for codes in ((0, 1), (-1,)):
+        with pytest.raises(ValidationError, match="name table"):
+            RawLog(
+                algorithm="a",
+                records=[(k, code, 1.0) for k, code in enumerate(codes)],
+                boundaries=bounds,
+                tasks=("t",),
+            )
+
+
+def test_parse_raw_log_memory_per_row(tmp_path):
+    # a dense log: every task logged at every step, two algorithms
+    tasks = [f"task{j:02d}" for j in range(20)]
+    lines = ["algorithm,global_step,task,metric"]
+    for algo in ("learner1", "learner2"):
+        lines += [
+            f"{algo},{10 * k},{task},{0.001 * (k + j):.6f}"
+            for k in range(1000)
+            for j, task in enumerate(tasks)
+        ]
+    rows = len(lines) - 1
+    raw = _write(tmp_path, "raw.csv", "\n".join(lines) + "\n")
+    bounds = _write(
+        tmp_path,
+        "b.json",
+        json.dumps({"tasks": tasks, "boundaries": [[0, tasks[0]], [5000, tasks[1]]]}),
+    )
+    del lines
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, _, logs = parse_raw_log(raw, bounds)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(log.records) for log in logs) == rows == 40_000
+    assert (held - before) / rows <= 32
+    assert (peak - before) / rows <= 96
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parse_then_downsample_matches_reference(data):
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 4))
+    ts = TaskSet([f"t{j}" for j in range(n)])
+    entries = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    starts = sorted(data.draw(st.sets(st.integers(0, 30), min_size=m, max_size=m)))
+    boundaries = [[b, ts.names[i]] for b, i in zip(starts, entries)]
+    # algorithms interleave row by row; a narrow step range gives same-step
+    # ties and records before the first boundary
+    rows = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("a", "b", "c")),
+                st.integers(-3, 35),
+                st.sampled_from(ts.names),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    text = "algorithm,global_step,task,metric\n" + "".join(
+        f"{a},{s},{t},{v!r}\n" for a, s, t, v in rows
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = _write(tmp, "raw.csv", text)
+        bounds = _write(
+            tmp, "b.json", json.dumps({"tasks": ts.names, "boundaries": boundaries})
+        )
+        out_ts, cur, logs = parse_raw_log(raw, bounds)
+    assert [log.algorithm for log in logs] == list(dict.fromkeys(a for a, *_ in rows))
+    for log in logs:
+        records = sorted(
+            ((s, t, v) for a, s, t, v in rows if a == log.algorithm),
+            key=lambda r: r[0],
+        )
+        mat = downsample_to_boundaries(log, out_ts, cur)
+        values, mask = downsample_ref(records, boundaries, ts.names)
+        assert mat.mask.tolist() == mask
+        assert mat.values.tolist() == values
 
 
 def test_parse_boundaries_errors(tmp_path):

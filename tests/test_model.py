@@ -9,6 +9,7 @@ from latentperf import (
     AlgorithmProperties,
     Curriculum,
     ExperienceState,
+    PerformanceMatrix,
     ScenarioParams,
     TaskProperties,
     TaskSet,
@@ -75,6 +76,21 @@ def test_task_properties_arrays_read_only():
         props.transfer[0, 0] = 0.0
     with pytest.raises(ValueError):
         props.difficulty[0] = 0.1
+
+
+def test_performance_matrix_rejects_non_finite_observations():
+    values = np.array([[0.5, np.nan], [np.inf, -np.inf]])
+    mat = PerformanceMatrix(
+        algorithm="a", values=values, mask=[[True, False], [False, False]]
+    )
+    assert mat.values[0, 0] == 0.5
+    for j, l in ((0, 1), (1, 0), (1, 1)):
+        mask = np.zeros((2, 2), dtype=bool)
+        mask[j, l] = True
+        with pytest.raises(ValidationError, match="finite"):
+            PerformanceMatrix(algorithm="a", values=values, mask=mask)
+    with pytest.raises(ValidationError, match="finite"):
+        PerformanceMatrix(algorithm="a", values=values)
 
 
 def test_algorithm_properties_validation():

@@ -21,9 +21,10 @@ however the run ends.  For each workload it then runs ``--trace 0`` N
 times on each side (default 3), in pairs with seeds 1..N; the odd pairs
 run REV first and the even pairs HEAD first, so drift over time does not
 favour one side.  Under ``against`` it writes every pair's summaries and,
-per end-to-end metric, each side's values, median and quartiles and the
+per end-to-end metric, each side's values, median and quartiles, the
 number of pairs in which HEAD is better than REV (ties count for
-neither).  Each pair adds about 70 seconds per workload.
+neither) and ``median_ratio``, HEAD's median over REV's (null when REV's
+median is 0).  Each pair adds about 70 seconds per workload.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def side_summary(values: list[float]) -> dict:
 
 def compare(end_to_end, pairs) -> dict:
     """Per end-to-end metric: each side's values, median and quartiles,
-    and HEAD's win count."""
+    HEAD's win count and the ratio of HEAD's median to REV's."""
     out = {}
     for metric in end_to_end:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -82,13 +83,16 @@ def compare(end_to_end, pairs) -> dict:
             side: [pair[side]["metrics"][name]["value"] for pair in pairs]
             for side in ("rev", "head")
         }
+        sides = {side: side_summary(v) for side, v in values.items()}
+        rev_median = sides["rev"]["median"]
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
-            **{side: side_summary(v) for side, v in values.items()},
+            **sides,
             "head_wins": sum(
                 sign * (h - r) > 0 for r, h in zip(values["rev"], values["head"])
             ),
+            "median_ratio": sides["head"]["median"] / rev_median if rev_median else None,
         }
     return out
 
