@@ -15,13 +15,22 @@ downsampled to one column per phase before fitting.  A parsed log holds its
 rows as 24-byte records (int64 step, int64 index into the log's task name
 table, float64 metric), stably sorted by step so that rows at the same step
 keep their file order.
+
+Both CSV formats are read in blocks of lines by np.loadtxt, numpy's C
+tokenizer and number parser, whenever that can prove the file clean (see
+``_fast_records``); any other file is read row by row with ``csv`` (see
+``_row_records``), which is the one source of parse errors and their line
+numbers.  Both paths give the same values for every file they accept.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import json
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -46,9 +55,20 @@ RAW_HEADER = ("algorithm", "global_step", "task", "metric")
 # Steps must fit in 64 bits: they become numpy indices and int64 arrays.
 _STEP_LIMIT = 2**63
 
+# One raw-log row: step, index into the log's task name table, metric.
+_RECORD = np.dtype([("step", np.int64), ("task", np.int64), ("metric", np.float64)])
+
 
 # ---------------------------------------------------------------------------
 # curves CSV
+
+
+def _csv_field(name: str) -> str:
+    """``name`` as write_curves' ``csv.writer`` writes it within a row,
+    quoted only where QUOTE_MINIMAL needs it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((name,))
+    return buf.getvalue()[:-1]
 
 
 def write_curves(path, taskset: TaskSet, matrices) -> None:
@@ -59,19 +79,20 @@ def write_curves(path, taskset: TaskSet, matrices) -> None:
                 f"matrix for {mat.algorithm!r} covers {mat.n_tasks} tasks, "
                 f"task set has {taskset.n}"
             )
+    names = [_csv_field(name) for name in taskset.names]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CURVES_HEADER)
-        # tolist() gives Python floats, which csv writes as str(v): the
+        fh.write(",".join(CURVES_HEADER) + "\n")
+        # tolist() gives Python floats, whose repr is what csv writes: the
         # shortest string that parses back to the same double, so round
         # trips are exact.
         for mat in matrices:
-            w.writerows(
-                (mat.algorithm, l, name, v)
+            algo = _csv_field(mat.algorithm)
+            fh.writelines(
+                f"{algo},{l},{name},{v!r}\n"
                 for l, (values, mask) in enumerate(
                     zip(mat.values.T.tolist(), mat.mask.T.tolist())
                 )
-                for name, v, observed in zip(taskset.names, values, mask)
+                for name, v, observed in zip(names, values, mask)
                 if observed
             )
 
@@ -133,40 +154,263 @@ def _read_rows(path, header, what: str):
         raise ParseError(f"{what} has no data rows", line=1)
 
 
-def _read_cells(path, taskset: TaskSet | None):
-    """A curves CSV's {algorithm: {(step, task): value}}, its task names
-    (both in first-appearance order) and its largest step."""
-    cells: dict[str, dict[tuple[int, str], float]] = {}
-    task_order: dict[str, None] = {}  # an insertion-ordered set
-    known = set(taskset.names) if taskset is not None else None
-    max_step = -1
-    for lineno, algo, step, task, perf in _read_rows(path, CURVES_HEADER, "curves file"):
-        if step < 0:
+def _row_records(path, header, what: str, tasks, cells: bool):
+    """The row path: ``_read_rows`` plus the checks on its rows, as
+    (records, task names); see ``_read_records``.  Every parse error,
+    message and line number comes from here."""
+    known = {name: j for j, name in enumerate(tasks or ())}
+    columns: dict[str, tuple[array, array, array]] = {}
+    seen = set()  # (algorithm, step, task code) of a curves file's cells
+    for lineno, algo, step, task, value in _read_rows(path, header, what):
+        if cells and step < 0:
             raise ParseError(f"step {step} is negative", line=lineno)
-        if known is not None and task not in known:
-            raise ParseError(f"unknown task {task!r}", line=lineno)
-        algo_cells = cells.setdefault(algo, {})
-        task_order[task] = None
-        if (step, task) in algo_cells:
-            raise ParseError(
-                f"duplicate cell for ({algo}, step {step}, {task})", line=lineno
-            )
-        algo_cells[step, task] = perf
-        max_step = max(max_step, step)
-    return cells, tuple(task_order), max_step
+        j = known.get(task)
+        if j is None:
+            if tasks is not None:
+                raise ParseError(f"unknown task {task!r}", line=lineno)
+            j = known[task] = len(known)
+        if cells:
+            if (algo, step, j) in seen:
+                raise ParseError(
+                    f"duplicate cell for ({algo}, step {step}, {task})", line=lineno
+                )
+            seen.add((algo, step, j))
+        cols = columns.get(algo)
+        if cols is None:
+            cols = columns[algo] = (array("q"), array("q"), array("d"))
+        cols[0].append(step)
+        cols[1].append(j)
+        cols[2].append(value)
+    records = {}
+    for algo in list(columns):
+        # popped so that each algorithm's columns are freed once copied
+        cols = columns.pop(algo)
+        rec = records[algo] = np.empty(len(cols[0]), dtype=_RECORD)
+        for field, col in zip(_RECORD.names, cols):
+            rec[field] = np.frombuffer(col, dtype=col.typecode)
+    return records, tuple(known)
 
 
-def _curve_matrices(cells, taskset: TaskSet, m: int) -> list[PerformanceMatrix]:
-    # every task in ``cells`` was checked against the task set on reading
-    rows = {name: j for j, name in enumerate(taskset.names)}
+# The fast path tokenizes this many bytes of whole lines at a time, and
+# halves a block while its line count times its longest line exceeds
+# _BLOCK_CHARS, which bounds the memory its string fields take.
+_BLOCK_BYTES = 1 << 16
+_BLOCK_CHARS = 1 << 18
+
+# Bytes the fast path leaves to the row path: all but tab, newline and
+# printable ASCII, and the double quote.  Over what remains, numpy's
+# tokenizer splits lines as csv does and accepts a subset of the numbers
+# int() and float() accept, parsed to the same values.  Elsewhere it does
+# not: it strips \x1c-\x1f around numbers, reads some non-ASCII code points
+# as digits, and numpy strips trailing NULs from strings.
+_UNSAFE = bytes(b for b in range(256) if not (32 <= b < 127 or b in b"\t\n") or b == 34)
+
+
+class _Defer(ValueError):
+    """The fast path cannot prove a file clean; the row path reads it."""
+
+
+@functools.cache
+def _numpy_ints_are_strict() -> bool:
+    """Whether np.loadtxt refuses "1.0" in an int64 column, as int() does.
+    numpy 2.4 raises ValueError; numpy 1.23-1.26 parsed it with a
+    DeprecationWarning, and then the fast path stays off."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.loadtxt(["1.0"], dtype=np.int64)
+    except (ValueError, DeprecationWarning):
+        return True
+    return False
+
+
+def _row_dtype(width: int) -> np.dtype:
+    # string fields as wide as the longest line, so none is cut short; an
+    # even width makes the record a whole number of 8-byte words
+    width += width % 2
+    return np.dtype(
+        [("algo", f"U{width}"), ("step", np.int64), ("task", f"U{width}"),
+         ("value", np.float64)]
+    )
+
+
+def _parse_lines(lines, limit: int):
+    """np.loadtxt over ``lines`` (no quoting, no comments), as structured
+    arrays of _row_dtype; blank lines are skipped, and a line longer than
+    ``limit`` raises _Defer."""
+    width = max(map(len, lines))
+    if width > limit:
+        raise _Defer
+    if not width:
+        return
+    if len(lines) * width > _BLOCK_CHARS and len(lines) > 1:
+        half = len(lines) // 2
+        yield from _parse_lines(lines[:half], limit)
+        yield from _parse_lines(lines[half:], limit)
+        return
+    yield np.loadtxt(
+        lines, dtype=_row_dtype(width), delimiter=",", comments=None,
+        quotechar=None, ndmin=1,
+    )
+
+
+def _keys(words: np.ndarray) -> np.ndarray:
+    """A 64-bit key per row of ``words``, numpy strings viewed as uint64
+    pairs of code points: the pairs weighted by odd constants and summed
+    modulo 2**64.  NUL padding adds nothing, so a string has the same key
+    at every width, and strings that differ in one pair never share a
+    key."""
+    odd = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64)
+    return words @ (odd * np.uint64(0x9E3779B97F4A7C15))
+
+
+class _Names:
+    """Integer codes for one string column, block by block: indices into
+    ``names``, a fixed table (a task set's) or one that grows in order of
+    first appearance.  A name outside a fixed table, an empty name and a
+    key shared by two names all raise _Defer."""
+
+    def __init__(self, names, grow: bool):
+        self.names, self.grow = list(names), grow
+        self._keys = np.empty(0, np.uint64)
+        self._codes = np.empty(0, np.int64)
+        self._add(range(len(self.names)))
+
+    def _add(self, new) -> None:
+        # numpy strips trailing NULs, so a name holding one could match a
+        # shorter string; no NUL reaches the fast path, so leave it out
+        new = [j for j in new if "\0" not in self.names[j]]
+        if new:
+            width = max(2, *(len(self.names[j]) for j in new))
+            table = np.array([self.names[j] for j in new], f"U{width + width % 2}")
+            words = table.view(np.uint64).reshape(len(new), -1)
+            keys = np.concatenate([self._keys, _keys(words)])
+            codes = np.concatenate([self._codes, new])
+            order = np.argsort(keys, kind="stable")
+            self._keys, self._codes = keys[order], codes[order]
+        self._table = np.array(self.names or [""])
+
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        if not len(self._keys):
+            return np.full(len(keys), -1)
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return np.where(self._keys[pos] == keys, self._codes[pos], -1)
+
+    def codes(self, strings: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """Codes for ``strings``, whose code points ``words`` holds."""
+        keys = _keys(words)
+        codes = self._lookup(keys)
+        missing = np.flatnonzero(codes < 0)
+        if len(missing):
+            if not self.grow:
+                raise _Defer
+            _, first = np.unique(keys[missing], return_index=True)
+            fresh = [str(strings[i]) for i in np.sort(missing[first])]
+            if "" in fresh:
+                raise _Defer
+            self.names += fresh
+            self._add(range(len(self.names) - len(fresh), len(self.names)))
+            codes = self._lookup(keys)
+        if not (self._table[codes] == strings).all():
+            raise _Defer
+        return codes
+
+
+def _fast_records(path, header, tasks, cells: bool):
+    """The fast path: what ``_row_records`` returns, read in blocks of lines
+    by np.loadtxt (numpy's C tokenizer and number parser).  It raises
+    ValueError, and the row path reads the file, unless the file holds no
+    _UNSAFE byte, opens with ``header``, has no line over csv's field size
+    limit and only rows that numpy parses into int64 steps, finite float64
+    values, non-empty algorithm names and known tasks; a curves file
+    (``cells``) also needs no negative step and no duplicate cell."""
+    if not _numpy_ints_are_strict():
+        raise _Defer
+    algos = _Names((), grow=True)
+    names = _Names(tasks or (), grow=tasks is None)
+    # per algorithm: a _RECORD buffer, grown in place like an array('q'),
+    # and how many of its rows are filled
+    filled: dict[str, list] = {}
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        if fh.readline() != (",".join(header) + "\n").encode():
+            raise _Defer
+        while block := fh.read(_BLOCK_BYTES):
+            block += fh.readline()
+            if len(block.translate(None, _UNSAFE)) != len(block):
+                raise _Defer
+            lines = block.decode("ascii").split("\n")
+            del block
+            for rows in _parse_lines(lines, limit):
+                steps, values = rows["step"], rows["value"]
+                if not np.isfinite(values).all() or cells and steps.min() < 0:
+                    raise _Defer
+                # the record as uint64 words: algorithm, step, task, value
+                words = rows.view(np.uint64).reshape(len(rows), -1)
+                half = rows.dtype["algo"].itemsize // 8
+                algo_codes = algos.codes(rows["algo"], words[:, :half])
+                task_codes = names.codes(rows["task"], words[:, half + 1 : -1])
+                present = np.unique(algo_codes)
+                for a in present:
+                    mine = algo_codes == a if len(present) > 1 else slice(None)
+                    part = steps[mine], task_codes[mine], values[mine]
+                    slot = filled.setdefault(algos.names[a], [np.empty(0, _RECORD), 0])
+                    buf, start = slot
+                    end = slot[1] = start + len(part[0])
+                    if end > len(buf):
+                        buf.resize(max(end, len(buf) + len(buf) // 8), refcheck=False)
+                    for field, column in zip(_RECORD.names, part):
+                        buf[field][start:end] = column
+    if not filled:
+        raise _Defer
+    records = {}
+    for algo, (buf, rows) in filled.items():
+        buf.resize(rows, refcheck=False)
+        records[algo] = buf
+        if cells:
+            by_cell = buf[np.lexsort((buf["task"], buf["step"]))]
+            step, task = by_cell["step"], by_cell["task"]
+            if ((step[1:] == step[:-1]) & (task[1:] == task[:-1])).any():
+                raise _Defer
+    return records, tuple(names.names)
+
+
+def _read_records(path, header, what: str, tasks, cells: bool):
+    """A four-column CSV's data rows as ({algorithm: records}, task names).
+    Algorithms are in order of first appearance, and each one's rows are
+    _RECORD records in file order, whose ``metric`` field holds the value
+    column and whose ``task`` field indexes the task names.  Those are
+    ``tasks`` if given (other tasks are an error) and otherwise the file's,
+    in order of first appearance.  With ``cells`` (a curves file), negative
+    steps and duplicate cells are errors.  The fast path reads the file if
+    it can; otherwise the row path re-reads it."""
+    try:
+        return _fast_records(path, header, tasks, cells)
+    except ValueError:
+        pass  # leaving the except clause frees what the fast pass read
+    return _row_records(path, header, what, tasks, cells)
+
+
+def _read_cells(path, taskset: TaskSet | None):
+    """A curves CSV's records and task names (see ``_read_records``) and
+    its largest step."""
+    records, names = _read_records(
+        path, CURVES_HEADER, "curves file",
+        None if taskset is None else taskset.names, cells=True,
+    )
+    max_step = max(int(rec["step"].max()) for rec in records.values())
+    return records, names, max_step
+
+
+def _curve_matrices(records, taskset: TaskSet, m: int) -> list[PerformanceMatrix]:
+    # task codes index the task set (_read_cells checked them against it)
     matrices = []
-    for algo, algo_cells in cells.items():
+    for algo, rec in records.items():
+        cells = rec["task"], rec["step"]
         values = np.zeros((taskset.n, m))
         mask = np.zeros((taskset.n, m), dtype=bool)
-        for (step, task), perf in algo_cells.items():
-            j = rows[task]
-            values[j, step] = perf
-            mask[j, step] = True
+        values[cells] = rec["metric"]
+        mask[cells] = True
         matrices.append(PerformanceMatrix(algorithm=algo, values=values, mask=mask))
     return matrices
 
@@ -178,9 +422,9 @@ def parse_curves(path, taskset: TaskSet | None = None):
     follow first appearance in the file unless a task set is supplied, in
     which case all task names must belong to it.
     """
-    cells, task_order, max_step = _read_cells(path, taskset)
-    out_tasks = taskset if taskset is not None else TaskSet(names=task_order)
-    return out_tasks, _curve_matrices(cells, out_tasks, max_step + 1)
+    records, names, max_step = _read_cells(path, taskset)
+    out_tasks = taskset if taskset is not None else TaskSet(names=names)
+    return out_tasks, _curve_matrices(records, out_tasks, max_step + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +507,15 @@ def load_dataset(curves_path, curriculum_path):
     unobserved columns).
     """
     taskset, curriculum = parse_curriculum(curriculum_path)
-    cells, _, max_step = _read_cells(curves_path, taskset)
+    records, _, max_step = _read_cells(curves_path, taskset)
     if max_step >= curriculum.m:
         # checked before any array is sized from the file's steps
-        longest = max(cells, key=lambda algo: max(step for step, _ in cells[algo]))
+        longest = max(records, key=lambda algo: records[algo]["step"].max())
         raise ValidationError(
             f"curves for {longest!r} span {max_step + 1} steps, "
             f"curriculum has {curriculum.m}"
         )
-    return taskset, curriculum, _curve_matrices(cells, taskset, curriculum.m)
+    return taskset, curriculum, _curve_matrices(records, taskset, curriculum.m)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +595,6 @@ def parse_params(path) -> tuple[TaskSet, ScenarioParams]:
 # raw logs
 
 
-# One raw-log row: step, index into the log's task name table, metric.
-_RECORD = np.dtype([("step", np.int64), ("task", np.int64), ("metric", np.float64)])
-
-
 @dataclass(frozen=True, eq=False)
 class RawLog:
     """One algorithm's raw training log.
@@ -378,17 +618,32 @@ class RawLog:
     tasks: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        tasks = self.tasks
+        tasks, given = self.tasks, self.records
+        # numpy's cast to int64 would truncate a float or bool step and wrap
+        # a uint64 one, so check them first
+        if isinstance(given, np.ndarray) and given.dtype.names is not None:
+            kind = given.dtype["step"].kind
+            if kind not in "iu":
+                raise ValidationError("record steps must be integers")
+            if kind == "u" and len(given) and given["step"].max() >= _STEP_LIMIT:
+                raise ValidationError("record steps must fit in 64 bits")
+        else:
+            given = list(given)
+            if not all(
+                isinstance(row[0], (int, np.integer)) and not isinstance(row[0], bool)
+                for row in given
+            ):
+                raise ValidationError("record steps must be integers")
         try:
             if tasks is None:
                 table: dict[str, int] = {}  # name -> index, in first-appearance order
                 records = np.array(
-                    [(s, table.setdefault(t, len(table)), v) for s, t, v in self.records],
+                    [(s, table.setdefault(t, len(table)), v) for s, t, v in given],
                     dtype=_RECORD,
                 )
                 tasks = table
             else:
-                records = np.asarray(self.records, dtype=_RECORD)
+                records = np.asarray(given, dtype=_RECORD)
         except OverflowError:
             raise ValidationError("record steps must fit in 64 bits") from None
         tasks = tuple(tasks)
@@ -453,30 +708,14 @@ def parse_raw_log(metrics_path, boundaries_path):
         entries=tuple(taskset.index(t) for _, t in boundaries),
         n_tasks=taskset.n,
     )
-    # per algorithm: step, task index and metric columns, in file order
-    known = {name: j for j, name in enumerate(taskset.names)}
-    columns: dict[str, tuple[array, array, array]] = {}
-    for lineno, algo, step, task, metric in _read_rows(metrics_path, RAW_HEADER, "raw log"):
-        j = known.get(task)
-        if j is None:
-            raise ParseError(f"unknown task {task!r}", line=lineno)
-        cols = columns.get(algo)
-        if cols is None:
-            cols = columns[algo] = (array("q"), array("q"), array("d"))
-        cols[0].append(step)
-        cols[1].append(j)
-        cols[2].append(metric)
+    per_algo, _ = _read_records(
+        metrics_path, RAW_HEADER, "raw log", taskset.names, cells=False
+    )
     logs = []
-    for algo in list(columns):
-        # popped so that each log's columns are freed once its array is built
-        steps, tasks, metrics = (
-            np.frombuffer(c, dtype=c.typecode) for c in columns.pop(algo)
-        )
-        order = np.argsort(steps, kind="stable")
-        records = np.empty(len(order), dtype=_RECORD)
-        records["step"] = steps[order]
-        records["task"] = tasks[order]
-        records["metric"] = metrics[order]
+    for algo, records in per_algo.items():
+        steps = records["step"]
+        if (steps[1:] < steps[:-1]).any():
+            records = records[np.argsort(steps, kind="stable")]
         logs.append(RawLog(algo, records, boundaries, tasks=taskset.names))
     return taskset, curriculum, logs
 

@@ -447,10 +447,23 @@ def _checked_arrays(params: ScenarioParams, curriculum: Curriculum):
 
 
 def simulate_all(params: ScenarioParams, curriculum: Curriculum) -> list[PerformanceMatrix]:
-    """Forward rollout for every algorithm, order preserved."""
+    """Forward rollout for every algorithm, order preserved.
+
+    Params that overflow the rollout raise ValidationError naming the first
+    curriculum step (and its algorithm) whose experience over difficulty is
+    not finite; its curves would otherwise read exactly -1 or 1.
+    """
     arrays = _checked_arrays(params, curriculum)
     ws = _Rollout(params.n, params.p, curriculum.entries)
-    curves = _forward_curves(ws, *arrays)
+    with np.errstate(over="ignore", invalid="ignore"):
+        curves = _forward_curves(ws, *arrays)
+        finite = np.isfinite(ws.states[1:] / arrays[1]).all(axis=2)
+    if not finite.all():
+        step, k = np.argwhere(~finite)[0]
+        raise ValidationError(
+            f"experience over difficulty of {params.algorithms[k].name!r} is not "
+            f"finite at step {step}: the params overflow the rollout"
+        )
     return [
         PerformanceMatrix(algorithm=a.name, values=curves[:, k].T)
         for k, a in enumerate(params.algorithms)

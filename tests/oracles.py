@@ -3,9 +3,16 @@
 Everything in here is deliberately written with plain Python loops and
 the math module so that a bug in the numpy code cannot hide in a shared
 helper.  Keep these dumb.
+
+The CSV readers at the end are a frozen copy of dataio's row-by-row
+readers from before they gained a fast path: the row path must keep
+accepting, rejecting and reporting exactly what they do.
 """
 
+import csv
 import math
+
+from latentperf.errors import ParseError, ValidationError
 
 
 def scaled_sigmoid_ref(x):
@@ -150,3 +157,120 @@ def downsample_ref(records, boundaries, task_names):
                     values[j][l] = value
                     mask[j][l] = True
     return values, mask
+
+
+# ---------------------------------------------------------------------------
+# frozen CSV readers
+
+_STEP_LIMIT = 2**63
+
+
+def read_rows_ref(path, header, what):
+    """(line number, algorithm, step, task, value) per data row."""
+    step_name, value_name = header[1], header[3]
+    seen = False
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, strict=True)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise ParseError(f"empty {what}", line=1)
+            if tuple(first) != header:
+                raise ParseError(
+                    f"expected header {','.join(header)}, got {','.join(first)}",
+                    line=1,
+                )
+            for row in reader:
+                if not row:
+                    continue
+                lineno = reader.line_num
+                if len(row) != 4:
+                    raise ParseError(f"expected 4 columns, got {len(row)}", line=lineno)
+                algo, step_s, task, value_s = row
+                if not algo:
+                    raise ParseError("empty algorithm name", line=lineno)
+                try:
+                    step = int(step_s)
+                except ValueError:
+                    raise ParseError(
+                        f"{step_name} {step_s!r} is not an integer", line=lineno
+                    )
+                if not -_STEP_LIMIT <= step < _STEP_LIMIT:
+                    raise ParseError(
+                        f"{step_name} {step_s!r} is out of range", line=lineno
+                    )
+                try:
+                    value = float(value_s)
+                except ValueError:
+                    raise ParseError(
+                        f"{value_name} {value_s!r} is not a number", line=lineno
+                    )
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{value_name} {value_s!r} is not finite", line=lineno
+                    )
+                seen = True
+                yield lineno, algo, step, task, value
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{what} is not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+    if not seen:
+        raise ParseError(f"{what} has no data rows", line=1)
+
+
+def read_cells_ref(path, task_names=None):
+    """A curves CSV's {algorithm: {(step, task): value}}, its task names
+    (both in first-appearance order) and its largest step."""
+    header = ("algorithm", "step", "task", "performance")
+    cells = {}
+    task_order = {}
+    known = set(task_names) if task_names is not None else None
+    max_step = -1
+    for lineno, algo, step, task, perf in read_rows_ref(path, header, "curves file"):
+        if step < 0:
+            raise ParseError(f"step {step} is negative", line=lineno)
+        if known is not None and task not in known:
+            raise ParseError(f"unknown task {task!r}", line=lineno)
+        algo_cells = cells.setdefault(algo, {})
+        task_order[task] = None
+        if (step, task) in algo_cells:
+            raise ParseError(
+                f"duplicate cell for ({algo}, step {step}, {task})", line=lineno
+            )
+        algo_cells[step, task] = perf
+        max_step = max(max_step, step)
+    return cells, tuple(task_order), max_step
+
+
+def check_curve_span_ref(cells, max_step, m):
+    """load_dataset's check that no curve outruns the curriculum."""
+    if max_step >= m:
+        longest = max(cells, key=lambda algo: max(step for step, _ in cells[algo]))
+        raise ValidationError(
+            f"curves for {longest!r} span {max_step + 1} steps, "
+            f"curriculum has {m}"
+        )
+
+
+def curve_cells_ref(cells, task_names):
+    """Per algorithm, {(task row, step): value}: what its matrix holds."""
+    rows = {name: j for j, name in enumerate(task_names)}
+    return [
+        (algo, {(rows[task], step): v for (step, task), v in algo_cells.items()})
+        for algo, algo_cells in cells.items()
+    ]
+
+
+def read_raw_log_ref(path, task_names):
+    """A raw log's rows per algorithm, in first-appearance order, as
+    (step, task index, metric) stably sorted by step."""
+    header = ("algorithm", "global_step", "task", "metric")
+    known = {name: j for j, name in enumerate(task_names)}
+    rows = {}
+    for lineno, algo, step, task, metric in read_rows_ref(path, header, "raw log"):
+        j = known.get(task)
+        if j is None:
+            raise ParseError(f"unknown task {task!r}", line=lineno)
+        rows.setdefault(algo, []).append((step, j, metric))
+    return [(algo, sorted(r, key=lambda row: row[0])) for algo, r in rows.items()]

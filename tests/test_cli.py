@@ -123,6 +123,35 @@ def test_simulate_duplicate_algorithm_names_exits_2(tmp_path, capsys):
     assert not sim.exists()
 
 
+def test_simulate_overflowing_params_exits_2(tmp_path, capsys):
+    # finite params whose experience over difficulty overflows at step 0
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({
+        "tasks": ["t1", "t2"],
+        "transfer_matrix": [[1, -1], [-1, 1]],
+        "difficulty": [0.5, 0.5],
+        "algorithms": [{"name": "a", "gamma": 1e308, "h": 1, "lambda": 0}],
+    }))
+    cur = tmp_path / "curriculum.json"
+    cur.write_text(json.dumps({"tasks": ["t1", "t2"], "curriculum": ["t1", "t2"] * 2}))
+    sim = tmp_path / "sim.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "simulate",
+            "--params", str(params),
+            "--curriculum", str(cur),
+            "--out", str(sim),
+        ])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error: experience over difficulty of 'a' is not finite at step 0: "
+        "the params overflow the rollout"
+    ]
+    assert not sim.exists()
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     code = main([
         "simulate",

@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import math
 import os
+import struct
 import tempfile
 import tracemalloc
 
@@ -26,13 +29,21 @@ from latentperf import (
     parse_curves,
     parse_params,
     parse_raw_log,
+    simulate_all,
     write_curriculum,
     write_curves,
     write_params,
 )
 
 from conftest import CSV_TOKENS, DATA_DIR, fuzz_bytes, random_instance
-from oracles import downsample_ref
+from latentperf import dataio
+from oracles import (
+    check_curve_span_ref,
+    curve_cells_ref,
+    downsample_ref,
+    read_cells_ref,
+    read_raw_log_ref,
+)
 
 
 def _write(tmp_path, name, text):
@@ -514,6 +525,22 @@ def test_rawlog_rejects_bad_records():
         boundaries=bounds,
     )
     assert edge.records["step"].tolist() == [-(2**63), 2**63 - 1]
+    for step in (1.7, 2.0, True, np.float64(3.0)):
+        with pytest.raises(ValidationError, match="integers"):
+            RawLog(algorithm="a", records=((step, "t", 1.0),), boundaries=bounds)
+        with pytest.raises(ValidationError, match="integers"):
+            RawLog("a", [(step, 0, 1.0)], bounds, tasks=("t",))
+    fields = [("task", int), ("metric", float)]
+    as_floats = np.array([(1.7, 0, 1.0)], dtype=[("step", float), *fields])
+    with pytest.raises(ValidationError, match="integers"):
+        RawLog("a", as_floats, bounds, tasks=("t",))
+    as_uint = np.array([(2**63, 0, 1.0)], dtype=[("step", np.uint64), *fields])
+    with pytest.raises(ValidationError, match="64 bits"):
+        RawLog("a", as_uint, bounds, tasks=("t",))
+    assert RawLog("a", as_uint[:0], bounds, tasks=("t",)).records.dtype.itemsize == 24
+    steps = (np.int32(4), np.uint64(5), 6)
+    log = RawLog("a", [(s, "t", 1.0) for s in steps], bounds)
+    assert log.records["step"].tolist() == [4, 5, 6]
     coded = RawLog(algorithm="a", records=((0, "t", 1.0),), boundaries=bounds)
     assert RawLog("a", coded.records, bounds, tasks=("t",)).tasks == ("t",)
     for codes in ((0, 1), (-1,)):
@@ -842,3 +869,268 @@ def test_arbitrary_bytes_raise_only_documented_errors(curves, raw, doc):
                 normalize_minmax(downsample_to_boundaries(log, ts, cr))
         except (ParseError, ValidationError, NormalizationError):
             pass
+
+
+# ---------------------------------------------------------------------------
+# the fast reader against the frozen row readers
+
+
+_DIFF_TOKENS = CSV_TOKENS + [
+    b"_", b"+", b"\t", "\u0661".encode(), b"\r\n", b",,", b"12345678901234567890",
+]
+# parse_curves sizes its matrices by the file's largest step, so a fuzzed
+# step of 10**8 would allocate gigabytes; past this bound the reader's
+# records are compared instead of the matrices
+_MATRIX_STEPS = 10_000
+
+
+def _outcome(fn):
+    """fn()'s result, or the (type, message, line) of the error it raises."""
+    try:
+        return fn()
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _cells(matrices):
+    """Per matrix: algorithm, shape, observed cells as {(task row, step):
+    float hex} and whether every masked entry is +0.0."""
+    out = []
+    for mat in matrices:
+        cells = {
+            (j, l): float(mat.values[j, l]).hex()
+            for j, l in zip(*(a.tolist() for a in np.nonzero(mat.mask)))
+        }
+        rest = mat.values[~mat.mask]
+        zeros = not np.signbit(rest).any() and not rest.any()
+        out.append((mat.algorithm, mat.values.shape, cells, zeros))
+    return out
+
+
+def _cells_ref(cells, names, m):
+    return [
+        (algo, (len(names), m), {k: v.hex() for k, v in c.items()}, True)
+        for algo, c in curve_cells_ref(cells, names)
+    ]
+
+
+def _compare_readers(tmp, curves, raw):
+    cur = _write(tmp, "cur.json", _CURRICULUM)
+    bnd = _write(tmp, "b.json", _BOUNDARIES)
+    curves_path = _write_bytes(tmp, "c.csv", curves)
+    raw_path = _write_bytes(tmp, "r.csv", raw)
+
+    # parse_raw_log: records byte for byte
+    def raw_ref():
+        taskset, boundaries = parse_boundaries(bnd)
+        return [
+            (algo, b"".join(struct.pack("=qqd", *r) for r in rows), taskset.names, boundaries)
+            for algo, rows in read_raw_log_ref(raw_path, taskset.names)
+        ]
+
+    def raw_new():
+        _, _, logs = parse_raw_log(raw_path, bnd)
+        return [
+            (log.algorithm, log.records.tobytes(), log.tasks, log.boundaries)
+            for log in logs
+        ]
+
+    assert _outcome(raw_new) == _outcome(raw_ref)
+
+    # load_dataset: matrices over the curriculum's length
+    def dataset_ref():
+        taskset, curriculum = parse_curriculum(cur)
+        cells, _, max_step = read_cells_ref(curves_path, taskset.names)
+        check_curve_span_ref(cells, max_step, curriculum.m)
+        return _cells_ref(cells, taskset.names, curriculum.m)
+
+    def dataset_new():
+        return _cells(load_dataset(curves_path, cur)[2])
+
+    assert _outcome(dataset_new) == _outcome(dataset_ref)
+
+    # parse_curves: the file's own tasks and length
+    ref = _outcome(lambda: read_cells_ref(curves_path))
+    if isinstance(ref[0], type):
+        assert _outcome(lambda: parse_curves(curves_path)) == ref
+    elif ref[2] < _MATRIX_STEPS:
+        cells, order, max_step = ref
+
+        def curves_ref():
+            return TaskSet(names=order).names, _cells_ref(cells, order, max_step + 1)
+
+        def curves_new():
+            taskset, matrices = parse_curves(curves_path)
+            return taskset.names, _cells(matrices)
+
+        assert _outcome(curves_new) == _outcome(curves_ref)
+    else:
+        records, names, max_step = dataio._read_cells(curves_path, None)
+        got = {
+            algo: {(int(t), int(s)): float(v).hex() for s, t, v in rec.tolist()}
+            for algo, rec in records.items()
+        }
+        want = {
+            algo: {k: v.hex() for k, v in c.items()}
+            for algo, c in curve_cells_ref(ref[0], names)
+        }
+        assert (names, max_step, got) == (ref[1], ref[2], want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    curves=fuzz_bytes(b"algorithm,step,task,performance\n", _DIFF_TOKENS),
+    raw=fuzz_bytes(b"algorithm,global_step,task,metric\n", _DIFF_TOKENS),
+)
+def test_readers_match_frozen_row_readers_on_fuzzed_bytes(curves, raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        _compare_readers(tmp, curves, raw)
+
+
+_ALGOS = ["a", "learner1", "x y", "t\tb", " sp"]
+_ODD_ALGOS = _ALGOS + ["c,d", 'q"t', "\u00e9"]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _csv_log(draw, header):
+    """A CSV written by csv.writer, half of them plain enough for the fast
+    path: quoted names where needed, blank lines, repeated cells, values in
+    several spellings."""
+    plain = draw(st.booleans())
+    algos = _ALGOS if plain else _ODD_ALGOS
+    tasks = ["u", "v"] if plain else ["u", "v", "w"]
+    steps = st.integers(0, 40) if plain else st.integers(-2, 12)
+    values = _FINITE if plain else st.one_of(_FINITE, st.floats())
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n" if plain else "\r\n")
+    out.writerow(header)
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(algos), steps, st.sampled_from(tasks), values,
+        st.sampled_from(["{!r}", "{:.6f}", "{:.3e}", "{:g}"]), st.booleans(),
+    ), max_size=30))
+    for algo, step, task, value, spelling, blank in rows:
+        out.writerow((algo, step, task, spelling.format(value)))
+        if blank:
+            out.writerow(())
+    return buf.getvalue().encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_readers_match_frozen_row_readers_on_written_logs(data):
+    curves = data.draw(_csv_log(("algorithm", "step", "task", "performance")))
+    raw = data.draw(_csv_log(("algorithm", "global_step", "task", "metric")))
+    with tempfile.TemporaryDirectory() as tmp:
+        _compare_readers(tmp, curves, raw)
+
+
+def _no_row_path(monkeypatch):
+    def fail(*args):
+        raise AssertionError("took the row path")
+
+    monkeypatch.setattr(dataio, "_read_rows", fail)
+
+
+def test_clean_files_skip_the_row_path(rng, tmp_path, monkeypatch):
+    ts, params, cur = random_instance(rng, 4, 6, 3)
+    mats = simulate_all(params, cur)
+    curves = os.path.join(tmp_path, "c.csv")
+    write_curves(curves, ts, mats)
+    cur_path = os.path.join(tmp_path, "cur.json")
+    write_curriculum(cur_path, ts, cur)
+    raw = _write(
+        tmp_path, "r.csv",
+        "algorithm,global_step,task,metric\na,0,u,0.5\n\na,3,v,-1e-3\nb,-2,u,+7\n"
+        "a,1,u,1.25E2\n",
+    )
+    bnd = _write(tmp_path, "b.json", _BOUNDARIES)
+    _no_row_path(monkeypatch)
+    for _, back in (parse_curves(curves), load_dataset(curves, cur_path)[1:]):
+        assert [m.values.tobytes() for m in back] == [m.values.tobytes() for m in mats]
+    logs = parse_raw_log(raw, bnd)[2]
+    assert [log.algorithm for log in logs] == ["a", "b"]
+    assert logs[0].records.tolist() == [(0, 0, 0.5), (1, 0, 125.0), (3, 1, -1e-3)]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        '"a",0,u,0.5\n',  # a quote
+        "a,0,u,0.5\r\n",  # a carriage return
+        "a,0.0,u,0.5\n",  # a step numpy rejects
+        "a,1_0,u,0.5\n",  # a step only int() accepts
+        "a,0,u,nan\n",  # a non-finite metric
+        "a,0,x,0.5\n",  # an unknown task
+        ",0,u,0.5\n",  # an empty algorithm name
+        "a,0,\u00fc,0.5\n",  # a byte outside printable ASCII
+        "a,\x1f0,u,0.5\n",  # a space to numpy, not to int()
+        "\n\n",  # no data rows
+    ],
+)
+def test_other_files_take_the_row_path(tmp_path, monkeypatch, body):
+    raw = _write(tmp_path, "r.csv", "algorithm,global_step,task,metric\n" + body)
+    bnd = _write(tmp_path, "b.json", _BOUNDARIES)
+    _outcome(lambda: parse_raw_log(raw, bnd))  # parses or raises ParseError
+    _no_row_path(monkeypatch)
+    with pytest.raises(AssertionError, match="row path"):
+        parse_raw_log(raw, bnd)
+
+
+def test_names_sharing_a_key_are_told_apart(tmp_path):
+    # the fast path codes names by a 64-bit key of their code points; these
+    # two share one, so only comparing the strings keeps them apart
+    pair = np.array(["abcd", "dbbd"])
+    words = pair.view(np.uint64).reshape(2, -1)
+    assert dataio._keys(words)[0] == dataio._keys(words)[1]
+    bnd = _write(tmp_path, "b.json", '{"tasks": ["abcd"], "boundaries": [[0, "abcd"]]}')
+    head = "algorithm,global_step,task,metric\n"
+    raw = _write(tmp_path, "r.csv", head + "a,0,abcd,0.5\na,1,dbbd,0.5\n")
+    with pytest.raises(ParseError, match="line 3: unknown task 'dbbd'"):
+        parse_raw_log(raw, bnd)
+    raw = _write(tmp_path, "r.csv", head + "abcd,0,abcd,0.5\ndbbd,1,abcd,0.5\n")
+    assert [log.algorithm for log in parse_raw_log(raw, bnd)[2]] == ["abcd", "dbbd"]
+
+
+def test_fields_over_the_csv_limit_are_refused(tmp_path):
+    limit = csv.field_size_limit()
+    head = "algorithm,global_step,task,metric\n"
+    raw = _write(tmp_path, "r.csv", head + "a" * (limit + 1) + ",0,u,0.5\n")
+    with pytest.raises(ParseError, match="line 2: malformed CSV: field larger"):
+        parse_raw_log(raw, _write(tmp_path, "b.json", _BOUNDARIES))
+
+
+def test_duplicate_and_negative_cells_take_the_row_path(tmp_path, monkeypatch):
+    _no_row_path(monkeypatch)
+    head = "algorithm,step,task,performance\n"
+    for body in ("a,0,u,0.5\na,0,u,0.5\n", "a,-1,u,0.5\n"):
+        path = _write(tmp_path, "c.csv", head + body)
+        with pytest.raises(AssertionError, match="row path"):
+            parse_curves(path)
+    path = _write(tmp_path, "c.csv", head + "a,0,u,0.5\nb,0,u,0.5\na,1,u,0.5\n")
+    assert [m.algorithm for m in parse_curves(path)[1]] == ["a", "b"]
+
+
+def test_write_curves_matches_csv_writer(tmp_path):
+    names = ["plain", "com,ma", 'quo"te', "new\nline", "\u00e9t\u00e9", " lead", "tab\t"]
+    ts = TaskSet(names)
+    values = np.linspace(-1, 1, ts.n * 3).reshape(ts.n, 3) / 3
+    values[0] = -0.0, 1e-300, 0.1
+    mask = np.arange(ts.n * 3).reshape(ts.n, 3) % 4 != 1
+    mats = [PerformanceMatrix(algorithm=a, values=values, mask=mask) for a in names]
+    path = os.path.join(tmp_path, "c.csv")
+    write_curves(path, ts, mats)
+    buf = io.StringIO(newline="")
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(("algorithm", "step", "task", "performance"))
+    for mat in mats:
+        for l in range(mat.n_steps):
+            for j, name in enumerate(names):
+                if mat.mask[j, l]:
+                    out.writerow((mat.algorithm, l, name, float(mat.values[j, l])))
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == buf.getvalue()
+    _, back = parse_curves(path, taskset=ts)
+    assert [m.values[m.mask].tobytes() for m in back] == [
+        m.values[m.mask].tobytes() for m in mats
+    ]

@@ -323,6 +323,25 @@ def test_simulate_rejects_mismatched_curriculum():
         simulate_all(params, Curriculum(entries=[0], n_tasks=2))[5]
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_rejects_params_that_overflow_the_rollout():
+    # b's experience grows by 1e307 a step; over difficulty 0.5 it passes
+    # the largest double at the ninth step
+    tasks = TaskProperties(transfer=np.eye(2), difficulty=[0.5, 0.5])
+    params = ScenarioParams(
+        tasks=tasks,
+        algorithms=[
+            AlgorithmProperties("a", 0.1, 0.5, 0.1),
+            AlgorithmProperties("b", 1e307, 1.0, 0.0),
+        ],
+    )
+    cur = Curriculum(entries=[0] * 12, n_tasks=2)
+    with pytest.raises(ValidationError, match="of 'b' is not finite at step 8:"):
+        simulate_all(params, cur)
+    shorter = simulate_all(params, Curriculum(entries=[0] * 8, n_tasks=2))
+    assert shorter[1].values.max() == 1.0
+
+
 def test_simulate_outputs_are_float64(rng):
     _, params, cur = random_instance(rng, 2, 4, 1)
     mat = simulate_all(params, cur)[0]

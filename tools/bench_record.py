@@ -24,7 +24,10 @@ favour one side.  Under ``against`` it writes every pair's summaries and,
 per end-to-end metric, each side's values, median and quartiles, the
 number of pairs in which HEAD is better than REV (ties count for
 neither) and ``median_ratio``, HEAD's median over REV's (null when REV's
-median is 0).  Each pair adds about 70 seconds per workload.
+median is 0).  Each pair adds about 70 seconds per workload.  After
+writing the file it prints one Markdown table row per workload and
+end-to-end metric: REV's median → HEAD's median, ``median_ratio`` and
+HEAD's wins out of the pairs.
 """
 
 from __future__ import annotations
@@ -123,6 +126,21 @@ def against(bench, rev: str, pairs: int) -> dict:
     return {"rev": sha, "pairs": pairs, "workloads": workloads}
 
 
+def markdown_rows(against: dict) -> list[str]:
+    """The comparison as Markdown table rows, header included."""
+    rows = ["| workload | metric | REV → HEAD median | ratio | HEAD wins |",
+            "| --- | --- | --- | --- | --- |"]
+    for w in against["workloads"]:
+        for name, m in w["metrics"].items():
+            ratio = "n/a" if m["median_ratio"] is None else f"{m['median_ratio']:.3f}"
+            medians = f"{m['rev']['median']:.4g} → {m['head']['median']:.4g}"
+            rows.append(
+                f"| {w['workload']} | {name} ({m['unit']}) | {medians} | {ratio} "
+                f"| {m['head_wins']}/{against['pairs']} |"
+            )
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="the BENCH_*.json file to write")
@@ -159,6 +177,8 @@ def main(argv=None) -> int:
     if args.against:
         record["against"] = against(bench, args.against, args.pairs)
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    if args.against:
+        print("\n".join(markdown_rows(record["against"])))
     return 0
 
 
