@@ -213,13 +213,13 @@ class _Defer(ValueError):
 @functools.cache
 def _numpy_ints_are_strict() -> bool:
     """Whether np.loadtxt refuses "1.0" in an int64 column, as int() does.
-    numpy 2.4 raises ValueError; numpy 1.23-1.26 parsed it with a
-    DeprecationWarning, and then the fast path stays off."""
+    numpy 2.4 raises ValueError; numpy 1.23-1.26 parsed it, warning once
+    per process, and on such a numpy the fast path stays off."""
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", DeprecationWarning)
             np.loadtxt(["1.0"], dtype=np.int64)
-    except (ValueError, DeprecationWarning):
+    except ValueError:
         return True
     return False
 

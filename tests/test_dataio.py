@@ -6,6 +6,7 @@ import os
 import struct
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1032,6 +1033,33 @@ def _no_row_path(monkeypatch):
     monkeypatch.setattr(dataio, "_read_rows", fail)
 
 
+# The fast path is off on a numpy whose loadtxt parses "1.0" as an integer;
+# the tests that require it to run need a numpy that refuses it.
+needs_fast_path = pytest.mark.skipif(
+    not dataio._numpy_ints_are_strict(),
+    reason="this numpy's loadtxt parses 1.0 as an integer, so the fast path is off",
+)
+
+
+def test_fast_path_is_off_where_loadtxt_parses_floats_as_integers(tmp_path, monkeypatch):
+    def lenient(lines, dtype, **kwargs):
+        warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+        return np.ones(len(lines), dtype)
+
+    raw = _write(tmp_path, "r.csv", "algorithm,global_step,task,metric\na,0,u,0.5\n")
+    bnd = _write(tmp_path, "b.json", _BOUNDARIES)
+    dataio._numpy_ints_are_strict.cache_clear()
+    monkeypatch.setattr(dataio.np, "loadtxt", lenient)
+    _no_row_path(monkeypatch)
+    try:
+        assert not dataio._numpy_ints_are_strict()
+        with pytest.raises(AssertionError, match="row path"):
+            parse_raw_log(raw, bnd)
+    finally:
+        dataio._numpy_ints_are_strict.cache_clear()
+
+
+@needs_fast_path
 def test_clean_files_skip_the_row_path(rng, tmp_path, monkeypatch):
     ts, params, cur = random_instance(rng, 4, 6, 3)
     mats = simulate_all(params, cur)
@@ -1100,6 +1128,7 @@ def test_fields_over_the_csv_limit_are_refused(tmp_path):
         parse_raw_log(raw, _write(tmp_path, "b.json", _BOUNDARIES))
 
 
+@needs_fast_path
 def test_duplicate_and_negative_cells_take_the_row_path(tmp_path, monkeypatch):
     _no_row_path(monkeypatch)
     head = "algorithm,step,task,performance\n"
