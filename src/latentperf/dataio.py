@@ -26,11 +26,9 @@ numbers.  Both paths give the same values for every file they accept.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
-import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -197,12 +195,13 @@ def _row_records(path, header, what: str, tasks, cells: bool):
 _BLOCK_BYTES = 1 << 16
 _BLOCK_CHARS = 1 << 18
 
-# Bytes the fast path leaves to the row path: all but tab, newline and
-# printable ASCII, and the double quote.  Over what remains, numpy's
-# tokenizer splits lines as csv does and accepts a subset of the numbers
-# int() and float() accept, parsed to the same values.  Elsewhere it does
-# not: it strips \x1c-\x1f around numbers, reads some non-ASCII code points
-# as digits, and numpy strips trailing NULs from strings.
+# Bytes the fast path leaves to the row path once each \r\n has become \n:
+# all but tab, newline and printable ASCII, and the double quote.  Over
+# what remains, numpy's tokenizer splits lines as csv does and accepts a
+# subset of the numbers int() and float() accept, parsed to the same
+# values.  Elsewhere it does not: csv also ends a line at a lone \r, numpy
+# strips \x1c-\x1f around numbers, reads some non-ASCII code points as
+# digits, and strips trailing NULs from strings.
 _UNSAFE = bytes(b for b in range(256) if not (32 <= b < 127 or b in b"\t\n") or b == 34)
 
 
@@ -210,34 +209,11 @@ class _Defer(ValueError):
     """The fast path cannot prove a file clean; the row path reads it."""
 
 
-@functools.cache
-def _numpy_ints_are_strict() -> bool:
-    """Whether np.loadtxt refuses "1.0" in an int64 column, as int() does.
-    numpy 2.4 raises ValueError; numpy 1.23-1.26 parsed it, warning once
-    per process, and on such a numpy the fast path stays off."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            np.loadtxt(["1.0"], dtype=np.int64)
-    except ValueError:
-        return True
-    return False
-
-
-def _row_dtype(width: int) -> np.dtype:
-    # string fields as wide as the longest line, so none is cut short; an
-    # even width makes the record a whole number of 8-byte words
-    width += width % 2
-    return np.dtype(
-        [("algo", f"U{width}"), ("step", np.int64), ("task", f"U{width}"),
-         ("value", np.float64)]
-    )
-
-
 def _parse_lines(lines, limit: int):
     """np.loadtxt over ``lines`` (no quoting, no comments), as structured
-    arrays of _row_dtype; blank lines are skipped, and a line longer than
-    ``limit`` raises _Defer."""
+    arrays whose string fields are as wide as the longest line, so none is
+    cut short; blank lines are skipped, and a line longer than ``limit``
+    raises _Defer."""
     width = max(map(len, lines))
     if width > limit:
         raise _Defer
@@ -248,95 +224,53 @@ def _parse_lines(lines, limit: int):
         yield from _parse_lines(lines[:half], limit)
         yield from _parse_lines(lines[half:], limit)
         return
+    dtype = [("algo", f"U{width}"), ("step", np.int64), ("task", f"U{width}"),
+             ("value", np.float64)]
     yield np.loadtxt(
-        lines, dtype=_row_dtype(width), delimiter=",", comments=None,
-        quotechar=None, ndmin=1,
+        lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
     )
 
 
-def _keys(words: np.ndarray) -> np.ndarray:
-    """A 64-bit key per row of ``words``, numpy strings viewed as uint64
-    pairs of code points: the pairs weighted by odd constants and summed
-    modulo 2**64.  NUL padding adds nothing, so a string has the same key
-    at every width, and strings that differ in one pair never share a
-    key."""
-    odd = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64)
-    return words @ (odd * np.uint64(0x9E3779B97F4A7C15))
-
-
-class _Names:
-    """Integer codes for one string column, block by block: indices into
-    ``names``, a fixed table (a task set's) or one that grows in order of
-    first appearance.  A name outside a fixed table, an empty name and a
-    key shared by two names all raise _Defer."""
-
-    def __init__(self, names, grow: bool):
-        self.names, self.grow = list(names), grow
-        self._keys = np.empty(0, np.uint64)
-        self._codes = np.empty(0, np.int64)
-        self._add(range(len(self.names)))
-
-    def _add(self, new) -> None:
-        # numpy strips trailing NULs, so a name holding one could match a
-        # shorter string; no NUL reaches the fast path, so leave it out
-        new = [j for j in new if "\0" not in self.names[j]]
-        if new:
-            width = max(2, *(len(self.names[j]) for j in new))
-            table = np.array([self.names[j] for j in new], f"U{width + width % 2}")
-            words = table.view(np.uint64).reshape(len(new), -1)
-            keys = np.concatenate([self._keys, _keys(words)])
-            codes = np.concatenate([self._codes, new])
-            order = np.argsort(keys, kind="stable")
-            self._keys, self._codes = keys[order], codes[order]
-        self._table = np.array(self.names or [""])
-
-    def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        if not len(self._keys):
-            return np.full(len(keys), -1)
-        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        return np.where(self._keys[pos] == keys, self._codes[pos], -1)
-
-    def codes(self, strings: np.ndarray, words: np.ndarray) -> np.ndarray:
-        """Codes for ``strings``, whose code points ``words`` holds."""
-        keys = _keys(words)
-        codes = self._lookup(keys)
-        missing = np.flatnonzero(codes < 0)
-        if len(missing):
-            if not self.grow:
+def _codes(column: np.ndarray, known: dict[str, int], grow: bool) -> np.ndarray:
+    """Codes for a block's string column from ``known`` (name -> code),
+    a fixed table (a task set's) or, with ``grow``, one that takes new
+    names in order of first appearance.  A name outside a fixed table and
+    an empty name raise _Defer."""
+    distinct, first, inverse = np.unique(column, return_index=True, return_inverse=True)
+    table = np.empty(len(distinct), np.int64)
+    for i in np.argsort(first):
+        name = str(distinct[i])
+        code = known.get(name)
+        if code is None:
+            if not (grow and name):
                 raise _Defer
-            _, first = np.unique(keys[missing], return_index=True)
-            fresh = [str(strings[i]) for i in np.sort(missing[first])]
-            if "" in fresh:
-                raise _Defer
-            self.names += fresh
-            self._add(range(len(self.names) - len(fresh), len(self.names)))
-            codes = self._lookup(keys)
-        if not (self._table[codes] == strings).all():
-            raise _Defer
-        return codes
+            code = known[name] = len(known)
+        table[i] = code
+    return table[inverse]
 
 
 def _fast_records(path, header, tasks, cells: bool):
     """The fast path: what ``_row_records`` returns, read in blocks of lines
     by np.loadtxt (numpy's C tokenizer and number parser).  It raises
-    ValueError, and the row path reads the file, unless the file holds no
-    _UNSAFE byte, opens with ``header``, has no line over csv's field size
-    limit and only rows that numpy parses into int64 steps, finite float64
-    values, non-empty algorithm names and known tasks; a curves file
-    (``cells``) also needs no negative step and no duplicate cell."""
-    if not _numpy_ints_are_strict():
-        raise _Defer
-    algos = _Names((), grow=True)
-    names = _Names(tasks or (), grow=tasks is None)
-    # per algorithm: a _RECORD buffer, grown in place like an array('q'),
-    # and how many of its rows are filled
-    filled: dict[str, list] = {}
+    ValueError, and the row path reads the file, unless the file, with
+    \r\n read as \n, holds no _UNSAFE byte, opens with ``header``, has no
+    line over csv's field size limit and only rows that numpy parses into
+    int64 steps, finite float64 values, non-empty algorithm names and
+    known tasks; a curves file (``cells``) also needs no negative step and
+    no duplicate cell."""
+    algos: dict[str, int] = {}
+    names = {name: j for j, name in enumerate(tasks or ())}
+    # per algorithm code: a _RECORD buffer, grown in place like an
+    # array('q'), and how many of its rows are filled
+    filled: dict[int, list] = {}
     limit = csv.field_size_limit()
+    want = ",".join(header).encode()
     with open(path, "rb") as fh:
-        if fh.readline() != (",".join(header) + "\n").encode():
+        if fh.readline() not in (want + b"\n", want + b"\r\n"):
             raise _Defer
         while block := fh.read(_BLOCK_BYTES):
-            block += fh.readline()
+            # the block ends at a line end, so it splits no \r\n
+            block = (block + fh.readline()).replace(b"\r\n", b"\n")
             if len(block.translate(None, _UNSAFE)) != len(block):
                 raise _Defer
             lines = block.decode("ascii").split("\n")
@@ -345,16 +279,14 @@ def _fast_records(path, header, tasks, cells: bool):
                 steps, values = rows["step"], rows["value"]
                 if not np.isfinite(values).all() or cells and steps.min() < 0:
                     raise _Defer
-                # the record as uint64 words: algorithm, step, task, value
-                words = rows.view(np.uint64).reshape(len(rows), -1)
-                half = rows.dtype["algo"].itemsize // 8
-                algo_codes = algos.codes(rows["algo"], words[:, :half])
-                task_codes = names.codes(rows["task"], words[:, half + 1 : -1])
+                algo_codes = _codes(rows["algo"], algos, grow=True)
+                task_codes = _codes(rows["task"], names, grow=tasks is None)
                 present = np.unique(algo_codes)
                 for a in present:
                     mine = algo_codes == a if len(present) > 1 else slice(None)
                     part = steps[mine], task_codes[mine], values[mine]
-                    slot = filled.setdefault(algos.names[a], [np.empty(0, _RECORD), 0])
+                    # codes grow in order of first appearance, and so does filled
+                    slot = filled.setdefault(a, [np.empty(0, _RECORD), 0])
                     buf, start = slot
                     end = slot[1] = start + len(part[0])
                     if end > len(buf):
@@ -364,7 +296,7 @@ def _fast_records(path, header, tasks, cells: bool):
     if not filled:
         raise _Defer
     records = {}
-    for algo, (buf, rows) in filled.items():
+    for algo, (buf, rows) in zip(algos, filled.values()):
         buf.resize(rows, refcheck=False)
         records[algo] = buf
         if cells:
@@ -372,7 +304,7 @@ def _fast_records(path, header, tasks, cells: bool):
             step, task = by_cell["step"], by_cell["task"]
             if ((step[1:] == step[:-1]) & (task[1:] == task[:-1])).any():
                 raise _Defer
-    return records, tuple(names.names)
+    return records, tuple(names)
 
 
 def _read_records(path, header, what: str, tasks, cells: bool):

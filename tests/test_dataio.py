@@ -6,7 +6,6 @@ import os
 import struct
 import tempfile
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -1033,33 +1032,6 @@ def _no_row_path(monkeypatch):
     monkeypatch.setattr(dataio, "_read_rows", fail)
 
 
-# The fast path is off on a numpy whose loadtxt parses "1.0" as an integer;
-# the tests that require it to run need a numpy that refuses it.
-needs_fast_path = pytest.mark.skipif(
-    not dataio._numpy_ints_are_strict(),
-    reason="this numpy's loadtxt parses 1.0 as an integer, so the fast path is off",
-)
-
-
-def test_fast_path_is_off_where_loadtxt_parses_floats_as_integers(tmp_path, monkeypatch):
-    def lenient(lines, dtype, **kwargs):
-        warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
-        return np.ones(len(lines), dtype)
-
-    raw = _write(tmp_path, "r.csv", "algorithm,global_step,task,metric\na,0,u,0.5\n")
-    bnd = _write(tmp_path, "b.json", _BOUNDARIES)
-    dataio._numpy_ints_are_strict.cache_clear()
-    monkeypatch.setattr(dataio.np, "loadtxt", lenient)
-    _no_row_path(monkeypatch)
-    try:
-        assert not dataio._numpy_ints_are_strict()
-        with pytest.raises(AssertionError, match="row path"):
-            parse_raw_log(raw, bnd)
-    finally:
-        dataio._numpy_ints_are_strict.cache_clear()
-
-
-@needs_fast_path
 def test_clean_files_skip_the_row_path(rng, tmp_path, monkeypatch):
     ts, params, cur = random_instance(rng, 4, 6, 3)
     mats = simulate_all(params, cur)
@@ -1067,25 +1039,29 @@ def test_clean_files_skip_the_row_path(rng, tmp_path, monkeypatch):
     write_curves(curves, ts, mats)
     cur_path = os.path.join(tmp_path, "cur.json")
     write_curriculum(cur_path, ts, cur)
-    raw = _write(
-        tmp_path, "r.csv",
-        "algorithm,global_step,task,metric\na,0,u,0.5\n\na,3,v,-1e-3\nb,-2,u,+7\n"
-        "a,1,u,1.25E2\n",
-    )
+    body = "a,0,u,0.5\n\na,3,v,-1e-3\nb,-2,u,+7\na,1,u,1.25E2\n"
+    lf = _write(tmp_path, "lf.csv", "algorithm,global_step,task,metric\n" + body)
+    # csv.writer's default line ending, as in a log a script writes
+    crlf = _write(tmp_path, "crlf.csv", "")
+    with open(crlf, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(("algorithm", "global_step", "task", "metric"))
+        out.writerows(line.split(",") for line in body.split("\n") if line)
     bnd = _write(tmp_path, "b.json", _BOUNDARIES)
     _no_row_path(monkeypatch)
     for _, back in (parse_curves(curves), load_dataset(curves, cur_path)[1:]):
         assert [m.values.tobytes() for m in back] == [m.values.tobytes() for m in mats]
-    logs = parse_raw_log(raw, bnd)[2]
-    assert [log.algorithm for log in logs] == ["a", "b"]
-    assert logs[0].records.tolist() == [(0, 0, 0.5), (1, 0, 125.0), (3, 1, -1e-3)]
+    for raw in (lf, crlf):
+        logs = parse_raw_log(raw, bnd)[2]
+        assert [log.algorithm for log in logs] == ["a", "b"]
+        assert logs[0].records.tolist() == [(0, 0, 0.5), (1, 0, 125.0), (3, 1, -1e-3)]
 
 
 @pytest.mark.parametrize(
     "body",
     [
         '"a",0,u,0.5\n',  # a quote
-        "a,0,u,0.5\r\n",  # a carriage return
+        "a,0,u,0.5\rb,0,u,0.5\n",  # a carriage return that ends a line alone
         "a,0.0,u,0.5\n",  # a step numpy rejects
         "a,1_0,u,0.5\n",  # a step only int() accepts
         "a,0,u,nan\n",  # a non-finite metric
@@ -1105,19 +1081,23 @@ def test_other_files_take_the_row_path(tmp_path, monkeypatch, body):
         parse_raw_log(raw, bnd)
 
 
-def test_names_sharing_a_key_are_told_apart(tmp_path):
-    # the fast path codes names by a 64-bit key of their code points; these
-    # two share one, so only comparing the strings keeps them apart
-    pair = np.array(["abcd", "dbbd"])
-    words = pair.view(np.uint64).reshape(2, -1)
-    assert dataio._keys(words)[0] == dataio._keys(words)[1]
-    bnd = _write(tmp_path, "b.json", '{"tasks": ["abcd"], "boundaries": [[0, "abcd"]]}')
-    head = "algorithm,global_step,task,metric\n"
-    raw = _write(tmp_path, "r.csv", head + "a,0,abcd,0.5\na,1,dbbd,0.5\n")
-    with pytest.raises(ParseError, match="line 3: unknown task 'dbbd'"):
-        parse_raw_log(raw, bnd)
-    raw = _write(tmp_path, "r.csv", head + "abcd,0,abcd,0.5\ndbbd,1,abcd,0.5\n")
-    assert [log.algorithm for log in parse_raw_log(raw, bnd)[2]] == ["abcd", "dbbd"]
+def test_names_with_equal_code_point_sums_skip_the_row_path(tmp_path, monkeypatch):
+    # env3_seed0 and env0_seed1 hold the same code points in other places
+    names = ["env3_seed0", "env0_seed1"]
+    bnd = _write(
+        tmp_path, "b.json",
+        json.dumps({"tasks": names, "boundaries": [[0, names[0]], [10, names[1]]]}),
+    )
+    raw = _write(
+        tmp_path, "r.csv",
+        "algorithm,global_step,task,metric\nenv3_seed0,0,env0_seed1,0.5\n"
+        "env0_seed1,1,env3_seed0,0.25\nenv3_seed0,2,env3_seed0,0.125\n",
+    )
+    _no_row_path(monkeypatch)
+    logs = parse_raw_log(raw, bnd)[2]
+    assert [log.algorithm for log in logs] == names
+    assert logs[0].records.tolist() == [(0, 1, 0.5), (2, 0, 0.125)]
+    assert logs[1].records.tolist() == [(1, 0, 0.25)]
 
 
 def test_fields_over_the_csv_limit_are_refused(tmp_path):
@@ -1128,7 +1108,6 @@ def test_fields_over_the_csv_limit_are_refused(tmp_path):
         parse_raw_log(raw, _write(tmp_path, "b.json", _BOUNDARIES))
 
 
-@needs_fast_path
 def test_duplicate_and_negative_cells_take_the_row_path(tmp_path, monkeypatch):
     _no_row_path(monkeypatch)
     head = "algorithm,step,task,performance\n"
