@@ -190,10 +190,10 @@ def _row_records(path, header, what: str, tasks, cells: bool):
 
 
 # The fast path tokenizes this many bytes of whole lines at a time, and
-# halves a block while its line count times its longest line exceeds
-# _BLOCK_CHARS, which bounds the memory its string fields take.
+# leaves a block whose name fields would take more than _FIELD_BYTES (one
+# long name among many short lines) to the row path.
 _BLOCK_BYTES = 1 << 16
-_BLOCK_CHARS = 1 << 18
+_FIELD_BYTES = 1 << 24
 
 # Bytes the fast path leaves to the row path once each \r\n has become \n:
 # all but tab, newline and printable ASCII, and the double quote.  Over
@@ -209,44 +209,49 @@ class _Defer(ValueError):
     """The fast path cannot prove a file clean; the row path reads it."""
 
 
-def _parse_lines(lines, limit: int):
-    """np.loadtxt over ``lines`` (no quoting, no comments), as structured
-    arrays whose string fields are as wide as the longest line, so none is
-    cut short; blank lines are skipped, and a line longer than ``limit``
-    raises _Defer."""
-    width = max(map(len, lines))
-    if width > limit:
-        raise _Defer
-    if not width:
-        return
-    if len(lines) * width > _BLOCK_CHARS and len(lines) > 1:
-        half = len(lines) // 2
-        yield from _parse_lines(lines[:half], limit)
-        yield from _parse_lines(lines[half:], limit)
-        return
-    dtype = [("algo", f"U{width}"), ("step", np.int64), ("task", f"U{width}"),
-             ("value", np.float64)]
-    yield np.loadtxt(
-        lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
-    )
+def _parse_block(lines, algos, tasks):
+    """np.loadtxt over ``lines`` (no quoting, no comments; blank lines
+    skipped), with names read as byte fields a multiple of 8 bytes wider
+    than the longest name in ``algos`` or in ``tasks``.  loadtxt cuts an
+    over-long name short without a word, so if a name fills its field the
+    lines are read again with fields as wide as the longest line."""
+    a, t = (max(map(len, known), default=0) // 8 * 8 + 8 for known in (algos, tasks))
+    while True:
+        if len(lines) * (a + t) > _FIELD_BYTES:
+            raise _Defer
+        dtype = [("algo", f"S{a}"), ("step", np.int64), ("task", f"S{t}"),
+                 ("value", np.float64)]
+        rows = np.loadtxt(
+            lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
+        )
+        # names hold no NUL, so one that fills its field ends in another
+        # byte; the 8-byte step lies between the two fields
+        if not rows.view(np.uint8).reshape(len(rows), -1)[:, [a - 1, a + 8 + t - 1]].any():
+            return rows
+        a = t = max(map(len, lines))
 
 
-def _codes(column: np.ndarray, known: dict[str, int], grow: bool) -> np.ndarray:
-    """Codes for a block's string column from ``known`` (name -> code),
+def _codes(column: np.ndarray, known: dict[str, int], grow: bool):
+    """Codes for a block's byte-string column from ``known`` (name -> code),
     a fixed table (a task set's) or, with ``grow``, one that takes new
-    names in order of first appearance.  A name outside a fixed table and
-    an empty name raise _Defer."""
-    distinct, first, inverse = np.unique(column, return_index=True, return_inverse=True)
-    table = np.empty(len(distinct), np.int64)
+    names in order of first appearance, as (each row's code, the distinct
+    codes in ascending order).  A name outside a fixed table and an empty
+    name raise _Defer.  Names of up to 8 bytes sort as 64-bit integers."""
+    if (column == column[0]).all():
+        first, inverse = [0], np.zeros(len(column), np.intp)
+    else:
+        keys = column.astype("S8").view(np.uint64) if column.itemsize <= 8 else column
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    table = np.empty(len(first), np.int64)
     for i in np.argsort(first):
-        name = str(distinct[i])
+        name = column[first[i]].decode("ascii")
         code = known.get(name)
         if code is None:
             if not (grow and name):
                 raise _Defer
             code = known[name] = len(known)
         table[i] = code
-    return table[inverse]
+    return table[inverse], np.sort(table)
 
 
 def _fast_records(path, header, tasks, cells: bool):
@@ -269,30 +274,34 @@ def _fast_records(path, header, tasks, cells: bool):
         if fh.readline() not in (want + b"\n", want + b"\r\n"):
             raise _Defer
         while block := fh.read(_BLOCK_BYTES):
-            # the block ends at a line end, so it splits no \r\n
-            block = (block + fh.readline()).replace(b"\r\n", b"\n")
+            block += fh.readline()
+            if b"\r" in block:
+                # the block ends at a line end, so it splits no \r\n
+                block = block.replace(b"\r\n", b"\n")
             if len(block.translate(None, _UNSAFE)) != len(block):
                 raise _Defer
             lines = block.decode("ascii").split("\n")
-            del block
-            for rows in _parse_lines(lines, limit):
-                steps, values = rows["step"], rows["value"]
-                if not np.isfinite(values).all() or cells and steps.min() < 0:
-                    raise _Defer
-                algo_codes = _codes(rows["algo"], algos, grow=True)
-                task_codes = _codes(rows["task"], names, grow=tasks is None)
-                present = np.unique(algo_codes)
-                for a in present:
-                    mine = algo_codes == a if len(present) > 1 else slice(None)
-                    part = steps[mine], task_codes[mine], values[mine]
-                    # codes grow in order of first appearance, and so does filled
-                    slot = filled.setdefault(a, [np.empty(0, _RECORD), 0])
-                    buf, start = slot
-                    end = slot[1] = start + len(part[0])
-                    if end > len(buf):
-                        buf.resize(max(end, len(buf) + len(buf) // 8), refcheck=False)
-                    for field, column in zip(_RECORD.names, part):
-                        buf[field][start:end] = column
+            if len(lines) > len(block):  # every byte ends a line
+                continue
+            if len(block) > limit and max(map(len, lines)) > limit:
+                raise _Defer
+            rows = _parse_block(lines, algos, names)
+            steps, values = rows["step"], rows["value"]
+            if not np.isfinite(values).all() or cells and steps.min() < 0:
+                raise _Defer
+            algo_codes, present = _codes(rows["algo"], algos, grow=True)
+            task_codes = _codes(rows["task"], names, grow=tasks is None)[0]
+            for a in present:
+                mine = algo_codes == a if len(present) > 1 else slice(None)
+                part = steps[mine], task_codes[mine], values[mine]
+                # codes grow in order of first appearance, and so does filled
+                slot = filled.setdefault(a, [np.empty(0, _RECORD), 0])
+                buf, start = slot
+                end = slot[1] = start + len(part[0])
+                if end > len(buf):
+                    buf.resize(max(end, len(buf) + len(buf) // 8), refcheck=False)
+                for field, column in zip(_RECORD.names, part):
+                    buf[field][start:end] = column
     if not filled:
         raise _Defer
     records = {}
@@ -339,7 +348,10 @@ def _curve_matrices(records, taskset: TaskSet, m: int) -> list[PerformanceMatrix
     matrices = []
     for algo, rec in records.items():
         cells = rec["task"], rec["step"]
-        values = np.zeros((taskset.n, m))
+        try:
+            values = np.zeros((taskset.n, m))
+        except ValueError:  # numpy's "array is too big"
+            raise ParseError(f"step {m - 1} is too large for a matrix") from None
         mask = np.zeros((taskset.n, m), dtype=bool)
         values[cells] = rec["metric"]
         mask[cells] = True

@@ -829,6 +829,19 @@ def test_input_boundary_errors_are_parse_errors(tmp_path):
         load_dataset(step_m, cur)
 
 
+def test_curves_step_too_large_for_an_array_is_a_parse_error(tmp_path):
+    step = 9 * 10**18
+    curves = _write(
+        tmp_path, "c.csv", f"algorithm,step,task,performance\na,{step},u,0.5\n"
+    )
+    with pytest.raises(ParseError, match=f"step {step} is too large"):
+        parse_curves(curves)
+    # load_dataset checks the curriculum's length first
+    cur = _write(tmp_path, "cur.json", _CURRICULUM)
+    with pytest.raises(ValidationError, match=f"span {step + 1} steps, curriculum has 2"):
+        load_dataset(curves, cur)
+
+
 _JSON_TOKENS = [
     b'{"tasks": ["u", "v"]', b', "curriculum": ["u"', b', "v"]', b"}", b"[",
     b"]", b",", b"1" + b"0" * 400, b"1e999", b"NaN", b"-0.5", b'"u"', b"\xff",
@@ -1098,6 +1111,120 @@ def test_names_with_equal_code_point_sums_skip_the_row_path(tmp_path, monkeypatc
     assert [log.algorithm for log in logs] == names
     assert logs[0].records.tolist() == [(0, 1, 0.5), (2, 0, 0.125)]
     assert logs[1].records.tolist() == [(1, 0, 0.25)]
+
+
+def _fast_raw_log_matches_ref(raw, bnd, monkeypatch):
+    """parse_raw_log reads ``raw`` without the row path, to the records the
+    frozen row reader gives."""
+    taskset, _ = parse_boundaries(bnd)
+    want = [
+        (algo, b"".join(struct.pack("=qqd", *r) for r in rows))
+        for algo, rows in read_raw_log_ref(raw, taskset.names)
+    ]
+    _no_row_path(monkeypatch)
+    logs = parse_raw_log(raw, bnd)[2]
+    assert [(log.algorithm, log.records.tobytes()) for log in logs] == want
+
+
+def test_names_that_fill_their_field_are_read_whole(tmp_path, monkeypatch):
+    # before any name is known the algorithm field is 8 bytes wide, and
+    # loadtxt would cut the 9-byte name to the 8-byte one
+    at, over = "n" * 8, "n" * 9
+    raw = _write(
+        tmp_path, "r.csv",
+        f"algorithm,global_step,task,metric\n{at},0,u,0.5\n{over},1,v,0.25\n"
+        f"{at},2,v,0.125\n",
+    )
+    _fast_raw_log_matches_ref(raw, _write(tmp_path, "b.json", _BOUNDARIES), monkeypatch)
+    assert [log.algorithm for log in parse_raw_log(raw, tmp_path / "b.json")[2]] == [
+        at, over,
+    ]
+
+
+def test_a_longer_algorithm_in_a_later_block_is_read_whole(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 64)
+    long = "a_much_longer_algorithm_name"
+    lines = [f"a,{k},u,{k / 8}" for k in range(40)]
+    lines += [f"{name},{k},v,{k / 4}" for k in range(40) for name in (long, "a")]
+    raw = _write(
+        tmp_path, "r.csv", "algorithm,global_step,task,metric\n" + "\n".join(lines) + "\n"
+    )
+    _fast_raw_log_matches_ref(raw, _write(tmp_path, "b.json", _BOUNDARIES), monkeypatch)
+    assert [log.algorithm for log in parse_raw_log(raw, tmp_path / "b.json")[2]] == [
+        "a", long,
+    ]
+
+
+def test_task_names_over_8_bytes_skip_the_row_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 64)
+    names = ["env3_seed0", "env0_seed1", "env10_seed12"]
+    bnd = _write(
+        tmp_path, "b.json",
+        json.dumps({"tasks": names, "boundaries": [[0, names[0]], [10, names[1]]]}),
+    )
+    raw = _write(
+        tmp_path, "r.csv",
+        "algorithm,global_step,task,metric\n"
+        + "".join(f"a{k % 3},{k},{names[k % 3]},{k / 3}\n" for k in range(60)),
+    )
+    _fast_raw_log_matches_ref(raw, bnd, monkeypatch)
+
+
+def test_curves_without_a_task_set_skip_the_row_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 64)
+    # "t" * 8 fills the first block's 8-byte task field, as "t" * 16 fills
+    # the 16-byte field that follows it, and "t" * 9 would be cut short
+    tasks = ["u", "t" * 8, "t" * 9, "t" * 16, "a_task_of_22_bytes_now"]
+    curves = _write(
+        tmp_path, "c.csv",
+        "algorithm,step,task,performance\n"
+        + "".join(
+            f"{algo},{k},{task},{k / 7}\n"
+            for k in range(12) for task in tasks for algo in ("a", "bb")
+        ),
+    )
+    cells, order, max_step = read_cells_ref(curves)
+    _no_row_path(monkeypatch)
+    taskset, matrices = parse_curves(curves)
+    assert taskset.names == order == tuple(tasks)
+    assert _cells(matrices) == _cells_ref(cells, order, max_step + 1)
+
+
+@pytest.mark.parametrize("suffix", ["x", "xy", "xyz"])
+def test_a_known_task_with_a_suffix_is_an_unknown_task(tmp_path, monkeypatch, suffix):
+    # within, at and over the task field's width of 8 bytes
+    bnd = _write(
+        tmp_path, "b.json",
+        '{"tasks": ["task01", "task02"], "boundaries": [[0, "task01"]]}',
+    )
+    raw = _write(
+        tmp_path, "r.csv",
+        "algorithm,global_step,task,metric\n"
+        f"a,0,task01,0.5\na,1,task02,0.5\na,2,task01{suffix},0.5\n",
+    )
+    with pytest.raises(ParseError) as info:
+        parse_raw_log(raw, bnd)
+    assert str(info.value) == f"line 4: unknown task 'task01{suffix}'"
+    assert _outcome(lambda: read_raw_log_ref(raw, ("task01", "task02"))) == (
+        ParseError, str(info.value), 4,
+    )
+    _no_row_path(monkeypatch)
+    with pytest.raises(AssertionError, match="row path"):
+        parse_raw_log(raw, bnd)
+
+
+def test_one_very_long_name_among_short_lines_takes_the_row_path(tmp_path, monkeypatch):
+    # the block's name fields, as wide as its longest line, would pass
+    # _FIELD_BYTES, so the row path reads the file instead
+    long = "x" * 10_000
+    body = "a,0,u,0.5\n" * 5_000 + f"{long},1,v,0.25\n"
+    raw = _write(tmp_path, "r.csv", "algorithm,global_step,task,metric\n" + body)
+    bnd = _write(tmp_path, "b.json", _BOUNDARIES)
+    logs = parse_raw_log(raw, bnd)[2]
+    assert [(log.algorithm, len(log.records)) for log in logs] == [("a", 5_000), (long, 1)]
+    _no_row_path(monkeypatch)
+    with pytest.raises(AssertionError, match="row path"):
+        parse_raw_log(raw, bnd)
 
 
 def test_fields_over_the_csv_limit_are_refused(tmp_path):
