@@ -21,6 +21,13 @@ tokenizer and number parser, whenever that can prove the file clean (see
 ``_fast_records``); any other file is read row by row with ``csv`` (see
 ``_row_records``), which is the one source of parse errors and their line
 numbers.  Both paths give the same values for every file they accept.
+The fast path reads names as byte fields a multiple of 8 bytes wider than
+the longest name known so far (the task set's, or those the file has
+shown), and codes a block's names as integers: by one comparison where
+the block holds one name, by sorting them as uint64 where they fit in 8
+bytes, and by sorting the bytes otherwise.  np.loadtxt cuts an over-long
+field short without a word, so a block in which any name fills its field
+is read again with fields as wide as its longest line.
 """
 
 from __future__ import annotations

@@ -1115,7 +1115,7 @@ def test_names_with_equal_code_point_sums_skip_the_row_path(tmp_path, monkeypatc
 
 def _fast_raw_log_matches_ref(raw, bnd, monkeypatch):
     """parse_raw_log reads ``raw`` without the row path, to the records the
-    frozen row reader gives."""
+    frozen row reader gives; returns the logs."""
     taskset, _ = parse_boundaries(bnd)
     want = [
         (algo, b"".join(struct.pack("=qqd", *r) for r in rows))
@@ -1124,6 +1124,7 @@ def _fast_raw_log_matches_ref(raw, bnd, monkeypatch):
     _no_row_path(monkeypatch)
     logs = parse_raw_log(raw, bnd)[2]
     assert [(log.algorithm, log.records.tobytes()) for log in logs] == want
+    return logs
 
 
 def test_names_that_fill_their_field_are_read_whole(tmp_path, monkeypatch):
@@ -1135,10 +1136,9 @@ def test_names_that_fill_their_field_are_read_whole(tmp_path, monkeypatch):
         f"algorithm,global_step,task,metric\n{at},0,u,0.5\n{over},1,v,0.25\n"
         f"{at},2,v,0.125\n",
     )
-    _fast_raw_log_matches_ref(raw, _write(tmp_path, "b.json", _BOUNDARIES), monkeypatch)
-    assert [log.algorithm for log in parse_raw_log(raw, tmp_path / "b.json")[2]] == [
-        at, over,
-    ]
+    bnd = _write(tmp_path, "b.json", _BOUNDARIES)
+    logs = _fast_raw_log_matches_ref(raw, bnd, monkeypatch)
+    assert [log.algorithm for log in logs] == [at, over]
 
 
 def test_a_longer_algorithm_in_a_later_block_is_read_whole(tmp_path, monkeypatch):
@@ -1149,10 +1149,9 @@ def test_a_longer_algorithm_in_a_later_block_is_read_whole(tmp_path, monkeypatch
     raw = _write(
         tmp_path, "r.csv", "algorithm,global_step,task,metric\n" + "\n".join(lines) + "\n"
     )
-    _fast_raw_log_matches_ref(raw, _write(tmp_path, "b.json", _BOUNDARIES), monkeypatch)
-    assert [log.algorithm for log in parse_raw_log(raw, tmp_path / "b.json")[2]] == [
-        "a", long,
-    ]
+    bnd = _write(tmp_path, "b.json", _BOUNDARIES)
+    logs = _fast_raw_log_matches_ref(raw, bnd, monkeypatch)
+    assert [log.algorithm for log in logs] == ["a", long]
 
 
 def test_task_names_over_8_bytes_skip_the_row_path(tmp_path, monkeypatch):
