@@ -218,24 +218,21 @@ class _Defer(ValueError):
 
 def _parse_block(lines, algos, tasks):
     """np.loadtxt over ``lines`` (no quoting, no comments; blank lines
-    skipped), with names read as byte fields a multiple of 8 bytes wider
-    than the longest name in ``algos`` or in ``tasks``.  loadtxt cuts an
-    over-long name short without a word, so if a name fills its field the
-    lines are read again with fields as wide as the longest line."""
+    skipped), names as byte fields a multiple of 8 bytes wider than the
+    longest in ``algos`` and ``tasks``, read again as wide as the longest
+    line if one fills its field (loadtxt cuts longer ones short silently)."""
     a, t = (max(map(len, known), default=0) // 8 * 8 + 8 for known in (algos, tasks))
-    while True:
-        if len(lines) * (a + t) > _FIELD_BYTES:
-            raise _Defer
+    while len(lines) * (a + t) <= _FIELD_BYTES:
         dtype = [("algo", f"S{a}"), ("step", np.int64), ("task", f"S{t}"),
                  ("value", np.float64)]
         rows = np.loadtxt(
             lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
         )
-        # names hold no NUL, so one that fills its field ends in another
-        # byte; the 8-byte step lies between the two fields
+        # names hold no NUL, so one that fills its field ends in another byte
         if not rows.view(np.uint8).reshape(len(rows), -1)[:, [a - 1, a + 8 + t - 1]].any():
             return rows
         a = t = max(map(len, lines))
+    raise _Defer
 
 
 def _codes(column: np.ndarray, known: dict[str, int], grow: bool):
@@ -243,7 +240,7 @@ def _codes(column: np.ndarray, known: dict[str, int], grow: bool):
     a fixed table (a task set's) or, with ``grow``, one that takes new
     names in order of first appearance, as (each row's code, the distinct
     codes in ascending order).  A name outside a fixed table and an empty
-    name raise _Defer.  Names of up to 8 bytes sort as 64-bit integers."""
+    name raise _Defer."""
     if (column == column[0]).all():
         first, inverse = [0], np.zeros(len(column), np.intp)
     else:
@@ -280,11 +277,9 @@ def _fast_records(path, header, tasks, cells: bool):
     with open(path, "rb") as fh:
         if fh.readline() not in (want + b"\n", want + b"\r\n"):
             raise _Defer
-        while block := fh.read(_BLOCK_BYTES):
-            block += fh.readline()
-            if b"\r" in block:
-                # the block ends at a line end, so it splits no \r\n
-                block = block.replace(b"\r\n", b"\n")
+        while block := fh.read(_BLOCK_BYTES) + fh.readline():
+            # the block ends at a line end, so it splits no \r\n
+            block = block.replace(b"\r\n", b"\n") if b"\r" in block else block
             if len(block.translate(None, _UNSAFE)) != len(block):
                 raise _Defer
             lines = block.decode("ascii").split("\n")
