@@ -11,13 +11,10 @@ from .model import (
     D_MIN,
     AlgorithmProperties,
     Curriculum,
-    ExperienceState,
     PerformanceMatrix,
     ScenarioParams,
     TaskProperties,
     TaskSet,
-    experience_step,
-    performance_map,
     simulate_all,
 )
 from .estimator import (

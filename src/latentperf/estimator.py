@@ -537,14 +537,16 @@ def recovery_experiment(
     """Sample ground-truth scenarios, fit from scratch, and report how well
     each parameter group is recovered.
 
-    Trial t uses seed ``seed + t`` for its ground truth and a scrambled
-    function of it for the fit's random start, which therefore never
-    begins at the truth (a fit from the truth is ``fit(init_params=...)``).
-    Trials run one after another in this process.  A trial whose fit
-    diverges is skipped and reported in the result.
+    ``seed`` lies in [0, 2**64); trial t uses seed ``(seed + t) % 2**64``
+    for its ground truth and a scrambled function of it for the fit's
+    random start, which never begins at the truth (a fit from the truth is
+    ``fit(init_params=...)``).  Trials run one after another in this
+    process.  A trial whose fit diverges is skipped and reported.
     """
     if min(n_tasks, n_algos, curriculum_len, trials) < 1:
         raise ValidationError("all experiment counts must be at least 1")
+    if not 0 <= seed < 2**64:
+        raise ValidationError("seed must fit in an unsigned 64-bit integer")
     per_trial, failures = [], []
     for t in range(trials):
         trial_seed = (seed + t) % 2**64

@@ -1,17 +1,21 @@
 """Domain types and the deterministic forward model.
 
-The model describes a lifelong learner working through a curriculum of
-tasks.  Each task holds a hidden *experience* level that grows when related
-tasks are trained and decays with forgetting; observed performance is a
-shifted sigmoid of experience.  All public functions here are pure: inputs
-are never mutated and equal inputs give bitwise-equal outputs.
+A lifelong learner works through a curriculum of tasks.  Each task holds
+a hidden *experience*, zero at the start.  Training task i updates every
+task j as ``new[j] = old[j] * h + transfer[i, j] * gain``, where gain is
+gamma + before * lambda and ``before`` is task i's performance before
+the step.  Performance is 2 / (1 + exp(-e / d)) - 1 of experience e over
+difficulty d, computed as tanh(0.5 * (e / d)), which cannot overflow; it
+lies in [-1, 1] and is odd, increasing and zero at zero.  All public
+functions here are pure: inputs are never mutated and equal inputs give
+bitwise-equal outputs.
 
-The vectorized rollout, ``_forward_curves``, writes into a ``_Rollout``:
-buffers and per-step views set up once per curriculum, so the estimator's
-thousand rollouts per fit allocate nothing.  Every buffer is step-major,
-and its loop runs on numpy's contiguous same-shape fast path wherever a
-value can be repeated into a buffer first.  ``simulate_all`` builds one
-per call.
+``simulate_all`` is the one implementation of both.  Its rollout,
+``_forward_curves``, writes into a ``_Rollout``: buffers and per-step
+views set up once per curriculum, so the estimator's thousand rollouts
+per fit allocate nothing.  Every buffer is step-major, and its loop runs
+on numpy's contiguous same-shape fast path wherever a value can be
+repeated into a buffer first.  ``simulate_all`` builds one per call.
 """
 
 from __future__ import annotations
@@ -200,31 +204,6 @@ class ScenarioParams:
 
 
 @dataclass(frozen=True, eq=False)
-class ExperienceState:
-    """Accumulated experience per task at a given curriculum position."""
-
-    experience: np.ndarray
-    step: int = 0
-
-    def __post_init__(self):
-        e = np.array(self.experience, dtype=np.float64)
-        if e.ndim != 1:
-            raise ValidationError("experience must be a vector")
-        if not np.all(np.isfinite(e)):
-            raise ValidationError("experience must be finite")
-        if self.step < 0:
-            raise ValidationError("step must be nonnegative")
-        if self.step == 0 and np.any(e != 0.0):
-            raise ValidationError("experience must be exactly zero before any step")
-        e.setflags(write=False)
-        object.__setattr__(self, "experience", e)
-
-    @classmethod
-    def initial(cls, n: int) -> "ExperienceState":
-        return cls(experience=np.zeros(n), step=0)
-
-
-@dataclass(frozen=True, eq=False)
 class PerformanceMatrix:
     """Per-algorithm n-tasks x m-steps performance values.
 
@@ -266,54 +245,6 @@ class PerformanceMatrix:
     @property
     def n_steps(self) -> int:
         return self.values.shape[1]
-
-
-def performance_map(experience: float, difficulty: float) -> float:
-    """Map accumulated experience to performance in (-1, 1).
-
-    Strictly increasing and odd in ``experience``; zero at zero.
-    """
-    e = float(experience)
-    d = float(difficulty)
-    if not (math.isfinite(e) and math.isfinite(d)):
-        raise ValidationError("experience and difficulty must be finite")
-    if d < D_MIN:
-        raise ValidationError(f"difficulty must be at least {D_MIN}")
-    # 2/(1+e^-x) - 1 == tanh(x/2); the tanh form cannot overflow.
-    return float(np.tanh(0.5 * (e / d)))
-
-
-def experience_step(
-    state: ExperienceState,
-    trained_task: int,
-    prev_performance_of_trained: float,
-    tasks: TaskProperties,
-    algo: AlgorithmProperties,
-) -> ExperienceState:
-    """Advance the experience recurrence by one curriculum step.
-
-    Every task's experience decays by the retention factor and gains
-    transfer-weighted experience from the trained task:
-
-        new[j] = old[j] * h + transfer[i, j] * (gamma + p_prev * lambda)
-
-    where i is ``trained_task`` and p_prev the trained task's performance
-    before this step.  The input state is not modified.
-    """
-    n = tasks.n
-    if state.experience.shape[0] != n:
-        raise ValidationError(
-            f"state covers {state.experience.shape[0]} tasks, expected {n}"
-        )
-    i = int(trained_task)
-    if not 0 <= i < n:
-        raise ValidationError(f"trained task index {i} out of range for {n} tasks")
-    p_prev = float(prev_performance_of_trained)
-    if not math.isfinite(p_prev) or abs(p_prev) > 1.0:
-        raise ValidationError("previous performance must be finite and within [-1, 1]")
-    gain = algo.transfer_efficiency + p_prev * algo.expertise_translation
-    new = state.experience * algo.experience_retention + tasks.transfer[i] * gain
-    return ExperienceState(experience=new, step=state.step + 1)
 
 
 class _Rollout:
@@ -395,7 +326,7 @@ def _forward_curves(
     add, multiply, divide, tanh = np.add, np.multiply, np.divide, np.tanh
     keep, half, scratch = ws.keep, ws.half, ws.scratch
     for prev, nxt, src, d, trained, before, gain, gain_col, row in ws.phases:
-        # before = tanh(0.5 * (experience / d)), as in performance_map
+        # before = tanh(0.5 * (experience / d)), task i's performance
         divide(src, d, trained)
         multiply(trained, half, before)
         tanh(before, before)
@@ -408,7 +339,7 @@ def _forward_curves(
     x = ws.curves
     np.divide(ws.states[1:], difficulty, out=x)
     x *= 0.5
-    np.tanh(x, out=x)  # performance_map, in place
+    np.tanh(x, out=x)  # performance of every task, in place
     return x
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -9,6 +11,21 @@ from latentperf import (
     TaskProperties,
     TaskSet,
 )
+from latentperf.model import _Rollout, _forward_curves, _param_arrays
+
+# Hypothesis reports a falsifying example through hypothesis.extra._patching,
+# whose libcst import pulls in mypy_extensions.TypedDict and its
+# DeprecationWarning.  Under `pytest -W error`, the first import inside the
+# report hook would turn that warning into an INTERNALERROR and lose the
+# example, so import it here, once, with that one warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning
+    )
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed
+        pass
 
 DATA_DIR = __file__.rsplit("/", 1)[0] + "/data"
 GOLDEN_DIR = __file__.rsplit("/", 1)[0] + "/goldens"
@@ -49,6 +66,15 @@ def params_as_lists(params):
         for a in params.algorithms
     ]
     return transfer, difficulty, algos
+
+
+def kernel_rollout(params, entries):
+    """The rollout kernel's records for one curriculum: the experience
+    ``states``, each step's ``before`` and the ``curves`` that
+    ``simulate_all`` returns."""
+    ws = _Rollout(params.n, params.p, entries)
+    _forward_curves(ws, *_param_arrays(params))
+    return ws
 
 
 # Pieces of plausible and hostile CSV input for byte-level fuzzing.

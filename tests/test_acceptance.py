@@ -15,15 +15,14 @@ import numpy as np
 
 from latentperf import (
     Curriculum,
-    ExperienceState,
     FitConfig,
     PerformanceMatrix,
     RECOVERY_THRESHOLDS,
+    ScenarioParams,
     ScenarioSpec,
     TaskProperties,
     TaskSet,
     AlgorithmProperties,
-    experience_step,
     fit,
     generate,
     gradient,
@@ -31,7 +30,6 @@ from latentperf import (
     parse_curriculum,
     parse_curves,
     parse_params,
-    performance_map,
     recovery_experiment,
     simulate_all,
     write_curriculum,
@@ -41,7 +39,7 @@ from latentperf import (
 from latentperf.estimator import _SEED_SCRAMBLE, _pack
 from latentperf.model import _param_arrays
 
-from conftest import GOLDEN_DIR, params_as_lists, random_instance
+from conftest import GOLDEN_DIR, kernel_rollout, params_as_lists, random_instance
 from oracles import fd_gradient, forward_ref, loss_ref, relative_errors
 
 
@@ -219,28 +217,46 @@ def test_criterion_5_projection_keeps_parameters_feasible(capfd):
 
 
 def _check_retention_law() -> bool:
-    tasks = TaskProperties(transfer=np.eye(2), difficulty=[0.5, 0.5])
-    e0 = np.array([0.875, -1.5])
-    for h in (1.0, 0.0, 0.5, 0.3):
-        algo = AlgorithmProperties("r", 0.0, h, 0.0)
-        state = ExperienceState(experience=e0, step=1)
-        for _ in range(4):
-            state = experience_step(state, 0, 0.0, tasks, algo)
-        expect = e0.copy()
-        for _ in range(4):
-            expect = expect * h
-        if not np.array_equal(state.experience, expect):
-            return False
+    # Step 0 trains task 2 from zero experience, so it gains exactly
+    # gamma = 2 and primes tasks 0 and 1 at (0.875, -1.5).  The next four
+    # train task 3, whose row adds nothing there: only retention acts.
+    transfer = np.eye(4)
+    transfer[2] = 0.4375, -0.75, 1.0, 0.0
+    h = np.array([1.0, 0.0, 0.5, 0.3])
+    tasks = TaskProperties(transfer, [0.5] * 4)
+    for lam in (0.0, 0.7):
+        algos = [AlgorithmProperties(f"r{k}", 2.0, hk, lam) for k, hk in enumerate(h)]
+        ws = kernel_rollout(ScenarioParams(tasks, algos), [2, 3, 3, 3, 3])
+        expect = np.tile([0.875, -1.5], (len(h), 1))
+        for state in ws.states[1:]:
+            if not np.array_equal(state[:, :2], expect):
+                return False
+            expect = expect * h[:, None]
     return True
 
 
-def _check_performance_map() -> bool:
-    for e in np.linspace(-30, 30, 41):
-        for d in (0.01, 0.5, 3.0):
-            if performance_map(0.0, d) != 0.0:
-                return False
-            if performance_map(-e, d) != -performance_map(e, d):
-                return False
+def _check_map_symmetry() -> bool:
+    # Step 0 trains task 0 from zero experience, so it gains exactly
+    # gamma = |e| and puts |e| on task 0, -|e| on task 1 and nothing on
+    # task 2.  Step 1 trains task 1, so the loop also maps -|e| into
+    # ``before``; rows 1 and 2 add nothing and retention is 1.
+    transfer = np.zeros((3, 3))
+    transfer[0, :2] = 1.0, -1.0
+    algos = [
+        AlgorithmProperties(f"e{k}", abs(e), 1.0, 0.0)
+        for k, e in enumerate(np.linspace(-30, 30, 41))
+    ]
+    for d in (0.01, 0.5, 3.0):
+        tasks = TaskProperties(transfer, [d] * 3)
+        ws = kernel_rollout(ScenarioParams(tasks, algos), [0, 1])
+        curves, before = ws.curves, ws.before
+        if not (
+            np.array_equal(curves[..., 1], -curves[..., 0])
+            and (curves[..., 2] == 0.0).all()
+            and (before[0] == 0.0).all()
+            and np.array_equal(before[1], -curves[0, :, 0])
+        ):
+            return False
     return True
 
 
@@ -321,7 +337,7 @@ def _check_cli_determinism(tmp_path) -> bool:
 def test_criterion_6_property_suite(capfd, tmp_path):
     checks = {
         "retention law": _check_retention_law(),
-        "performance map symmetry": _check_performance_map(),
+        "performance map symmetry": _check_map_symmetry(),
         "normalization": _check_normalization(),
         "round trips": _check_round_trips(tmp_path),
         "CLI determinism": _check_cli_determinism(tmp_path),

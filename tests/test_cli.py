@@ -470,6 +470,20 @@ def test_recover_check_zero_jobs_exits_2(capsys):
     assert capsys.readouterr().err == "error: jobs must be at least 1\n"
 
 
+def test_recover_check_seed_out_of_range_exits_2(capsys):
+    for seed in ("-3", str(2**64)):
+        code = main(["recover-check", "--trials", "1", "--steps", "1", "--seed", seed])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: seed must fit in an unsigned 64-bit integer\n"
+        )
+    # the largest seed is accepted, and its trial seeds wrap past it
+    code = main(["recover-check", "--trials", "2", "--steps", "1",
+                 "--seed", str(2**64 - 1)])
+    assert code == 1
+    assert "FAIL (2/2 trials)" in capsys.readouterr().out
+
+
 def test_recover_check_every_trial_diverged_exits_3(capsys):
     # Only the error line reaches stderr: no numpy overflow warning.
     with warnings.catch_warnings():

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from latentperf import (
     AlgorithmProperties,
     Curriculum,
-    ExperienceState,
     PerformanceMatrix,
     ScenarioParams,
     TaskProperties,
     TaskSet,
     ValidationError,
-    experience_step,
-    performance_map,
     simulate_all,
 )
 from latentperf.model import (
@@ -25,7 +22,7 @@ from latentperf.model import (
     _params_from_arrays,
 )
 
-from conftest import params_as_lists, random_instance
+from conftest import kernel_rollout, params_as_lists, random_instance
 from oracles import forward_ref
 
 
@@ -66,6 +63,9 @@ def test_task_properties_validation():
         TaskProperties(transfer=np.eye(2) * 1.5, difficulty=[0.5, 0.5])
     with pytest.raises(ValidationError):
         TaskProperties(transfer=np.eye(2), difficulty=[0.5, D_MIN / 2])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            TaskProperties(transfer=np.eye(2), difficulty=[0.5, bad])
     with pytest.raises(ValidationError):
         TaskProperties(transfer=np.ones((2, 3)), difficulty=[0.5, 0.5])
 
@@ -137,42 +137,46 @@ def test_params_from_arrays_inverts_param_arrays(rng):
             _params_from_arrays(*_param_arrays(params), names[:-1])
 
 
-def test_experience_state_initial_must_be_zero():
-    ExperienceState(experience=np.zeros(3), step=0)
-    with pytest.raises(ValidationError):
-        ExperienceState(experience=np.array([0.0, 1e-300]), step=0)
-    # later steps may carry anything finite
-    ExperienceState(experience=np.array([2.0, -3.0]), step=4)
-
-
 # ---------------------------------------------------------------------------
-# performance map
+# the performance map, read off the kernel
 
 
-def test_performance_map_known_value():
+def _performance(experience, d):
+    """The kernel's performance at each experience value over difficulty d.
+
+    One algorithm per value: a single step from zero experience gains
+    gamma = |e| along transfer row (1, -1), so tasks 0 and 1 hold exactly
+    |e| and -|e|.
+    """
+    algos = [
+        AlgorithmProperties(f"a{k}", abs(e), 1.0, 0.0)
+        for k, e in enumerate(experience)
+    ]
+    params = ScenarioParams(
+        TaskProperties(transfer=[[1.0, -1.0], [0.0, 1.0]], difficulty=[d, d]), algos
+    )
+    mats = simulate_all(params, Curriculum(entries=[0], n_tasks=2))
+    return np.array(
+        [mat.values[0 if e >= 0 else 1, 0] for mat, e in zip(mats, experience)]
+    )
+
+
+def test_performance_known_value():
     # e/d = 1 gives 2/(1+e^-1) - 1
-    assert performance_map(1.0, 1.0) == pytest.approx(0.4621171572600098, abs=1e-15)
+    assert _performance([1.0], 1.0)[0] == pytest.approx(0.4621171572600098, abs=1e-15)
 
 
-def test_performance_map_zero_at_zero():
+def test_performance_zero_at_zero():
     for d in (0.3, 1.0, 7.0):
-        assert performance_map(0.0, d) == 0.0
-
-
-def test_performance_map_rejects_bad_difficulty():
-    with pytest.raises(ValidationError):
-        performance_map(1.0, D_MIN / 10)
-    with pytest.raises(ValidationError):
-        performance_map(float("nan"), 1.0)
+        assert (_performance([0.0, -0.0], d) == 0.0).all()
 
 
 @given(
     e=st.floats(-50, 50, allow_nan=False),
     d=st.floats(0.001, 10, allow_nan=False),
 )
-def test_performance_map_odd_and_bounded(e, d):
-    plus = performance_map(e, d)
-    minus = performance_map(-e, d)
+def test_performance_odd_and_bounded(e, d):
+    plus, minus = _performance([e, -e], d)
     assert minus == -plus
     assert abs(plus) <= 1.0
 
@@ -182,80 +186,71 @@ def test_performance_map_odd_and_bounded(e, d):
     e2=st.floats(-20, 20, allow_nan=False),
     d=st.floats(0.01, 5, allow_nan=False),
 )
-def test_performance_map_monotone_in_experience(e1, e2, d):
-    lo, hi = sorted([e1, e2])
-    assert performance_map(lo, d) <= performance_map(hi, d)
+def test_performance_monotone_in_experience(e1, e2, d):
+    lo, hi = _performance(sorted([e1, e2]), d)
+    assert lo <= hi
 
 
 # ---------------------------------------------------------------------------
-# experience update
+# experience update, read off the kernel's states
 
 
-def _algo(gamma, h, lam):
-    return AlgorithmProperties("x", gamma, h, lam)
+def _primed(row, gamma, retention, lam, steps):
+    """Experience of tasks 0 and 1, (steps + 2, p, 2), with one algorithm
+    per retention value.  Step 0 trains task 2 from zero, so it gains
+    exactly gamma and puts gamma * row on tasks 0 and 1.  The ``steps``
+    after it train task 3, whose transfer row is e3, so on tasks 0 and 1
+    only retention acts."""
+    transfer = np.eye(4)
+    transfer[2, :2] = row
+    tasks = TaskProperties(transfer=transfer, difficulty=[0.5] * 4)
+    algos = [
+        AlgorithmProperties(f"r{k}", gamma, h, lam) for k, h in enumerate(retention)
+    ]
+    params = ScenarioParams(tasks, algos)
+    return kernel_rollout(params, [2] + [3] * steps).states[:, :, :2]
 
 
-def test_experience_step_manual():
+def test_rollout_two_steps_by_hand():
     tasks = TaskProperties(
         transfer=np.array([[1.0, 0.5], [-0.25, 1.0]]),
         difficulty=np.array([1.0, 2.0]),
     )
-    algo = _algo(0.3, 0.9, 0.7)
-    state = ExperienceState(experience=np.zeros(2), step=0)
-    p0 = performance_map(0.0, 1.0)
-    out = experience_step(state, 0, p0, tasks, algo)
+    params = ScenarioParams(tasks, [AlgorithmProperties("x", 0.3, 0.9, 0.7)])
+    # states[l + 1] is experience after curriculum step l
+    states = kernel_rollout(params, [0, 0]).states[:, 0]
     # from zero experience the trained task contributes only gamma
-    assert out.step == 1
-    np.testing.assert_allclose(out.experience, [0.3, 0.15], rtol=0, atol=0)
+    np.testing.assert_allclose(states[1], [0.3, 0.15], rtol=0, atol=0)
 
     # second step from a nonzero state, done by hand
     p1 = 2.0 / (1.0 + np.exp(-0.3)) - 1.0
     gain = 0.3 + p1 * 0.7
     expect = np.array([0.3 * 0.9 + 1.0 * gain, 0.15 * 0.9 + 0.5 * gain])
-    out2 = experience_step(out, 0, performance_map(0.3, 1.0), tasks, algo)
-    np.testing.assert_allclose(out2.experience, expect, rtol=1e-15)
-
-
-def test_experience_step_rejects_bad_inputs():
-    tasks = TaskProperties(transfer=np.eye(2), difficulty=[1.0, 1.0])
-    state = ExperienceState.initial(2)
-    algo = _algo(0.1, 0.5, 0.1)
-    with pytest.raises(ValidationError):
-        experience_step(state, 2, 0.0, tasks, algo)
-    with pytest.raises(ValidationError):
-        experience_step(state, 0, 1.5, tasks, algo)
-    with pytest.raises(ValidationError):
-        experience_step(
-            ExperienceState(experience=np.zeros(3), step=0), 0, 0.0, tasks, algo
-        )
+    np.testing.assert_allclose(states[2], expect, rtol=1e-15)
 
 
 @given(
     h=st.floats(0.0, 1.0, allow_nan=False),
     k=st.integers(1, 8),
-    e0=st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=2),
+    gamma=st.floats(0.0, 5.0, allow_nan=False),
+    row=st.lists(st.floats(-1, 1, allow_nan=False), min_size=2, max_size=2),
+    lam=st.floats(0.0, 1.0, allow_nan=False),
 )
-def test_pure_retention_decays_geometrically(h, k, e0):
-    # gamma = lambda = 0: k steps multiply experience by h each time
-    tasks = TaskProperties(transfer=np.eye(2), difficulty=[0.5, 0.5])
-    algo = _algo(0.0, h, 0.0)
-    state = ExperienceState(experience=np.array(e0), step=1)
-    for _ in range(k):
-        state = experience_step(state, 0, 0.0, tasks, algo)
-    expect = np.array(e0)
+def test_pure_retention_decays_geometrically(h, k, gamma, row, lam):
+    # once primed, k steps that add nothing multiply experience by h each time
+    states = _primed(row, gamma, [h], lam, k)[:, 0]
+    expect = gamma * np.array(row)
+    assert np.array_equal(states[1], expect)
     for _ in range(k):
         expect = expect * h
-    np.testing.assert_array_equal(state.experience, expect)
+    np.testing.assert_array_equal(states[-1], expect)
 
 
 def test_retention_endpoints_exact():
-    tasks = TaskProperties(transfer=np.eye(2), difficulty=[0.5, 0.5])
-    e0 = np.array([0.7314, -2.25])
-    state = ExperienceState(experience=e0, step=1)
-    kept = experience_step(state, 1, 0.0, tasks, _algo(0.0, 1.0, 0.0))
-    assert (kept.experience == e0).all()
-    gone = experience_step(state, 1, 0.0, tasks, _algo(0.0, 0.0, 0.0))
-    assert (gone.experience == 0.0).all()
+    # 4 * (0.18285, -0.5625) primes exactly (0.7314, -2.25)
+    kept, gone = _primed([0.18285, -0.5625], 4.0, [1.0, 0.0], 0.0, 1)[-1]
+    assert (kept == [0.7314, -2.25]).all()
+    assert (gone == 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -279,26 +274,6 @@ def test_simulate_matches_reference(rng):
             np.testing.assert_allclose(mat.values, ref, rtol=0, atol=1e-12)
             assert mat.mask.all()
             assert mat.algorithm == params.algorithms[a].name
-
-
-def test_scalar_stepper_matches_kernel_exactly(rng):
-    # performance_map + experience_step is the public one-step view of the
-    # vectorized rollout; it must not drift from it by a single bit.
-    for _ in range(40):
-        n = int(rng.integers(1, 9))
-        m = int(rng.integers(1, 30))
-        p = int(rng.integers(1, 4))
-        _, params, cur = random_instance(rng, n, m, p)
-        d = params.tasks.difficulty
-        for algo, mat in zip(params.algorithms, simulate_all(params, cur)):
-            state = ExperienceState.initial(n)
-            for l, i in enumerate(cur.entries):
-                p_prev = performance_map(state.experience[i], d[i])
-                state = experience_step(state, i, p_prev, params.tasks, algo)
-                column = [
-                    performance_map(e, d[j]) for j, e in enumerate(state.experience)
-                ]
-                assert np.array_equal(column, mat.values[:, l])
 
 
 def test_simulate_zero_gain_algorithm_stays_flat():
