@@ -231,10 +231,9 @@ class _Problem:
         np.subtract(1.0, inject, out=inject)
         np.multiply(self.resid, inject, out=inject)
         np.divide(inject, difficulty, out=inject)
-        # feedback = lambda * (0.5 * (1 - before * before)) / difficulty[e]
+        # feedback = lambda * (1 - before * before) / (2 * difficulty[e])
         np.multiply(ws.before, ws.before, out=feedback)
         np.subtract(1.0, feedback, out=feedback)
-        np.multiply(feedback, 0.5, out=feedback)
         np.multiply(translation, feedback, out=feedback)
         np.divide(feedback, ws.row_difficulty, out=feedback)
 
@@ -258,13 +257,14 @@ class _Problem:
         np.einsum("lpn,lpn->n", inject, ws.states[1:], out=g_difficulty)
         np.negative(g_difficulty, out=g_difficulty)
         np.divide(g_difficulty, difficulty, out=g_difficulty)
-        # before[l] also reads difficulty[e[l]], through the trained task's
-        # experience before step l (zero at l = 0)
+        # before[l] also reads d = difficulty[e[l]] through trained[l] =
+        # experience / (2 * d) (zero at l = 0): the factor -2 * trained
+        # here times feedback's 1 / (2 * d) is d(trained)/d(d)
         per_algo, per_step = self.per_algo, self.per_step
         np.multiply(dgains, feedback, out=per_algo)
         np.multiply(per_algo, ws.trained, out=per_algo)
         np.add.reduce(per_algo, axis=1, out=per_step)
-        np.negative(per_step, out=per_step)
+        np.multiply(per_step, -2.0, out=per_step)
         np.add.at(g_difficulty, e, per_step)
         np.add.reduce(dgains, axis=0, out=g_gamma)
         np.einsum("lpn,lpn->p", self.ebars, ws.states[:-1], out=g_retention)

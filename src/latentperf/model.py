@@ -5,8 +5,10 @@ a hidden *experience*, zero at the start.  Training task i updates every
 task j as ``new[j] = old[j] * h + transfer[i, j] * gain``, where gain is
 gamma + before * lambda and ``before`` is task i's performance before
 the step.  Performance is 2 / (1 + exp(-e / d)) - 1 of experience e over
-difficulty d, computed as tanh(0.5 * (e / d)), which cannot overflow; it
-lies in [-1, 1] and is odd, increasing and zero at zero.  All public
+difficulty d, computed as tanh(e / (2 * d)), which cannot overflow; it
+lies in [-1, 1] and is odd, increasing and zero at zero.  Doubling d is
+exact, so this equals tanh(0.5 * (e / d)) bit for bit unless a nonzero
+e / (2 * d) falls below the normal range or 2 * d overflows.  All public
 functions here are pure: inputs are never mutated and equal inputs give
 bitwise-equal outputs.
 
@@ -254,7 +256,7 @@ class _Rollout:
 
     ``states`` (m+1, p, n) is the experience trajectory: states[0] is all
     zeros and states[l+1] is experience after curriculum step l.  Of shape
-    (m, p): ``trained``, the trained task's experience over its difficulty
+    (m, p): ``trained``, the trained task's experience over 2 * difficulty
     before step l; ``before``, that task's performance; ``gains``, the
     gain gamma + before * lambda that step l adds along its transfer row.
     ``curves`` (m, p, n) is the sigmoid of states[1:].  Every buffer is
@@ -262,10 +264,10 @@ class _Rollout:
 
     The loop's operands are laid out for numpy's contiguous same-shape
     fast path, which costs about half of a broadcasting or strided call:
-    ``keep`` (p, n) is the retention broadcast over tasks, ``half`` a (p,)
-    vector of 0.5, and ``rows_p`` (m, p, n) and ``row_difficulty`` (m, p)
-    hold the trained task's transfer row and difficulty once per
-    algorithm.  Repeating a value changes no result.
+    ``keep`` (p, n) is the retention broadcast over tasks, and ``rows_p``
+    (m, p, n) and ``row_difficulty`` (m, p) hold the trained task's
+    transfer row and entry of ``difficulty2`` (twice the difficulty) once
+    per algorithm.  Repeating a value changes no result.
     """
 
     def __init__(self, n: int, p: int, entries):
@@ -276,13 +278,13 @@ class _Rollout:
         self.trained = np.empty((m, p))
         self.before = np.empty((m, p))
         self.gains = np.empty((m, p))
-        # transfer[entries] and difficulty[entries] per algorithm, and the
-        # retention per task, refilled per rollout
+        # 2 * difficulty; transfer[entries] and difficulty2[entries] per
+        # algorithm, and the retention per task, refilled per rollout
+        self.difficulty2 = np.empty(n)
         self.entries_p = np.repeat(self.entries[:, None], p, axis=1)
         self.rows_p = np.empty((m, p, n))
         self.row_difficulty = np.empty((m, p))
         self.keep = np.empty((p, n))
-        self.half = np.full(p, 0.5)
         self.curves = np.empty((m, p, n))
         self.scratch = np.empty((p, n))
         # per step l: states[l], states[l + 1], states[l, :, i] and one
@@ -320,27 +322,24 @@ def _forward_curves(
     """
     # entries are in range (Curriculum checks them); "clip" lets take
     # write straight into out instead of through a buffer
+    difficulty2 = np.multiply(difficulty, 2.0, out=ws.difficulty2)
     np.take(transfer, ws.entries_p, axis=0, out=ws.rows_p, mode="clip")
-    np.take(difficulty, ws.entries_p, out=ws.row_difficulty, mode="clip")
+    np.take(difficulty2, ws.entries_p, out=ws.row_difficulty, mode="clip")
     np.copyto(ws.keep, retention[:, None])
     add, multiply, divide, tanh = np.add, np.multiply, np.divide, np.tanh
-    keep, half, scratch = ws.keep, ws.half, ws.scratch
-    for prev, nxt, src, d, trained, before, gain, gain_col, row in ws.phases:
-        # before = tanh(0.5 * (experience / d)), task i's performance
-        divide(src, d, trained)
-        multiply(trained, half, before)
-        tanh(before, before)
+    keep, scratch = ws.keep, ws.scratch
+    for prev, nxt, src, d2, trained, before, gain, gain_col, row in ws.phases:
+        # before = tanh(experience / (2 * d)), task i's performance
+        divide(src, d2, trained)
+        tanh(trained, before)
         multiply(before, translation, gain)
         add(gamma, gain, gain)
         # nxt = prev * h + gain * transfer[i]
         multiply(prev, keep, nxt)
         multiply(gain_col, row, scratch)
         add(nxt, scratch, nxt)
-    x = ws.curves
-    np.divide(ws.states[1:], difficulty, out=x)
-    x *= 0.5
-    np.tanh(x, out=x)  # performance of every task, in place
-    return x
+    x = np.divide(ws.states[1:], difficulty2, out=ws.curves)
+    return np.tanh(x, out=x)  # performance of every task, in place
 
 
 def _param_arrays(params: ScenarioParams):

@@ -6,7 +6,6 @@ capture) so the gate's outcome is readable from the test log alone.
 """
 
 import importlib.util
-import json
 import subprocess
 import sys
 import time
@@ -14,14 +13,12 @@ import time
 import numpy as np
 
 from latentperf import (
-    Curriculum,
     FitConfig,
     PerformanceMatrix,
     RECOVERY_THRESHOLDS,
     ScenarioParams,
     ScenarioSpec,
     TaskProperties,
-    TaskSet,
     AlgorithmProperties,
     fit,
     generate,

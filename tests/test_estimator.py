@@ -345,7 +345,77 @@ def test_kernel_loops_read_contiguous_same_shape_operands(rng):
         assert d.shape == trained.shape == (p,) and d.flags.c_contiguous
         assert gain_col.shape == (p, 1) and row.shape == (n,)
     assert fast(ws.keep) and fast(ws.scratch) and fast(problem.ebar)
-    assert ws.half.shape == (p,)
+    # the map's 0.5 is folded into the divisor: every step divides by the
+    # trained task's doubled difficulty, repeated once per algorithm
+    difficulty2 = 2.0 * params.tasks.difficulty
+    np.testing.assert_array_equal(ws.difficulty2, difficulty2)
+    for k in range(p):
+        np.testing.assert_array_equal(ws.row_difficulty[:, k], difficulty2[ws.entries])
+
+
+def _textbook_loss_and_grad(params, cur, obs, mask):
+    """Curves, loss and gradient groups by an allocating numpy evaluation
+    of the textbook form: performance tanh(0.5 * (e / d)), feedback
+    lambda * (0.5 * (1 - before**2)) / d[i] and the trained task's
+    difficulty term -sum(dgain * feedback * (e / d)).  The reductions are
+    the kernel's, so the two agree bit for bit."""
+    transfer, d, gamma, h, lam = _param_arrays(params)
+    entries = np.array(cur.entries)
+    m, p, n = obs.shape
+    states = np.zeros((m + 1, p, n))
+    trained = np.empty((m, p))
+    before = np.empty((m, p))
+    gains = np.empty((m, p))
+    for l, i in enumerate(entries):
+        trained[l] = states[l][:, i] / d[i]
+        before[l] = np.tanh(0.5 * trained[l])
+        gains[l] = gamma + before[l] * lam
+        states[l + 1] = states[l] * h[:, None] + gains[l][:, None] * transfer[i]
+    curves = np.tanh(0.5 * (states[1:] / d))
+    resid = np.where(mask, curves - obs, 0.0)
+    value = np.add.reduce(resid * resid, axis=None)
+
+    inject = resid * (1.0 - curves * curves) / d
+    feedback = lam * (0.5 * (1.0 - before * before)) / d[entries][:, None]
+    ebars = np.empty((m, p, n))
+    dgains = np.empty((m, p))
+    ebar = np.zeros((p, n))
+    for l in reversed(range(m)):
+        i = entries[l]
+        ebars[l] = ebar + inject[l]
+        dgains[l] = (ebars[l] * transfer[i]).sum(axis=1)
+        ebar = ebars[l] * h[:, None]
+        ebar[:, i] += dgains[l] * feedback[l]
+
+    g_transfer = np.zeros((n, n))
+    np.add.at(g_transfer, entries, np.einsum("lpn,lp->ln", ebars, gains))
+    g_difficulty = -np.einsum("lpn,lpn->n", inject, states[1:]) / d
+    np.add.at(g_difficulty, entries, -(dgains * feedback * trained).sum(axis=1))
+    groups = (
+        g_transfer,
+        g_difficulty,
+        dgains.sum(axis=0),
+        np.einsum("lpn,lpn->p", ebars, states[:-1]),
+        (dgains * before).sum(axis=0),
+    )
+    return curves, value, groups
+
+
+@pytest.mark.parametrize("n, p, m, count", [(5, 3, 9, 20), (20, 6, 60, 3)])
+def test_kernel_matches_textbook_form_bitwise(rng, n, p, m, count):
+    # The kernel divides by 2 * d where the textbook form halves e / d;
+    # scaling by two is exact, so curves, loss and every gradient group
+    # must be bitwise those of the textbook evaluation.
+    for _ in range(count):
+        _, params, cur = random_instance(rng, n, m, p)
+        obs, mask = estimator._check_shapes(cur, _random_observed(rng, params, cur))
+        problem = estimator._Problem(cur, obs, mask)
+        value = problem.loss_and_grad(_param_arrays(params))
+        curves, expected, groups = _textbook_loss_and_grad(params, cur, obs, mask)
+        np.testing.assert_array_equal(problem.rollout.curves, curves)
+        assert value == expected
+        for got, want in zip(problem.grad_groups, groups, strict=True):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_problem_buffers_have_one_step_major_layout(rng):
