@@ -88,9 +88,10 @@ print(f"wrote {len(rows)} raw records to {raw_csv}")
 # ingest: downsample at phase ends, normalize to [0, 1]
 
 taskset, cur, logs = parse_raw_log(raw_csv, boundaries)
+# each log carries its task names and phase boundaries, so downsampling
+# needs nothing else: rows follow the task set, columns the curriculum
 observed = [
-    normalize_minmax(downsample_to_boundaries(log, taskset, cur),
-                     task_names=taskset.names)
+    normalize_minmax(downsample_to_boundaries(log), task_names=taskset.names)
     for log in logs
 ]
 write_curves(out / "curves.csv", taskset, observed)

@@ -30,7 +30,21 @@ from .model import TaskSet, simulate_all
 from .scenarios import ScenarioSpec, generate as generate_scenario
 
 
+def _check_outputs(outputs, inputs) -> None:
+    """Refuse (exit 2) two output paths that resolve to one file, or one
+    that resolves to an input path; commands call this before reading."""
+    taken = {Path(path).resolve() for path in inputs}
+    for path in outputs:
+        if (resolved := Path(path).resolve()) in taken:
+            raise ValidationError(
+                f"{path} would be overwritten: outputs must name different "
+                "files, none of them an input"
+            )
+        taken.add(resolved)
+
+
 def _cmd_simulate(args) -> int:
+    _check_outputs([args.out], [args.params, args.curriculum])
     p_tasks, params = dataio.parse_params(args.params)
     c_tasks, curriculum = dataio.parse_curriculum(args.curriculum)
     if p_tasks.names != c_tasks.names:
@@ -62,6 +76,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    out = Path(args.out)
+    files = [out / f for f in ("estimates.json", "predicted.csv", "report.md", "metrics.json")]
+    _check_outputs(files, [args.data, args.curriculum])
     taskset, curriculum, observed = dataio.load_dataset(args.data, args.curriculum)
     config = FitConfig(steps=args.steps, learning_rate=args.lr, seed=args.seed)
     callback = None
@@ -71,41 +88,32 @@ def _cmd_fit(args) -> int:
     result = fit_with_restarts(
         curriculum, observed, config, restarts=args.restarts, callback=callback
     )
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataio.write_params(out / "estimates.json", taskset, result.params)
-    dataio.write_curves(out / "predicted.csv", taskset, result.predicted)
+    estimates, predicted, report, metrics = files
+    dataio.write_params(estimates, taskset, result.params)
+    dataio.write_curves(predicted, taskset, result.predicted)
     tables = [
         reporting.property_table(result.params.algorithms),
         reporting.transfer_table(result.params, taskset),
         reporting.difficulty_table(result.params, taskset),
     ]
-    (out / "report.md").write_text(
-        "\n".join(t.markdown() for t in tables), encoding="utf-8"
-    )
-    metrics = {
+    report.write_text("\n".join(t.markdown() for t in tables), encoding="utf-8")
+    losses = {
         "mse_total": result.loss_total,
         "mse_per_algorithm": result.loss_per_algorithm,
     }
-    (out / "metrics.json").write_text(
-        json.dumps(metrics, indent=2) + "\n", encoding="utf-8"
-    )
+    metrics.write_text(json.dumps(losses, indent=2) + "\n", encoding="utf-8")
     print(f"total MSE: {result.loss_total!r}")
     return 0
 
 
 def _cmd_ingest(args) -> int:
-    outputs = [Path(f).resolve() for f in (args.out, args.curriculum_out) if f]
-    inputs = {Path(args.raw).resolve(), Path(args.boundaries).resolve()}
-    if len(set(outputs)) < len(outputs) or set(outputs) & inputs:
-        raise ValidationError(
-            "--out and --curriculum-out must name different files, "
-            "and neither may be --raw or --boundaries"
-        )
+    outputs = [path for path in (args.out, args.curriculum_out) if path]
+    _check_outputs(outputs, [args.raw, args.boundaries])
     taskset, curriculum, logs = dataio.parse_raw_log(args.raw, args.boundaries)
     matrices = []
     for log in logs:
-        mat = dataio.downsample_to_boundaries(log, taskset, curriculum)
+        mat = dataio.downsample_to_boundaries(log)
         if args.normalize == "minmax":
             mat = dataio.normalize_minmax(mat, task_names=taskset.names)
         matrices.append(mat)
@@ -149,12 +157,7 @@ def _cmd_recover_check(args) -> int:
 def _cmd_report(args) -> int:
     out = Path(args.out)
     json_out = out.with_suffix(".json")
-    inputs = {Path(f).resolve() for f in args.estimates}
-    if json_out == out or {out.resolve(), json_out.resolve()} & inputs:
-        raise ValidationError(
-            f"outputs {out} and {json_out} must differ from each other and "
-            "from every --estimates file"
-        )
+    _check_outputs([out, json_out], args.estimates)
     if len(args.estimates) != len(args.labels):
         raise ValidationError(
             f"{len(args.estimates)} estimate files but {len(args.labels)} labels"

@@ -14,7 +14,8 @@ a boundaries JSON marking where each curriculum phase starts; they are
 downsampled to one column per phase before fitting.  A parsed log holds its
 rows as 24-byte records (int64 step, int64 index into the log's task name
 table, float64 metric), stably sorted by step so that rows at the same step
-keep their file order.
+keep their file order.  Both CSV paths append these records to one
+``bytearray`` per algorithm, and ``RawLog`` takes records in no other shape.
 
 Both CSV formats are read in blocks of lines by np.loadtxt, numpy's C
 tokenizer and number parser, whenever that can prove the file clean (see
@@ -36,7 +37,7 @@ import csv
 import io
 import json
 import math
-from array import array
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,7 @@ _STEP_LIMIT = 2**63
 
 # One raw-log row: step, index into the log's task name table, metric.
 _RECORD = np.dtype([("step", np.int64), ("task", np.int64), ("metric", np.float64)])
+_pack_record = struct.Struct("=qqd").pack
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +161,17 @@ def _read_rows(path, header, what: str):
         raise ParseError(f"{what} has no data rows", line=1)
 
 
+def _record_arrays(algos, stores):
+    """{algorithm: _RECORD array viewing its store, a bytearray of records}."""
+    return {algo: np.frombuffer(buf, _RECORD) for algo, buf in zip(algos, stores)}
+
+
 def _row_records(path, header, what: str, tasks, cells: bool):
     """The row path: ``_read_rows`` plus the checks on its rows, as
     (records, task names); see ``_read_records``.  Every parse error,
     message and line number comes from here."""
     known = {name: j for j, name in enumerate(tasks or ())}
-    columns: dict[str, tuple[array, array, array]] = {}
+    stores: dict[str, bytearray] = {}
     seen = set()  # (algorithm, step, task code) of a curves file's cells
     for lineno, algo, step, task, value in _read_rows(path, header, what):
         if cells and step < 0:
@@ -180,20 +187,8 @@ def _row_records(path, header, what: str, tasks, cells: bool):
                     f"duplicate cell for ({algo}, step {step}, {task})", line=lineno
                 )
             seen.add((algo, step, j))
-        cols = columns.get(algo)
-        if cols is None:
-            cols = columns[algo] = (array("q"), array("q"), array("d"))
-        cols[0].append(step)
-        cols[1].append(j)
-        cols[2].append(value)
-    records = {}
-    for algo in list(columns):
-        # popped so that each algorithm's columns are freed once copied
-        cols = columns.pop(algo)
-        rec = records[algo] = np.empty(len(cols[0]), dtype=_RECORD)
-        for field, col in zip(_RECORD.names, cols):
-            rec[field] = np.frombuffer(col, dtype=col.typecode)
-    return records, tuple(known)
+        stores.setdefault(algo, bytearray()).extend(_pack_record(step, j, value))
+    return _record_arrays(stores, stores.values()), tuple(known)
 
 
 # The fast path tokenizes this many bytes of whole lines at a time, and
@@ -269,9 +264,7 @@ def _fast_records(path, header, tasks, cells: bool):
     no duplicate cell."""
     algos: dict[str, int] = {}
     names = {name: j for j, name in enumerate(tasks or ())}
-    # per algorithm code: a _RECORD buffer, grown in place like an
-    # array('q'), and how many of its rows are filled
-    filled: dict[int, list] = {}
+    stores: dict[int, bytearray] = {}  # per algorithm code
     limit = csv.field_size_limit()
     want = ",".join(header).encode()
     with open(path, "rb") as fh:
@@ -292,29 +285,21 @@ def _fast_records(path, header, tasks, cells: bool):
             if not np.isfinite(values).all() or cells and steps.min() < 0:
                 raise _Defer
             algo_codes, present = _codes(rows["algo"], algos, grow=True)
-            task_codes = _codes(rows["task"], names, grow=tasks is None)[0]
+            block = np.empty(len(rows), _RECORD)
+            block["step"], block["metric"] = steps, values
+            block["task"] = _codes(rows["task"], names, grow=tasks is None)[0]
             for a in present:
-                mine = algo_codes == a if len(present) > 1 else slice(None)
-                part = steps[mine], task_codes[mine], values[mine]
-                # codes grow in order of first appearance, and so does filled
-                slot = filled.setdefault(a, [np.empty(0, _RECORD), 0])
-                buf, start = slot
-                end = slot[1] = start + len(part[0])
-                if end > len(buf):
-                    buf.resize(max(end, len(buf) + len(buf) // 8), refcheck=False)
-                for field, column in zip(_RECORD.names, part):
-                    buf[field][start:end] = column
-    if not filled:
+                # codes grow in order of first appearance, and so do stores
+                mine = block[algo_codes == a] if len(present) > 1 else block
+                stores.setdefault(a, bytearray()).extend(mine)
+    if not stores:
         raise _Defer
-    records = {}
-    for algo, (buf, rows) in zip(algos, filled.values()):
-        buf.resize(rows, refcheck=False)
-        records[algo] = buf
-        if cells:
-            by_cell = buf[np.lexsort((buf["task"], buf["step"]))]
-            step, task = by_cell["step"], by_cell["task"]
-            if ((step[1:] == step[:-1]) & (task[1:] == task[:-1])).any():
-                raise _Defer
+    records = _record_arrays(algos, stores.values())
+    for rec in records.values() if cells else ():
+        by_cell = rec[np.lexsort((rec["task"], rec["step"]))]
+        step, task = by_cell["step"], by_cell["task"]
+        if ((step[1:] == step[:-1]) & (task[1:] == task[:-1])).any():
+            raise _Defer
     return records, tuple(names)
 
 
@@ -406,6 +391,10 @@ def _string_list(value, field: str) -> list[str]:
     ):
         raise SchemaError("must be a list of non-empty strings", field=field)
     return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _number(value, field: str) -> float:
@@ -541,61 +530,54 @@ def parse_params(path) -> tuple[TaskSet, ScenarioParams]:
 # raw logs
 
 
+_TASK_CODES = "record tasks must be integer indices into tasks, the task name table"
+
+
 @dataclass(frozen=True, eq=False)
 class RawLog:
     """One algorithm's raw training log.
 
-    ``records`` is a read-only numpy structured array with one 24-byte
-    record per logged row: ``step`` (int64 global step), ``task`` (int64
-    index into ``tasks``, the log's task name table, so each name is held
-    once per log, not once per row) and ``metric`` (finite float64).  It is
-    sorted by step, and rows at the same step keep their input order, so a
-    later row wins a tie.  ``boundaries`` holds (global_step, trained_task)
-    pairs marking where each curriculum phase starts, strictly increasing.
-
-    Without ``tasks``, ``records`` may be any sequence of (global_step,
-    task name, metric) triples, and ``tasks`` becomes their names in order
-    of first appearance.
+    ``records`` holds one (global_step, task, metric) row per logged row,
+    where ``task`` is an integer index into ``tasks``, the log's task name
+    table, so each name is held once per log, not once per row.  It may be
+    given as any sequence of such rows or a structured array with integer
+    ``step`` and ``task`` fields, and is stored as a read-only numpy
+    structured array of 24-byte records: ``step`` (int64), ``task`` (int64)
+    and ``metric`` (finite float64).  It is sorted by step, and rows at the
+    same step keep their input order, so a later row wins a tie.
+    ``boundaries`` holds (global_step, trained_task) pairs marking where
+    each curriculum phase starts, strictly increasing, each task in ``tasks``.
     """
 
     algorithm: str
     records: np.ndarray
     boundaries: tuple[tuple[int, str], ...]
-    tasks: tuple[str, ...] | None = None
+    tasks: tuple[str, ...]
 
     def __post_init__(self):
-        tasks, given = self.tasks, self.records
-        # numpy's cast to int64 would truncate a float or bool step and wrap
-        # a uint64 one, so check them first
+        given = self.records
+        # numpy's cast to int64 would truncate a float or bool step or task
+        # and wrap a uint64 one, so check them first
         if isinstance(given, np.ndarray) and given.dtype.names is not None:
-            kind = given.dtype["step"].kind
-            if kind not in "iu":
-                raise ValidationError("record steps must be integers")
-            if kind == "u" and len(given) and given["step"].max() >= _STEP_LIMIT:
+            kinds = [given.dtype[field].kind for field in ("step", "task")]
+            if kinds[0] == "u" and len(given) and given["step"].max() >= _STEP_LIMIT:
                 raise ValidationError("record steps must fit in 64 bits")
+            integral = [kind in "iu" for kind in kinds]
         else:
             given = list(given)
-            if not all(
-                isinstance(row[0], (int, np.integer)) and not isinstance(row[0], bool)
-                for row in given
-            ):
-                raise ValidationError("record steps must be integers")
+            integral = [all(_is_int(row[i]) for row in given) for i in (0, 1)]
+        if not integral[0]:
+            raise ValidationError("record steps must be integers")
+        if not integral[1]:
+            raise ValidationError(_TASK_CODES)
         try:
-            if tasks is None:
-                table: dict[str, int] = {}  # name -> index, in first-appearance order
-                records = np.array(
-                    [(s, table.setdefault(t, len(table)), v) for s, t, v in given],
-                    dtype=_RECORD,
-                )
-                tasks = table
-            else:
-                records = np.asarray(given, dtype=_RECORD)
-        except OverflowError:
-            raise ValidationError("record steps must fit in 64 bits") from None
-        tasks = tuple(tasks)
+            records = np.asarray(given, dtype=_RECORD)
+        except OverflowError:  # a Python int past 64 bits
+            raise ValidationError("record steps and tasks must fit in 64 bits") from None
+        tasks = tuple(self.tasks)
         codes = records["task"]
         if len(codes) and not (0 <= codes.min() and codes.max() < len(tasks)):
-            raise ValidationError("record tasks must index the task name table")
+            raise ValidationError(_TASK_CODES)
         records = records.view()
         records.setflags(write=False)
         object.__setattr__(self, "records", records)
@@ -611,6 +593,8 @@ class RawLog:
             raise ValidationError("at least one boundary is required")
         if any(b >= a for b, a in zip(bsteps, bsteps[1:])):
             raise ValidationError("boundaries must be strictly increasing")
+        if any(trained not in tasks for _, trained in self.boundaries):
+            raise ValidationError("boundaries must train tasks from the task name table")
 
 
 def parse_boundaries(path) -> tuple[TaskSet, tuple[tuple[int, str], ...]]:
@@ -626,8 +610,7 @@ def parse_boundaries(path) -> tuple[TaskSet, tuple[tuple[int, str], ...]]:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or isinstance(pair[0], bool)
-            or not isinstance(pair[0], int)
+            or not _is_int(pair[0])
             or not -_STEP_LIMIT <= pair[0] < _STEP_LIMIT
             or not isinstance(pair[1], str)
         ):
@@ -666,38 +649,23 @@ def parse_raw_log(metrics_path, boundaries_path):
     return taskset, curriculum, logs
 
 
-def downsample_to_boundaries(
-    raw: RawLog, taskset: TaskSet, curriculum: Curriculum
-) -> PerformanceMatrix:
+def downsample_to_boundaries(raw: RawLog) -> PerformanceMatrix:
     """Collapse a raw log to one column per curriculum phase.
 
-    Entry (j, l) takes task j's metric from the latest record at or before
-    the end of phase l; cells with no such record are masked out.
+    Rows follow ``raw.tasks`` and columns ``raw.boundaries``.  Entry (j, l)
+    takes task j's metric from the latest record at or before the end of
+    phase l; cells with no such record are masked out.
     """
-    m = curriculum.m
-    if len(raw.boundaries) != m:
-        raise ValidationError(
-            f"log has {len(raw.boundaries)} boundaries, curriculum has {m} phases"
-        )
-    for l, (_, trained) in enumerate(raw.boundaries):
-        if taskset.index(trained) != curriculum.entries[l]:
-            raise ValidationError(
-                f"phase {l} trains {trained!r} in the log but "
-                f"{taskset.names[curriculum.entries[l]]!r} in the curriculum"
-            )
     if len(raw.records) == 0:
         raise ValidationError(f"raw log for {raw.algorithm!r} has no records")
-    # each record's task set row; tasks outside the set get -1 and are ignored
-    row = {name: j for j, name in enumerate(taskset.names)}
-    rows = np.array([row.get(name, -1) for name in raw.tasks], dtype=np.int64)
-    task_rows = rows[raw.records["task"]]
-    steps, metrics = raw.records["step"], raw.records["metric"]
+    codes, steps, metrics = (raw.records[f] for f in ("task", "step", "metric"))
     # phase l ends right before the next phase starts; the last phase is open
     ends = np.array([b for b, _ in raw.boundaries[1:]], dtype=np.int64) - 1
-    values = np.zeros((taskset.n, m))
-    mask = np.zeros((taskset.n, m), dtype=bool)
-    for j in range(taskset.n):
-        mine = task_rows == j  # task j's records, still sorted by step
+    shape = len(raw.tasks), len(raw.boundaries)
+    values = np.zeros(shape)
+    mask = np.zeros(shape, dtype=bool)
+    for j in range(shape[0]):
+        mine = codes == j  # task j's records, still sorted by step
         task_steps = steps[mine]
         # side="right" picks the last of equal steps, so the later row wins
         idx = np.searchsorted(task_steps, ends, side="right") - 1

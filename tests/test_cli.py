@@ -152,6 +152,19 @@ def test_simulate_overflowing_params_exits_2(tmp_path, capsys):
     assert not sim.exists()
 
 
+def test_simulate_refuses_to_overwrite_its_inputs(tmp_path, capsys):
+    data = _generate(tmp_path)
+    params, cur = data / "params.json", data / "curriculum.json"
+    kept = {path: path.read_bytes() for path in (params, cur)}
+    for out in (params, cur, data / ".." / data.name / "params.json"):
+        code = main([
+            "simulate", "--params", str(params), "--curriculum", str(cur), "--out", str(out),
+        ])
+        assert code == 2
+        assert "must name different files" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in kept} == kept
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     code = main([
         "simulate",
@@ -200,6 +213,23 @@ def test_fit_writes_artifacts(tmp_path, capsys):
     # estimates must be feasible parameters
     _, est = parse_params(out / "estimates.json")
     assert (np.abs(est.tasks.transfer) <= 1.0).all()
+
+
+def test_fit_refuses_to_overwrite_its_inputs(tmp_path, capsys):
+    data = _generate(tmp_path)
+    code, out = _fit(tmp_path, data, name="est")
+    assert code == 0
+    kept = {path: path.read_bytes() for path in out.iterdir()}
+    for curves, cur in (
+        (out / "predicted.csv", data / "curriculum.json"),
+        (data / "curves.csv", out / "estimates.json"),
+    ):
+        code = main([
+            "fit", "--data", str(curves), "--curriculum", str(cur), "--out", str(out),
+        ])
+        assert code == 2
+        assert "must name different files" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in out.iterdir()} == kept
 
 
 def test_fit_deterministic_across_runs(tmp_path, capsys):
@@ -554,7 +584,7 @@ def test_report_refuses_to_overwrite_its_output_or_inputs(tmp_path, rng, capsys)
             "--out", str(out),
         ])
         assert code == 2
-        assert "must differ from each other" in capsys.readouterr().err
+        assert "must name different files" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "est.md").exists()
     assert path.read_bytes() == kept
 

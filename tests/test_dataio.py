@@ -401,7 +401,9 @@ def test_downsample_dense_fixture_hand_values():
     )
     # learner1 is dense at 100-step resolution; phase ends are 299, 599, 800.
     # The duplicate alpha record at 800 means the later value (0.85) wins.
-    mat = downsample_to_boundaries(logs[0], ts, cur)
+    assert logs[0].tasks == ts.names
+    assert [ts.index(t) for _, t in logs[0].boundaries] == list(cur.entries)
+    mat = downsample_to_boundaries(logs[0])
     assert mat.mask.all()
     np.testing.assert_array_equal(
         mat.values,
@@ -418,7 +420,8 @@ def test_downsample_boundary_records_copied_through():
         f"{DATA_DIR}/raw_metrics.csv", f"{DATA_DIR}/raw_boundaries.json"
     )
     # learner2 reports beta exactly at every phase start
-    mat = downsample_to_boundaries(logs[1], ts, cur)
+    assert logs[1].tasks == ts.names and logs[1].boundaries == logs[0].boundaries
+    mat = downsample_to_boundaries(logs[1])
     np.testing.assert_array_equal(mat.values[1], [10.0, 11.0, 12.0])
     assert mat.mask[1].all()
     assert not mat.mask[0].any()
@@ -426,14 +429,13 @@ def test_downsample_boundary_records_copied_through():
 
 
 def test_downsample_single_constant_task():
-    ts = TaskSet(["only"])
-    cur = Curriculum(entries=[0, 0, 0], n_tasks=1)
     log = RawLog(
         algorithm="a",
-        records=tuple((s, "only", 0.7) for s in range(0, 30, 2)),
+        records=tuple((s, 0, 0.7) for s in range(0, 30, 2)),
         boundaries=((0, "only"), (10, "only"), (20, "only")),
+        tasks=("only",),
     )
-    mat = downsample_to_boundaries(log, ts, cur)
+    mat = downsample_to_boundaries(log)
     assert (mat.values == 0.7).all()
     assert mat.mask.all()
 
@@ -448,12 +450,14 @@ def test_downsample_matches_reference(data):
     starts = sorted(data.draw(st.sets(st.integers(0, 30), min_size=m, max_size=m)))
     boundaries = tuple((b, ts.names[i]) for b, i in zip(starts, entries))
     # a narrow step range gives same-step ties and records before the first
-    # boundary; "ghost" is outside the task set and some tasks go unlogged
+    # boundary; "ghost" is a table row no phase trains, and some tasks go
+    # unlogged
+    tasks = ts.names + ("ghost",)
     records = data.draw(
         st.lists(
             st.tuples(
                 st.integers(-3, 35),
-                st.sampled_from(ts.names + ("ghost",)),
+                st.integers(0, n),
                 st.floats(-10.0, 10.0),
             ),
             min_size=1,
@@ -461,46 +465,55 @@ def test_downsample_matches_reference(data):
         )
     )
     records = sorted(records, key=lambda r: r[0])
-    log = RawLog(algorithm="a", records=records, boundaries=boundaries)
-    mat = downsample_to_boundaries(log, ts, Curriculum(entries=entries, n_tasks=n))
-    values, mask = downsample_ref(records, boundaries, ts.names)
+    log = RawLog(algorithm="a", records=records, boundaries=boundaries, tasks=tasks)
+    mat = downsample_to_boundaries(log)
+    named = [(s, tasks[j], v) for s, j, v in records]
+    values, mask = downsample_ref(named, boundaries, tasks)
     assert mat.mask.tolist() == mask
     assert mat.values.tolist() == values
 
 
 def test_downsample_validates_agreement():
-    ts = TaskSet(["a", "b"])
-    cur = Curriculum(entries=[0, 1], n_tasks=2)
+    empty = RawLog("x", (), ((0, "a"), (10, "b")), tasks=("a", "b"))
+    with pytest.raises(ValidationError, match="no records"):
+        downsample_to_boundaries(empty)
+
+
+def test_downsample_unlogged_task_row_is_masked_and_early_records_land_in_phase_0():
+    # phases start at 10 and 20, so phase 0 holds every step up to 19;
+    # "idle" is in the table but never logged
     log = RawLog(
-        algorithm="x",
-        records=((0, "a", 0.5),),
-        boundaries=((0, "a"), (10, "a")),  # second phase disagrees
+        algorithm="a",
+        records=((-5, 0, 0.1), (3, 0, 0.2), (22, 0, 0.3), (25, 2, 0.4)),
+        boundaries=((10, "run"), (20, "jump")),
+        tasks=("run", "idle", "jump"),
     )
-    with pytest.raises(ValidationError):
-        downsample_to_boundaries(log, ts, cur)
-    short = RawLog(algorithm="x", records=((0, "a", 0.5),), boundaries=((0, "a"),))
-    with pytest.raises(ValidationError):
-        downsample_to_boundaries(short, ts, cur)
-    empty = RawLog(algorithm="x", records=(), boundaries=((0, "a"), (10, "b")))
-    with pytest.raises(ValidationError):
-        downsample_to_boundaries(empty, ts, cur)
+    mat = downsample_to_boundaries(log)
+    assert mat.values.shape == (3, 2)
+    assert mat.mask.tolist() == [[True, True], [False, False], [False, True]]
+    assert mat.values.tolist() == [[0.2, 0.3], [0.0, 0.0], [0.0, 0.4]]
 
 
 def test_rawlog_validation():
     with pytest.raises(ValidationError):
-        RawLog(algorithm="a", records=((5, "t", 1.0), (2, "t", 1.0)),
-               boundaries=((0, "t"),))
+        RawLog(algorithm="a", records=((5, 0, 1.0), (2, 0, 1.0)),
+               boundaries=((0, "t"),), tasks=("t",))
     with pytest.raises(ValidationError):
-        RawLog(algorithm="a", records=(), boundaries=((0, "t"), (0, "t")))
+        RawLog(algorithm="a", records=(), boundaries=((0, "t"), (0, "t")), tasks=("t",))
     with pytest.raises(ValidationError):
-        RawLog(algorithm="a", records=(), boundaries=())
+        RawLog(algorithm="a", records=(), boundaries=(), tasks=("t",))
+    with pytest.raises(ValidationError, match="task name table"):
+        RawLog(algorithm="a", records=(), boundaries=((0, "t"), (5, "u")), tasks=("t",))
+    with pytest.raises(TypeError):
+        RawLog(algorithm="a", records=(), boundaries=((0, "t"),))  # tasks is required
 
 
 def test_rawlog_records_are_read_only_columns():
     log = RawLog(
         algorithm="a",
-        records=((0, "y", 0.5), (0, "x", 0.25), (3, "y", 1.0)),
+        records=((0, 0, 0.5), (0, 1, 0.25), (3, 0, 1.0)),
         boundaries=((0, "x"),),
+        tasks=("y", "x"),
     )
     assert log.tasks == ("y", "x")
     assert log.records["step"].tolist() == [0, 0, 3]
@@ -512,45 +525,47 @@ def test_rawlog_records_are_read_only_columns():
 
 
 def test_rawlog_rejects_bad_records():
-    bounds = ((0, "t"),)
+    bounds, tasks = ((0, "t"),), ("t",)
+
+    def structured(row, step=np.int64, task=np.int64):
+        return np.array([row], dtype=[("step", step), ("task", task), ("metric", float)])
+
     for metric in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError, match="finite"):
-            RawLog(algorithm="a", records=((0, "t", metric),), boundaries=bounds)
+            RawLog("a", [(0, 0, metric)], bounds, tasks)
     for step in (2**63, 2**64, -(2**63) - 1):
         with pytest.raises(ValidationError, match="64 bits"):
-            RawLog(algorithm="a", records=((step, "t", 1.0),), boundaries=bounds)
-    edge = RawLog(
-        algorithm="a",
-        records=((-(2**63), "t", 1.0), (2**63 - 1, "t", 1.0)),
-        boundaries=bounds,
-    )
+            RawLog("a", [(step, 0, 1.0)], bounds, tasks)
+    edge = RawLog("a", [(-(2**63), 0, 1.0), (2**63 - 1, 0, 1.0)], bounds, tasks)
     assert edge.records["step"].tolist() == [-(2**63), 2**63 - 1]
     for step in (1.7, 2.0, True, np.float64(3.0)):
-        with pytest.raises(ValidationError, match="integers"):
-            RawLog(algorithm="a", records=((step, "t", 1.0),), boundaries=bounds)
-        with pytest.raises(ValidationError, match="integers"):
-            RawLog("a", [(step, 0, 1.0)], bounds, tasks=("t",))
-    fields = [("task", int), ("metric", float)]
-    as_floats = np.array([(1.7, 0, 1.0)], dtype=[("step", float), *fields])
-    with pytest.raises(ValidationError, match="integers"):
-        RawLog("a", as_floats, bounds, tasks=("t",))
-    as_uint = np.array([(2**63, 0, 1.0)], dtype=[("step", np.uint64), *fields])
+        with pytest.raises(ValidationError, match="steps must be integers"):
+            RawLog("a", [(step, 0, 1.0)], bounds, tasks)
+    # task codes are checked the same way; a name is not a code
+    for task in (0.7, 0.0, False, np.float64(0.0), "t"):
+        with pytest.raises(ValidationError, match="integer indices into tasks"):
+            RawLog("a", [(0, task, 1.0)], bounds, tasks)
     with pytest.raises(ValidationError, match="64 bits"):
-        RawLog("a", as_uint, bounds, tasks=("t",))
-    assert RawLog("a", as_uint[:0], bounds, tasks=("t",)).records.dtype.itemsize == 24
+        RawLog("a", [(0, 2**64, 1.0)], bounds, tasks)
+    with pytest.raises(ValidationError, match="steps must be integers"):
+        RawLog("a", structured((1.7, 0, 1.0), step=float), bounds, tasks)
+    for kind in (float, bool):
+        with pytest.raises(ValidationError, match="integer indices into tasks"):
+            RawLog("a", structured((0, 0, 1.0), task=kind), bounds, tasks)
+    as_uint = structured((2**63, 0, 1.0), step=np.uint64)
+    with pytest.raises(ValidationError, match="64 bits"):
+        RawLog("a", as_uint, bounds, tasks)
+    assert RawLog("a", as_uint[:0], bounds, tasks).records.dtype.itemsize == 24
     steps = (np.int32(4), np.uint64(5), 6)
-    log = RawLog("a", [(s, "t", 1.0) for s in steps], bounds)
+    log = RawLog("a", [(s, np.uint8(0), 1.0) for s in steps], bounds, tasks)
     assert log.records["step"].tolist() == [4, 5, 6]
-    coded = RawLog(algorithm="a", records=((0, "t", 1.0),), boundaries=bounds)
-    assert RawLog("a", coded.records, bounds, tasks=("t",)).tasks == ("t",)
+    again = RawLog("a", log.records, bounds, tasks)
+    assert again.records.tobytes() == log.records.tobytes()
     for codes in ((0, 1), (-1,)):
         with pytest.raises(ValidationError, match="name table"):
-            RawLog(
-                algorithm="a",
-                records=[(k, code, 1.0) for k, code in enumerate(codes)],
-                boundaries=bounds,
-                tasks=("t",),
-            )
+            RawLog("a", [(k, code, 1.0) for k, code in enumerate(codes)], bounds, tasks)
+    with pytest.raises(ValidationError, match="name table"):
+        RawLog("a", structured((0, 2**63, 1.0), task=np.uint64), bounds, tasks)
 
 
 def test_parse_raw_log_memory_per_row(tmp_path):
@@ -621,7 +636,9 @@ def test_parse_then_downsample_matches_reference(data):
             ((s, t, v) for a, s, t, v in rows if a == log.algorithm),
             key=lambda r: r[0],
         )
-        mat = downsample_to_boundaries(log, out_ts, cur)
+        assert log.tasks == out_ts.names
+        assert [out_ts.index(t) for _, t in log.boundaries] == list(cur.entries)
+        mat = downsample_to_boundaries(log)
         values, mask = downsample_ref(records, boundaries, ts.names)
         assert mat.mask.tolist() == mask
         assert mat.values.tolist() == values
@@ -879,7 +896,7 @@ def test_arbitrary_bytes_raise_only_documented_errors(curves, raw, doc):
         try:
             ts, cr, logs = parse_raw_log(raw_path, bnd)
             for log in logs:
-                normalize_minmax(downsample_to_boundaries(log, ts, cr))
+                normalize_minmax(downsample_to_boundaries(log))
         except (ParseError, ValidationError, NormalizationError):
             pass
 

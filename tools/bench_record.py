@@ -26,8 +26,11 @@ number of pairs in which HEAD is better than REV (ties count for
 neither) and ``median_ratio``, HEAD's median over REV's (null when REV's
 median is 0).  Each pair adds about 70 seconds per workload.  After
 writing the file it prints one Markdown table row per workload and
-end-to-end metric: REV's median → HEAD's median, ``median_ratio`` and
-HEAD's wins out of the pairs.
+end-to-end metric: REV's median → HEAD's median, ``median_ratio``,
+HEAD's wins out of the pairs and the metric's ``bound`` from
+BENCHMARK.json, marked where HEAD's median is worse than REV's by more
+than that bound (relative to REV's median, in the metric's ``better``
+direction).
 """
 
 from __future__ import annotations
@@ -126,17 +129,30 @@ def against(bench, rev: str, pairs: int) -> dict:
     return {"rev": sha, "pairs": pairs, "workloads": workloads}
 
 
-def markdown_rows(against: dict) -> list[str]:
-    """The comparison as Markdown table rows, header included."""
-    rows = ["| workload | metric | REV → HEAD median | ratio | HEAD wins |",
-            "| --- | --- | --- | --- | --- |"]
+def over_bound(m: dict, bound: float) -> bool:
+    """Whether HEAD's median is worse than REV's by more than ``bound``
+    times REV's median, in the metric's ``better`` direction."""
+    sign = 1 if m["better"] == "higher" else -1
+    rev = m["rev"]["median"]
+    return sign * (rev - m["head"]["median"]) > bound * abs(rev)
+
+
+def markdown_rows(against: dict, end_to_end) -> list[str]:
+    """The comparison as Markdown table rows, header included; ``end_to_end``
+    is BENCHMARK.json's list, which holds each metric's bound."""
+    bounds = {metric["name"]: metric["bound"] for metric in end_to_end}
+    rows = ["| workload | metric | REV → HEAD median | ratio | HEAD wins | bound |",
+            "| --- | --- | --- | --- | --- | --- |"]
     for w in against["workloads"]:
         for name, m in w["metrics"].items():
             ratio = "n/a" if m["median_ratio"] is None else f"{m['median_ratio']:.3f}"
             medians = f"{m['rev']['median']:.4g} → {m['head']['median']:.4g}"
+            limit = bounds[name]
+            verdict = (f"**worse by over {limit:.0%}**" if over_bound(m, limit)
+                       else f"{limit:.0%}: ok")
             rows.append(
                 f"| {w['workload']} | {name} ({m['unit']}) | {medians} | {ratio} "
-                f"| {m['head_wins']}/{against['pairs']} |"
+                f"| {m['head_wins']}/{against['pairs']} | {verdict} |"
             )
     return rows
 
@@ -178,7 +194,7 @@ def main(argv=None) -> int:
         record["against"] = against(bench, args.against, args.pairs)
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     if args.against:
-        print("\n".join(markdown_rows(record["against"])))
+        print("\n".join(markdown_rows(record["against"], bench["end_to_end"])))
     return 0
 
 
