@@ -77,6 +77,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_fit(args) -> int:
     out = Path(args.out)
+    # refused before the fit, which can run for minutes, not at the write
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise ValidationError(f"--out {out}: {path} exists and is not a directory")
     files = [out / f for f in ("estimates.json", "predicted.csv", "report.md", "metrics.json")]
     _check_outputs(files, [args.data, args.curriculum])
     taskset, curriculum, observed = dataio.load_dataset(args.data, args.curriculum)

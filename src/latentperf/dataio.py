@@ -661,17 +661,16 @@ def downsample_to_boundaries(raw: RawLog) -> PerformanceMatrix:
     codes, steps, metrics = (raw.records[f] for f in ("task", "step", "metric"))
     # phase l ends right before the next phase starts; the last phase is open
     ends = np.array([b for b, _ in raw.boundaries[1:]], dtype=np.int64) - 1
-    shape = len(raw.tasks), len(raw.boundaries)
-    values = np.zeros(shape)
-    mask = np.zeros(shape, dtype=bool)
-    for j in range(shape[0]):
-        mine = codes == j  # task j's records, still sorted by step
-        task_steps = steps[mine]
-        # side="right" picks the last of equal steps, so the later row wins
-        idx = np.searchsorted(task_steps, ends, side="right") - 1
-        idx = np.append(idx, len(task_steps) - 1)
-        mask[j] = idx >= 0
-        values[j, mask[j]] = metrics[mine][idx[mask[j]]]
+    # each record's phase is the first whose end is at or after its step
+    phases = np.searchsorted(ends, steps)
+    # records are sorted by step, so of two rows at one step the later has
+    # the larger index: the latest record per (task, phase), carried
+    # forward into the phases that log nothing for that task
+    latest = np.full((len(raw.tasks), len(raw.boundaries)), -1)
+    np.maximum.at(latest, (codes, phases), np.arange(len(steps)))
+    np.maximum.accumulate(latest, axis=1, out=latest)
+    mask = latest >= 0
+    values = np.where(mask, metrics[latest], 0.0)
     return PerformanceMatrix(algorithm=raw.algorithm, values=values, mask=mask)
 
 
@@ -688,17 +687,18 @@ def normalize_minmax(matrix: PerformanceMatrix, task_names=None) -> PerformanceM
         raise ValidationError(
             f"{len(task_names)} task names for {matrix.n_tasks} task rows"
         )
-    values = matrix.values.copy()
     mask = matrix.mask
-    for j in range(matrix.n_tasks):
-        vals = values[j, mask[j]]
-        if vals.size == 0:
-            continue
-        vmin, vmax = float(vals.min()), float(vals.max())
-        if vmax == vmin:
-            name = task_names[j] if task_names is not None else f"task index {j}"
-            raise NormalizationError(
-                f"task {name}: constant values, nothing to normalize", task=str(name)
-            )
-        values[j, mask[j]] = (vals - vmin) / (vmax - vmin)
+    vmin = np.min(matrix.values, axis=1, where=mask, initial=np.inf)
+    vmax = np.max(matrix.values, axis=1, where=mask, initial=-np.inf)
+    # a row with no observations reads inf and -inf, so it passes through
+    constant = np.flatnonzero(vmax == vmin)
+    if constant.size:
+        j = int(constant[0])
+        name = task_names[j] if task_names is not None else f"task index {j}"
+        raise NormalizationError(
+            f"task {name}: constant values, nothing to normalize", task=str(name)
+        )
+    values = matrix.values.copy()
+    np.subtract(values, vmin[:, None], out=values, where=mask)
+    np.divide(values, (vmax - vmin)[:, None], out=values, where=mask)
     return PerformanceMatrix(algorithm=matrix.algorithm, values=values, mask=mask)

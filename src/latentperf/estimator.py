@@ -22,16 +22,16 @@ it; each parameter group's gradient is then one reduction over those
 records and the forward rollout's.  Tests check it against a forward-mode
 oracle and central finite differences.
 
-A fit sets up one ``_Problem`` per (curriculum, observed, mask), holding
-every buffer the rollout and the adjoint write and their per-step views,
-and allocates its Adam moments once.  Each optimizer step then runs as
-ufuncs writing into those buffers, in the same operations and order as
-the plain expressions, so results are bitwise those of an allocating
-evaluation.  Every (steps, algorithms, tasks) array is stored step-major
-and C-contiguous: the observed curves are stacked that way once, the
-loops read and write those buffers directly, and the reductions sum over
-them in that layout.  ``loss`` and ``gradient`` build one problem per
-call.
+A fit sets up one ``_Problem`` per (curriculum, observed, mask).  Each
+(steps, algorithms, tasks) array an evaluation writes, and each operand
+of the per-step loops, is a buffer there that ufuncs refill with
+``out=``; smaller arrays, such as the adjoint's epilogue and Adam's
+update, are plain expressions, where a buffer saves no time.  Operations
+and order are those of the plain expressions, so results are bitwise
+those of an allocating evaluation.  Every (steps, algorithms, tasks)
+array is stored step-major and C-contiguous, and the loops and the
+reductions read it in that layout.  ``loss`` and ``gradient`` build one
+problem per call.
 """
 
 from __future__ import annotations
@@ -147,13 +147,14 @@ def _check_shapes(curriculum: Curriculum, observed) -> tuple[np.ndarray, np.ndar
 
 
 class _Problem:
-    """One (curriculum, observed, mask) and every buffer that evaluating
+    """One (curriculum, observed, mask) and the buffers that evaluating
     its loss and gradient writes, set up once.
 
     A fit evaluates the same problem at every optimizer step, so each
-    evaluation refills these buffers through ufuncs with ``out=`` instead
-    of allocating.  An evaluation writes every buffer in full before it
-    reads it (states[0] alone is set once, to zero), in the order of the
+    evaluation refills its (m, p, n) arrays and the records the backward
+    loop reads instead of allocating them; after a warm-up it allocates
+    less than one (m, p, n) array.  It writes every buffer in full before
+    it reads it (states[0] alone is set once, to zero), in the order of the
     expression it evaluates; results are therefore bitwise the same
     whatever an earlier evaluation left behind.  Every (m, p, n) buffer
     is C-contiguous with the step axis first, like the rollout's, so each
@@ -180,9 +181,6 @@ class _Problem:
         self.dgains = np.empty((m, p))
         self.ebar = np.empty((p, n))
         self.scratch = np.empty(p)
-        self.per_row = np.empty((m, n))
-        self.per_algo = np.empty((m, p))
-        self.per_step = np.empty(m)
         self.grad = np.empty(n * n + n + 3 * p)
         self.grad_groups = _unpack(self.grad, n, p)
 
@@ -231,11 +229,10 @@ class _Problem:
         np.subtract(1.0, inject, out=inject)
         np.multiply(self.resid, inject, out=inject)
         np.divide(inject, difficulty, out=inject)
-        # feedback = lambda * (1 - before * before) / (2 * difficulty[e])
-        np.multiply(ws.before, ws.before, out=feedback)
-        np.subtract(1.0, feedback, out=feedback)
-        np.multiply(translation, feedback, out=feedback)
-        np.divide(feedback, ws.row_difficulty, out=feedback)
+        # lambda * (1 - before * before) / (2 * difficulty[e])
+        np.divide(
+            translation * (1.0 - ws.before * ws.before), ws.row_difficulty, out=feedback
+        )
 
         add, multiply, reduce = np.add, np.multiply, np.add.reduce
         ebar, keep, pn, scratch = self.ebar, ws.keep, ws.scratch, self.scratch
@@ -252,24 +249,18 @@ class _Problem:
         g_transfer, g_difficulty, g_gamma, g_retention, g_translation = self.grad_groups
         dgains = self.dgains
         g_transfer.fill(0.0)
-        np.einsum("lpn,lp->ln", self.ebars, ws.gains, out=self.per_row)
-        np.add.at(g_transfer, e, self.per_row)
-        np.einsum("lpn,lpn->n", inject, ws.states[1:], out=g_difficulty)
-        np.negative(g_difficulty, out=g_difficulty)
-        np.divide(g_difficulty, difficulty, out=g_difficulty)
+        np.add.at(g_transfer, e, np.einsum("lpn,lp->ln", self.ebars, ws.gains))
+        np.divide(
+            -np.einsum("lpn,lpn->n", inject, ws.states[1:]), difficulty, out=g_difficulty
+        )
         # before[l] also reads d = difficulty[e[l]] through trained[l] =
         # experience / (2 * d) (zero at l = 0): the factor -2 * trained
         # here times feedback's 1 / (2 * d) is d(trained)/d(d)
-        per_algo, per_step = self.per_algo, self.per_step
-        np.multiply(dgains, feedback, out=per_algo)
-        np.multiply(per_algo, ws.trained, out=per_algo)
-        np.add.reduce(per_algo, axis=1, out=per_step)
-        np.multiply(per_step, -2.0, out=per_step)
-        np.add.at(g_difficulty, e, per_step)
+        trained_term = np.add.reduce(dgains * feedback * ws.trained, axis=1) * -2.0
+        np.add.at(g_difficulty, e, trained_term)
         np.add.reduce(dgains, axis=0, out=g_gamma)
         np.einsum("lpn,lpn->p", self.ebars, ws.states[:-1], out=g_retention)
-        np.multiply(dgains, ws.before, out=per_algo)
-        np.add.reduce(per_algo, axis=0, out=g_translation)
+        np.add.reduce(dgains * ws.before, axis=0, out=g_translation)
         return loss
 
 
@@ -405,9 +396,7 @@ def fit(
     # Adam updates theta in place, so these views follow every step.
     problem, arrays = _Problem(curriculum, obs, mask), _unpack(theta, n, p)
     g = problem.grad
-    moment1 = np.zeros_like(theta)
-    moment2 = np.zeros_like(theta)
-    step, denom = np.empty_like(theta), np.empty_like(theta)
+    moment1 = moment2 = np.zeros_like(theta)
     trace = np.empty(config.steps + 1)
     # Overflow is expected on the way to divergence; every non-finite value
     # in this block is checked and reported, so numpy need not warn.
@@ -424,23 +413,10 @@ def fit(
                     t - 1, "gradient of " + _component_name(bad, n, p, names)
                 )
             trace[t - 1] = value * scale
-            # moment1 = beta1 * moment1 + (1 - beta1) * g
-            moment1 *= _BETA1
-            np.multiply(g, 1.0 - _BETA1, out=step)
-            moment1 += step
-            # moment2 = beta2 * moment2 + (1 - beta2) * (g * g)
-            moment2 *= _BETA2
-            np.multiply(g, g, out=step)
-            step *= 1.0 - _BETA2
-            moment2 += step
-            # step = lr * m_hat / (sqrt(v_hat) + epsilon), bias-corrected
-            np.divide(moment2, 1.0 - _BETA2**t, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += _EPSILON
-            np.divide(moment1, 1.0 - _BETA1**t, out=step)
-            step *= config.learning_rate
-            step /= denom
-            theta -= step
+            moment1 = _BETA1 * moment1 + (1.0 - _BETA1) * g
+            moment2 = _BETA2 * moment2 + (1.0 - _BETA2) * (g * g)
+            m_hat, v_hat = moment1 / (1.0 - _BETA1**t), moment2 / (1.0 - _BETA2**t)
+            theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
             theta.clip(lo, hi, out=theta)
             # a step can overflow a parameter that has no upper bound
             bad = _first_nonfinite(theta)

@@ -15,9 +15,10 @@ bitwise-equal outputs.
 ``simulate_all`` is the one implementation of both.  Its rollout,
 ``_forward_curves``, writes into a ``_Rollout``: buffers and per-step
 views set up once per curriculum, so the estimator's thousand rollouts
-per fit allocate nothing.  Every buffer is step-major, and its loop runs
-on numpy's contiguous same-shape fast path wherever a value can be
-repeated into a buffer first.  ``simulate_all`` builds one per call.
+per fit allocate no (steps, algorithms, tasks) array.  Every buffer is
+step-major, and its loop runs on numpy's contiguous same-shape fast path
+wherever a value can be repeated into a buffer first.  ``simulate_all``
+builds one per call.
 """
 
 from __future__ import annotations
@@ -251,8 +252,8 @@ class PerformanceMatrix:
 
 class _Rollout:
     """Every buffer a rollout of one curriculum writes, and the per-phase
-    views into them, set up once so that repeated rollouts allocate
-    nothing.
+    views into them, set up once so that repeated rollouts allocate no
+    (m, p, n) array.
 
     ``states`` (m+1, p, n) is the experience trajectory: states[0] is all
     zeros and states[l+1] is experience after curriculum step l.  Of shape
@@ -266,8 +267,8 @@ class _Rollout:
     fast path, which costs about half of a broadcasting or strided call:
     ``keep`` (p, n) is the retention broadcast over tasks, and ``rows_p``
     (m, p, n) and ``row_difficulty`` (m, p) hold the trained task's
-    transfer row and entry of ``difficulty2`` (twice the difficulty) once
-    per algorithm.  Repeating a value changes no result.
+    transfer row and twice its difficulty once per algorithm.  Repeating
+    a value changes no result.
     """
 
     def __init__(self, n: int, p: int, entries):
@@ -278,9 +279,8 @@ class _Rollout:
         self.trained = np.empty((m, p))
         self.before = np.empty((m, p))
         self.gains = np.empty((m, p))
-        # 2 * difficulty; transfer[entries] and difficulty2[entries] per
-        # algorithm, and the retention per task, refilled per rollout
-        self.difficulty2 = np.empty(n)
+        # transfer[entries] and 2 * difficulty[entries] per algorithm, and
+        # the retention per task, refilled per rollout
         self.entries_p = np.repeat(self.entries[:, None], p, axis=1)
         self.rows_p = np.empty((m, p, n))
         self.row_difficulty = np.empty((m, p))
@@ -322,7 +322,7 @@ def _forward_curves(
     """
     # entries are in range (Curriculum checks them); "clip" lets take
     # write straight into out instead of through a buffer
-    difficulty2 = np.multiply(difficulty, 2.0, out=ws.difficulty2)
+    difficulty2 = difficulty * 2.0
     np.take(transfer, ws.entries_p, axis=0, out=ws.rows_p, mode="clip")
     np.take(difficulty2, ws.entries_p, out=ws.row_difficulty, mode="clip")
     np.copyto(ws.keep, retention[:, None])

@@ -232,6 +232,20 @@ def test_fit_refuses_to_overwrite_its_inputs(tmp_path, capsys):
     assert {path: path.read_bytes() for path in out.iterdir()} == kept
 
 
+def test_fit_refuses_an_out_that_is_a_file_before_fitting(tmp_path, capsys):
+    data = _generate(tmp_path)
+    (tmp_path / "taken").write_bytes(b"not a directory")
+    inputs = [tmp_path / "taken", data / "curves.csv", data / "curriculum.json"]
+    kept = [path.read_bytes() for path in inputs]
+    for name in ("taken", "taken/sub"):
+        code, _ = _fit(tmp_path, data, extra=("--progress",), name=name)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no progress line: no fit step ran
+        assert "taken exists and is not a directory" in captured.err
+        assert [path.read_bytes() for path in inputs] == kept
+
+
 def test_fit_deterministic_across_runs(tmp_path, capsys):
     data = _generate(tmp_path)
     _, out1 = _fit(tmp_path, data, name="f1")

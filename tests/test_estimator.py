@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -348,7 +350,6 @@ def test_kernel_loops_read_contiguous_same_shape_operands(rng):
     # the map's 0.5 is folded into the divisor: every step divides by the
     # trained task's doubled difficulty, repeated once per algorithm
     difficulty2 = 2.0 * params.tasks.difficulty
-    np.testing.assert_array_equal(ws.difficulty2, difficulty2)
     for k in range(p):
         np.testing.assert_array_equal(ws.row_difficulty[:, k], difficulty2[ws.entries])
 
@@ -438,6 +439,28 @@ def test_problem_buffers_have_one_step_major_layout(rng):
     for name, a in buffers.items():
         assert a.shape == ((m + 1, p, n) if name == "states" else (m, p, n)), name
         assert a.flags.c_contiguous, name
+
+
+def test_loss_and_grad_allocates_less_than_one_step_major_array(rng):
+    # Buffers are kept where they pay: every (steps, algorithms, tasks)
+    # array an evaluation writes is preallocated, while the (m, p) records
+    # and the per-group vectors are plain expressions.  After a warm-up,
+    # one loss plus gradient therefore peaks below one such array.  At this
+    # size it is several times numpy's 8,192-element iterator buffer, so
+    # an (m, p, n) temporary cannot hide inside that buffer's allocation.
+    _, params, cur = random_instance(rng, 20, 400, 6)
+    obs, mask = estimator._check_shapes(cur, _random_observed(rng, params, cur))
+    problem = estimator._Problem(cur, obs, mask)
+    arrays = _param_arrays(params)
+    problem.loss_and_grad(arrays)  # builds the cached per-phase views
+    tracemalloc.start()
+    try:
+        problem.loss_and_grad(arrays)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert obs.nbytes > 5 * 8192 * obs.itemsize
+    assert peak < obs.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,10 @@ end-to-end metric: REV's median → HEAD's median, ``median_ratio``,
 HEAD's wins out of the pairs and the metric's ``bound`` from
 BENCHMARK.json, marked where HEAD's median is worse than REV's by more
 than that bound (relative to REV's median, in the metric's ``better``
-direction).
+direction).  A metric is marked unresolved instead when REV's own runs
+spread wider than the bound (the distance between REV's quartiles,
+relative to its median), as the pairs then cannot tell a change within
+the bound from noise, unless every HEAD run is better than every REV run.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -137,6 +141,23 @@ def over_bound(m: dict, bound: float) -> bool:
     return sign * (rev - m["head"]["median"]) > bound * abs(rev)
 
 
+def rev_spread(m: dict) -> float:
+    """The distance between REV's quartiles relative to REV's median."""
+    q1, q3 = m["rev"]["quartiles"]
+    median = m["rev"]["median"]
+    if median == 0:
+        return 0.0 if q3 == q1 else math.inf
+    return (q3 - q1) / abs(median)
+
+
+def head_dominates(m: dict) -> bool:
+    """Whether every HEAD run is better than every REV run."""
+    rev, head = m["rev"]["values"], m["head"]["values"]
+    if m["better"] == "higher":
+        return min(head) > max(rev)
+    return max(head) < min(rev)
+
+
 def markdown_rows(against: dict, end_to_end) -> list[str]:
     """The comparison as Markdown table rows, header included; ``end_to_end``
     is BENCHMARK.json's list, which holds each metric's bound."""
@@ -148,8 +169,15 @@ def markdown_rows(against: dict, end_to_end) -> list[str]:
             ratio = "n/a" if m["median_ratio"] is None else f"{m['median_ratio']:.3f}"
             medians = f"{m['rev']['median']:.4g} → {m['head']['median']:.4g}"
             limit = bounds[name]
-            verdict = (f"**worse by over {limit:.0%}**" if over_bound(m, limit)
-                       else f"{limit:.0%}: ok")
+            spread = rev_spread(m)
+            if head_dominates(m):
+                verdict = f"{limit:.0%}: ok, every HEAD run better"
+            elif spread > limit:
+                verdict = f"**unresolved**: REV spread {spread:.0%} > {limit:.0%}"
+            elif over_bound(m, limit):
+                verdict = f"**worse by over {limit:.0%}**"
+            else:
+                verdict = f"{limit:.0%}: ok"
             rows.append(
                 f"| {w['workload']} | {name} ({m['unit']}) | {medians} | {ratio} "
                 f"| {m['head_wins']}/{against['pairs']} | {verdict} |"
