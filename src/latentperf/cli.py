@@ -31,16 +31,27 @@ from .scenarios import ScenarioSpec, generate as generate_scenario
 
 
 def _check_outputs(outputs, inputs) -> None:
-    """Refuse (exit 2) two output paths that resolve to one file, or one
-    that resolves to an input path; commands call this before reading."""
+    """Refuse (exit 2) an output path below an existing file, two output
+    paths that resolve to one file, or one that resolves to an input path;
+    commands call this before reading."""
     taken = {Path(path).resolve() for path in inputs}
     for path in outputs:
+        for parent in Path(path).parents:
+            if parent.exists() and not parent.is_dir():
+                raise ValidationError(f"{path}: {parent} exists and is not a directory")
         if (resolved := Path(path).resolve()) in taken:
             raise ValidationError(
                 f"{path} would be overwritten: outputs must name different "
                 "files, none of them an input"
             )
         taken.add(resolved)
+
+
+def _make_parents(outputs) -> None:
+    """Create the missing directories above ``outputs``; commands call this
+    after reading their inputs."""
+    for path in outputs:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
 def _cmd_simulate(args) -> int:
@@ -53,6 +64,7 @@ def _cmd_simulate(args) -> int:
             f"{list(p_tasks.names)} vs {list(c_tasks.names)}"
         )
     curves = simulate_all(params, curriculum)
+    _make_parents([args.out])
     dataio.write_curves(args.out, p_tasks, curves)
     return 0
 
@@ -65,22 +77,20 @@ def _cmd_generate(args) -> int:
         seed=args.seed,
         noise_std=args.noise,
     )
+    files = [Path(args.out) / f for f in ("params.json", "curriculum.json", "curves.csv")]
+    _check_outputs(files, [])
     params, curriculum, data = generate_scenario(spec)
     taskset = TaskSet(names=tuple(f"task{j + 1}" for j in range(spec.n_tasks)))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dataio.write_params(out / "params.json", taskset, params)
-    dataio.write_curriculum(out / "curriculum.json", taskset, curriculum)
-    dataio.write_curves(out / "curves.csv", taskset, data)
+    _make_parents(files)
+    params_out, curriculum_out, curves_out = files
+    dataio.write_params(params_out, taskset, params)
+    dataio.write_curriculum(curriculum_out, taskset, curriculum)
+    dataio.write_curves(curves_out, taskset, data)
     return 0
 
 
 def _cmd_fit(args) -> int:
     out = Path(args.out)
-    # refused before the fit, which can run for minutes, not at the write
-    for path in (out, *out.parents):
-        if path.exists() and not path.is_dir():
-            raise ValidationError(f"--out {out}: {path} exists and is not a directory")
     files = [out / f for f in ("estimates.json", "predicted.csv", "report.md", "metrics.json")]
     _check_outputs(files, [args.data, args.curriculum])
     taskset, curriculum, observed = dataio.load_dataset(args.data, args.curriculum)
@@ -92,10 +102,11 @@ def _cmd_fit(args) -> int:
     result = fit_with_restarts(
         curriculum, observed, config, restarts=args.restarts, callback=callback
     )
-    out.mkdir(parents=True, exist_ok=True)
+    curves = simulate_all(result.params, curriculum)
+    _make_parents(files)
     estimates, predicted, report, metrics = files
     dataio.write_params(estimates, taskset, result.params)
-    dataio.write_curves(predicted, taskset, result.predicted)
+    dataio.write_curves(predicted, taskset, curves)
     tables = [
         reporting.property_table(result.params.algorithms),
         reporting.transfer_table(result.params, taskset),
@@ -121,6 +132,7 @@ def _cmd_ingest(args) -> int:
         if args.normalize == "minmax":
             mat = dataio.normalize_minmax(mat, task_names=taskset.names)
         matrices.append(mat)
+    _make_parents(outputs)
     dataio.write_curves(args.out, taskset, matrices)
     if args.curriculum_out:
         dataio.write_curriculum(args.curriculum_out, taskset, curriculum)
@@ -173,6 +185,7 @@ def _cmd_report(args) -> int:
         _, params = dataio.parse_params(path)
         estimates[label] = params.algorithms
     table = reporting.comparison_table(estimates, args.param)
+    _make_parents([out, json_out])
     out.write_text(table.markdown(), encoding="utf-8")
     json_out.write_text(table.to_json(), encoding="utf-8")
     return 0

@@ -104,13 +104,21 @@ def write_curves(path, taskset: TaskSet, matrices) -> None:
             )
 
 
-def _read_rows(path, header, what: str):
-    """Stream (line number, algorithm, step, task, value) for each data row
-    of a four-column CSV headed by ``header``; steps are 64-bit integers and
-    values finite floats.  Messages name columns after ``header`` and the
-    file after ``what``."""
+def _record_arrays(algos, stores):
+    """{algorithm: _RECORD array viewing its store, a bytearray of records}."""
+    return {algo: np.frombuffer(buf, _RECORD) for algo, buf in zip(algos, stores)}
+
+
+def _row_records(path, header, what: str, tasks, cells: bool):
+    """The row path: a four-column CSV headed by ``header`` read row by row
+    with ``csv``, as (records, task names); see ``_read_records``.  Steps
+    are 64-bit integers and values finite floats.  Messages name columns
+    after ``header`` and the file after ``what``.  Every parse error,
+    message and line number comes from here."""
     step_name, value_name = header[1], header[3]
-    seen = False
+    known = {name: j for j, name in enumerate(tasks or ())}
+    stores: dict[str, bytearray] = {}
+    seen = set()  # (algorithm, step, task code) of a curves file's cells
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, strict=True)
         try:
@@ -151,43 +159,26 @@ def _read_rows(path, header, what: str):
                     raise ParseError(
                         f"{value_name} {value_s!r} is not finite", line=lineno
                     )
-                seen = True
-                yield lineno, algo, step, task, value
+                if cells and step < 0:
+                    raise ParseError(f"step {step} is negative", line=lineno)
+                j = known.get(task)
+                if j is None:
+                    if tasks is not None:
+                        raise ParseError(f"unknown task {task!r}", line=lineno)
+                    j = known[task] = len(known)
+                if cells:
+                    if (algo, step, j) in seen:
+                        raise ParseError(
+                            f"duplicate cell for ({algo}, step {step}, {task})", line=lineno
+                        )
+                    seen.add((algo, step, j))
+                stores.setdefault(algo, bytearray()).extend(_pack_record(step, j, value))
         except UnicodeDecodeError as exc:
             raise ParseError(f"{what} is not UTF-8 text: {exc.reason}") from None
         except csv.Error as exc:
             raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
-    if not seen:
+    if not stores:
         raise ParseError(f"{what} has no data rows", line=1)
-
-
-def _record_arrays(algos, stores):
-    """{algorithm: _RECORD array viewing its store, a bytearray of records}."""
-    return {algo: np.frombuffer(buf, _RECORD) for algo, buf in zip(algos, stores)}
-
-
-def _row_records(path, header, what: str, tasks, cells: bool):
-    """The row path: ``_read_rows`` plus the checks on its rows, as
-    (records, task names); see ``_read_records``.  Every parse error,
-    message and line number comes from here."""
-    known = {name: j for j, name in enumerate(tasks or ())}
-    stores: dict[str, bytearray] = {}
-    seen = set()  # (algorithm, step, task code) of a curves file's cells
-    for lineno, algo, step, task, value in _read_rows(path, header, what):
-        if cells and step < 0:
-            raise ParseError(f"step {step} is negative", line=lineno)
-        j = known.get(task)
-        if j is None:
-            if tasks is not None:
-                raise ParseError(f"unknown task {task!r}", line=lineno)
-            j = known[task] = len(known)
-        if cells:
-            if (algo, step, j) in seen:
-                raise ParseError(
-                    f"duplicate cell for ({algo}, step {step}, {task})", line=lineno
-                )
-            seen.add((algo, step, j))
-        stores.setdefault(algo, bytearray()).extend(_pack_record(step, j, value))
     return _record_arrays(stores, stores.values()), tuple(known)
 
 

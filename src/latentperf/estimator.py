@@ -46,14 +46,12 @@ from .errors import DivergenceError, ValidationError
 from .model import (
     D_MIN,
     Curriculum,
-    PerformanceMatrix,
     ScenarioParams,
     _Rollout,
     _checked_arrays,
     _forward_curves,
     _param_arrays,
     _params_from_arrays,
-    simulate_all,
 )
 from .scenarios import ScenarioSpec, generate
 
@@ -101,7 +99,7 @@ class FitConfig:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Outcome of a fit: estimated parameters, their predictions, and losses.
+    """Outcome of a fit: estimated parameters and their losses.
 
     ``loss_total`` and ``loss_per_algorithm`` are mean squared errors over
     masked entries (user-facing scale); ``loss_trace`` holds the same
@@ -110,7 +108,6 @@ class FitResult:
     """
 
     params: ScenarioParams
-    predicted: tuple[PerformanceMatrix, ...]
     loss_total: float
     loss_per_algorithm: dict[str, float]
     loss_trace: np.ndarray
@@ -367,9 +364,8 @@ def fit(
     Every algorithm shares one transfer matrix and difficulty vector.  Its
     diagonal is held at exactly 1, also when ``init_params`` has another
     diagonal (see the module docstring for why).  The final losses come
-    from one more evaluation at the last parameters, and one closing
-    ``simulate_all`` gives the predictions: the same kernel, so the same
-    curves bit for bit.
+    from one more evaluation at the last parameters; their curves are
+    ``simulate_all(result.params, curriculum)``.
 
     Raises DivergenceError if the loss, the gradient of a parameter the
     fit moves, or a parameter goes non-finite; the loss is checked first.
@@ -432,14 +428,9 @@ def fit(
         squares = np.einsum("lpn,lpn->p", problem.resid, problem.resid)
         counts = np.maximum(mask.sum(axis=(0, 2)), 1)
         per_algo = {name: float(s / c) for name, s, c in zip(names, squares, counts)}
-        # free the workspace before the closing rollout allocates its own
-        del problem
-        params = _params_from_arrays(*arrays, names)
-        predicted = tuple(simulate_all(params, curriculum))
     trace[config.steps] = final_raw * scale
     return FitResult(
-        params=params,
-        predicted=predicted,
+        params=_params_from_arrays(*arrays, names),
         loss_total=float(final_raw * scale),
         loss_per_algorithm=per_algo,
         loss_trace=trace,

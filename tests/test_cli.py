@@ -15,9 +15,12 @@ from latentperf import (
     TaskSet,
     ValidationError,
     load_dataset,
+    parse_curriculum,
     parse_curves,
     parse_params,
     parse_raw_log,
+    simulate_all,
+    write_curves,
     write_params,
 )
 from latentperf import estimator
@@ -177,6 +180,53 @@ def test_missing_input_exits_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the output rule, common to every command that writes
+
+
+# Per command: its argv reading every input from the directory ``src`` and
+# writing to ``out``, and the file it writes there ("" for ``out`` itself).
+_WRITERS = {
+    "simulate": (lambda src, out: [
+        "simulate", "--params", f"{src}/params.json",
+        "--curriculum", f"{src}/curriculum.json", "--out", out,
+    ], ""),
+    "generate": (lambda src, out: ["generate", "--tasks", "2", "--out", out], "curves.csv"),
+    "fit": (lambda src, out: [
+        "fit", "--data", f"{src}/curves.csv", "--curriculum", f"{src}/curriculum.json",
+        "--steps", "2", "--out", out,
+    ], "predicted.csv"),
+    "ingest": (lambda src, out: [
+        "ingest", "--raw", f"{src}/raw_metrics.csv",
+        "--boundaries", f"{src}/raw_boundaries.json", "--out", out,
+    ], ""),
+    "report": (lambda src, out: [
+        "report", "--estimates", f"{src}/params.json", "--labels", "a",
+        "--param", "gamma", "--out", out,
+    ], ""),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_outputs_get_their_directories_unless_a_file_is_in_the_way(
+    tmp_path, capsys, command
+):
+    argv, written = _WRITERS[command]
+    src = _generate(tmp_path)
+    for name in ("raw_metrics.csv", "raw_boundaries.json"):
+        (src / name).write_bytes(_bytes(f"{DATA_DIR}/{name}"))
+    out = tmp_path / "new" / "sub" / "x"
+    assert main(argv(src, str(out))) == 0
+    assert (out / written).is_file()
+    capsys.readouterr()
+    # Inputs that do not exist: the refusal must come before any read.
+    (tmp_path / "taken").write_bytes(b"")
+    code = main(argv(tmp_path / "absent", str(tmp_path / "taken" / "x")))
+    assert code == 2
+    assert f"{tmp_path / 'taken'} exists and is not a directory" in capsys.readouterr().err
+    assert (tmp_path / "taken").read_bytes() == b""
+
+
+# ---------------------------------------------------------------------------
 # fit
 
 
@@ -244,6 +294,16 @@ def test_fit_refuses_an_out_that_is_a_file_before_fitting(tmp_path, capsys):
         assert captured.out == ""  # no progress line: no fit step ran
         assert "taken exists and is not a directory" in captured.err
         assert [path.read_bytes() for path in inputs] == kept
+
+
+def test_fit_predictions_are_simulate_all_of_the_estimates(tmp_path, capsys):
+    data = _generate(tmp_path)
+    code, out = _fit(tmp_path, data, extra=("--restarts", "3"))
+    assert code == 0
+    taskset, params = parse_params(out / "estimates.json")
+    _, curriculum = parse_curriculum(data / "curriculum.json")
+    write_curves(tmp_path / "expected.csv", taskset, simulate_all(params, curriculum))
+    assert _bytes(out / "predicted.csv") == _bytes(tmp_path / "expected.csv")
 
 
 def test_fit_deterministic_across_runs(tmp_path, capsys):

@@ -1059,7 +1059,7 @@ def _no_row_path(monkeypatch):
     def fail(*args):
         raise AssertionError("took the row path")
 
-    monkeypatch.setattr(dataio, "_read_rows", fail)
+    monkeypatch.setattr(dataio, "_row_records", fail)
 
 
 def test_clean_files_skip_the_row_path(rng, tmp_path, monkeypatch):

@@ -20,7 +20,7 @@ from latentperf import (
     recovery_experiment,
     simulate_all,
 )
-from latentperf import estimator
+from latentperf import estimator, model
 from latentperf.estimator import _pack
 from latentperf.model import D_MIN, _param_arrays, _params_from_arrays
 from latentperf.scenarios import ScenarioSpec, generate
@@ -523,8 +523,31 @@ def test_fit_deterministic(rng):
     assert r1.params.algorithms == r2.params.algorithms
     assert r1.loss_total == r2.loss_total
     np.testing.assert_array_equal(r1.loss_trace, r2.loss_trace)
-    for m1, m2 in zip(r1.predicted, r2.predicted):
-        np.testing.assert_array_equal(m1.values, m2.values)
+
+
+def test_fit_runs_one_rollout_per_evaluation(rng, monkeypatch):
+    # A fit of S steps evaluates the loss S + 1 times and runs no other
+    # rollout: its curves are the caller's simulate_all.  generate adds one
+    # rollout per recovery trial.
+    _, cur, observed = _small_problem(rng)
+    forward, calls = model._forward_curves, []
+
+    def counting(*args):
+        calls.append(1)
+        return forward(*args)
+
+    for module in (model, estimator):
+        monkeypatch.setattr(module, "_forward_curves", counting)
+    cfg, restarts, trials = FitConfig(steps=4), 3, 2
+    fit(cur, observed, cfg)
+    assert len(calls) == cfg.steps + 1
+    calls.clear()
+    fit_with_restarts(cur, observed, cfg, restarts)
+    assert len(calls) == restarts * (cfg.steps + 1)
+    calls.clear()
+    result = recovery_experiment(trials=trials, config=cfg)
+    assert result.n_succeeded == trials
+    assert len(calls) == trials * (cfg.steps + 2)
 
 
 def test_fit_matches_allocating_reference(rng):
