@@ -31,14 +31,16 @@ from .scenarios import ScenarioSpec, generate as generate_scenario
 
 
 def _check_outputs(outputs, inputs) -> None:
-    """Refuse (exit 2) an output path below an existing file, two output
-    paths that resolve to one file, or one that resolves to an input path;
-    commands call this before reading."""
+    """Refuse (exit 2) an output path that is a directory or lies below an
+    existing file, two output paths that resolve to one file, or one that
+    resolves to an input path; commands call this before reading."""
     taken = {Path(path).resolve() for path in inputs}
     for path in outputs:
         for parent in Path(path).parents:
             if parent.exists() and not parent.is_dir():
                 raise ValidationError(f"{path}: {parent} exists and is not a directory")
+        if Path(path).is_dir():
+            raise ValidationError(f"{path} is a directory, not a file")
         if (resolved := Path(path).resolve()) in taken:
             raise ValidationError(
                 f"{path} would be overwritten: outputs must name different "

@@ -53,6 +53,7 @@ from .model import (
     TaskProperties,
     TaskSet,
     _algorithm_record,
+    _same_tasks,
 )
 
 CURVES_HEADER = ("algorithm", "step", "task", "performance")
@@ -81,11 +82,7 @@ def _csv_field(name: str) -> str:
 def write_curves(path, taskset: TaskSet, matrices) -> None:
     """Write performance matrices as long-form CSV (masked cells omitted)."""
     for mat in matrices:
-        if mat.n_tasks != taskset.n:
-            raise ValidationError(
-                f"matrix for {mat.algorithm!r} covers {mat.n_tasks} tasks, "
-                f"task set has {taskset.n}"
-            )
+        _same_tasks(f"matrix for {mat.algorithm!r}", mat.n_tasks, "task set", taskset.n)
     names = [_csv_field(name) for name in taskset.names]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CURVES_HEADER) + "\n")
@@ -310,21 +307,28 @@ def _read_records(path, header, what: str, tasks, cells: bool):
     return _row_records(path, header, what, tasks, cells)
 
 
-def _read_cells(path, taskset: TaskSet | None):
-    """A curves CSV's records and task names (see ``_read_records``) and
-    its largest step."""
+def _curves(path, taskset: TaskSet | None, m: int | None = None):
+    """A curves CSV as (TaskSet, list of PerformanceMatrix): tasks are
+    ``taskset``'s if given and otherwise the file's (see ``_read_records``),
+    and each matrix spans ``m`` steps if given and otherwise up to the
+    file's largest step.  Curves longer than ``m`` are an error, raised
+    before any matrix is sized from the file's steps."""
     records, names = _read_records(
         path, CURVES_HEADER, "curves file",
         None if taskset is None else taskset.names, cells=True,
     )
-    max_step = max(int(rec["step"].max()) for rec in records.values())
-    return records, names, max_step
-
-
-def _curve_matrices(records, taskset: TaskSet, m: int) -> list[PerformanceMatrix]:
-    # task codes index the task set (_read_cells checked them against it)
+    taskset = taskset if taskset is not None else TaskSet(names=names)
+    spans = {algo: int(rec["step"].max()) + 1 for algo, rec in records.items()}
+    longest = max(spans, key=spans.get)
+    if m is None:
+        m = spans[longest]
+    elif spans[longest] > m:
+        raise ValidationError(
+            f"curves for {longest!r} span {spans[longest]} steps, curriculum has {m}"
+        )
     matrices = []
     for algo, rec in records.items():
+        # task codes index the task set (_read_records checked them against it)
         cells = rec["task"], rec["step"]
         try:
             values = np.zeros((taskset.n, m))
@@ -334,7 +338,7 @@ def _curve_matrices(records, taskset: TaskSet, m: int) -> list[PerformanceMatrix
         values[cells] = rec["metric"]
         mask[cells] = True
         matrices.append(PerformanceMatrix(algorithm=algo, values=values, mask=mask))
-    return matrices
+    return taskset, matrices
 
 
 def parse_curves(path, taskset: TaskSet | None = None):
@@ -344,9 +348,7 @@ def parse_curves(path, taskset: TaskSet | None = None):
     follow first appearance in the file unless a task set is supplied, in
     which case all task names must belong to it.
     """
-    records, names, max_step = _read_cells(path, taskset)
-    out_tasks = taskset if taskset is not None else TaskSet(names=names)
-    return out_tasks, _curve_matrices(records, out_tasks, max_step + 1)
+    return _curves(path, taskset)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +404,7 @@ def _number(value, field: str) -> float:
 
 
 def write_curriculum(path, taskset: TaskSet, curriculum: Curriculum) -> None:
-    if curriculum.n_tasks != taskset.n:
-        raise ValidationError(
-            f"curriculum is over {curriculum.n_tasks} tasks, task set has {taskset.n}"
-        )
+    _same_tasks("curriculum", curriculum.n_tasks, "task set", taskset.n)
     doc = {
         "tasks": list(taskset.names),
         "curriculum": [taskset.names[i] for i in curriculum.entries],
@@ -433,15 +432,7 @@ def load_dataset(curves_path, curriculum_path):
     unobserved columns).
     """
     taskset, curriculum = parse_curriculum(curriculum_path)
-    records, _, max_step = _read_cells(curves_path, taskset)
-    if max_step >= curriculum.m:
-        # checked before any array is sized from the file's steps
-        longest = max(records, key=lambda algo: records[algo]["step"].max())
-        raise ValidationError(
-            f"curves for {longest!r} span {max_step + 1} steps, "
-            f"curriculum has {curriculum.m}"
-        )
-    return taskset, curriculum, _curve_matrices(records, taskset, curriculum.m)
+    return taskset, curriculum, _curves(curves_path, taskset, curriculum.m)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +440,7 @@ def load_dataset(curves_path, curriculum_path):
 
 
 def write_params(path, taskset: TaskSet, params: ScenarioParams) -> None:
-    if params.n != taskset.n:
-        raise ValidationError(
-            f"params cover {params.n} tasks, task set has {taskset.n}"
-        )
+    _same_tasks("parameter set", params.n, "task set", taskset.n)
     doc = {
         "tasks": list(taskset.names),
         "transfer_matrix": [

@@ -22,23 +22,22 @@ it; each parameter group's gradient is then one reduction over those
 records and the forward rollout's.  Tests check it against a forward-mode
 oracle and central finite differences.
 
-A fit sets up one ``_Problem`` per (curriculum, observed, mask).  Each
-(steps, algorithms, tasks) array an evaluation writes, and each operand
-of the per-step loops, is a buffer there that ufuncs refill with
-``out=``; smaller arrays, such as the adjoint's epilogue and Adam's
-update, are plain expressions, where a buffer saves no time.  Operations
-and order are those of the plain expressions, so results are bitwise
-those of an allocating evaluation.  Every (steps, algorithms, tasks)
-array is stored step-major and C-contiguous, and the loops and the
-reductions read it in that layout.  ``loss`` and ``gradient`` build one
-problem per call.
+A fit builds one ``_Problem`` from the curriculum and the observed
+curves, which it checks and stacks.  Each (steps, algorithms, tasks)
+array an evaluation writes, and each operand of the per-step loops, is a
+buffer there that ufuncs refill with ``out=``; smaller arrays, such as
+the adjoint's epilogue and Adam's update, are plain expressions, where a
+buffer saves no time.  Operations and order are those of the plain
+expressions, so results are bitwise those of an allocating evaluation.
+Every (steps, algorithms, tasks) array is stored step-major and
+C-contiguous, and the loops and the reductions read it in that layout.
+``loss`` and ``gradient`` build one problem per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -124,47 +123,41 @@ class ParamGradient:
     expertise_translation: np.ndarray
 
 
-def _check_shapes(curriculum: Curriculum, observed) -> tuple[np.ndarray, np.ndarray]:
-    """Stack observed matrices to step-major (m, p, n) values and mask
-    arrays."""
-    if len(observed) < 1:
-        raise ValidationError("at least one observed matrix is required")
-    n, m = curriculum.n_tasks, curriculum.m
-    for o in observed:
-        if o.values.shape != (n, m):
-            raise ValidationError(
-                f"observed matrix for {o.algorithm!r} has shape {o.values.shape}, "
-                f"expected {(n, m)}"
-            )
-    obs = np.stack([o.values for o in observed]).transpose(2, 0, 1).copy()
-    mask = np.stack([o.mask for o in observed]).transpose(2, 0, 1).copy()
-    if not mask.any():
-        raise ValidationError("observed data has no masked-true entries")
-    return obs, mask
-
-
 class _Problem:
-    """One (curriculum, observed, mask) and the buffers that evaluating
-    its loss and gradient writes, set up once.
+    """One curriculum with its observed curves, and the buffers that
+    evaluating its loss and gradient writes, set up once.
 
-    A fit evaluates the same problem at every optimizer step, so each
-    evaluation refills its (m, p, n) arrays and the records the backward
-    loop reads instead of allocating them; after a warm-up it allocates
-    less than one (m, p, n) array.  It writes every buffer in full before
-    it reads it (states[0] alone is set once, to zero), in the order of the
-    expression it evaluates; results are therefore bitwise the same
-    whatever an earlier evaluation left behind.  Every (m, p, n) buffer
-    is C-contiguous with the step axis first, like the rollout's, so each
-    step's (p, n) slice is a contiguous operand of the backward loop.
-    ``grad`` is the flat gradient laid out like ``_pack``, and
+    The observed matrices are checked against the curriculum and stacked
+    step-major into ``obs`` and ``mask`` (m, p, n), algorithms in the
+    order given.  A fit evaluates the same problem at every optimizer
+    step, so each evaluation refills its (m, p, n) arrays and the records
+    the backward loop reads instead of allocating them; after a warm-up it
+    allocates less than one (m, p, n) array.  It writes every buffer in
+    full before it reads it (states[0] alone is set once, to zero), in the
+    order of the expression it evaluates; results are therefore bitwise
+    the same whatever an earlier evaluation left behind.  Every (m, p, n)
+    buffer is C-contiguous with the step axis first, like the rollout's,
+    so each step's (p, n) slice is a contiguous operand of the backward
+    loop.  ``grad`` is the flat gradient laid out like ``_pack``, and
     ``grad_groups`` its ``_unpack`` views.
     """
 
-    def __init__(self, curriculum: Curriculum, obs: np.ndarray, mask: np.ndarray):
-        m, p, n = obs.shape
+    def __init__(self, curriculum: Curriculum, observed):
+        if len(observed) < 1:
+            raise ValidationError("at least one observed matrix is required")
+        n, m, p = curriculum.n_tasks, curriculum.m, len(observed)
+        for o in observed:
+            if o.values.shape != (n, m):
+                raise ValidationError(
+                    f"observed matrix for {o.algorithm!r} has shape {o.values.shape}, "
+                    f"expected {(n, m)}"
+                )
+        self.obs = np.stack([o.values for o in observed]).transpose(2, 0, 1).copy()
+        self.mask = np.stack([o.mask for o in observed]).transpose(2, 0, 1).copy()
+        if not self.mask.any():
+            raise ValidationError("observed data has no masked-true entries")
         self.rollout = _Rollout(n, p, curriculum.entries)
-        self.obs = obs
-        self.unobserved = ~mask
+        self.unobserved = ~self.mask
         self.resid = np.empty((m, p, n))
         # first the squared residuals, then what the output map adds to
         # ebar at step l
@@ -180,14 +173,10 @@ class _Problem:
         self.scratch = np.empty(p)
         self.grad = np.empty(n * n + n + 3 * p)
         self.grad_groups = _unpack(self.grad, n, p)
-
-    @cached_property
-    def phases(self):
-        """Per step l, last step first: inject[l], ebars[l], transfer[i]
-        per algorithm, dgains[l], feedback[l] and ebar[:, i].  Built on
-        the first gradient, as ``loss`` never reads them."""
+        # per step l, last step first: inject[l], ebars[l], transfer[i] per
+        # algorithm, dgains[l], feedback[l] and ebar[:, i]
         columns = list(self.ebar.T)
-        return list(
+        self.phases = list(
             zip(
                 self.inject[::-1],
                 self.ebars[::-1],
@@ -261,21 +250,17 @@ class _Problem:
         return loss
 
 
-def _problem(params: ScenarioParams, curriculum: Curriculum, observed):
-    arrays = _checked_arrays(params, curriculum)
-    return arrays, _Problem(curriculum, *_check_shapes(curriculum, observed))
-
-
 def loss(params: ScenarioParams, curriculum: Curriculum, observed) -> float:
     """Summed squared error between simulated and observed curves (masked
     entries excluded)."""
-    arrays, problem = _problem(params, curriculum, observed)
-    return problem.loss(arrays)
+    arrays = _checked_arrays(params, curriculum)
+    return _Problem(curriculum, observed).loss(arrays)
 
 
 def gradient(params: ScenarioParams, curriculum: Curriculum, observed) -> ParamGradient:
     """Exact derivatives of ``loss`` with respect to every parameter."""
-    arrays, problem = _problem(params, curriculum, observed)
+    arrays = _checked_arrays(params, curriculum)
+    problem = _Problem(curriculum, observed)
     problem.loss_and_grad(arrays)
     return ParamGradient(*problem.grad_groups)
 
@@ -370,7 +355,7 @@ def fit(
     Raises DivergenceError if the loss, the gradient of a parameter the
     fit moves, or a parameter goes non-finite; the loss is checked first.
     """
-    obs, mask = _check_shapes(curriculum, observed)
+    problem = _Problem(curriculum, observed)
     n, p = curriculum.n_tasks, len(observed)
     names = [o.algorithm for o in observed]
     if len(set(names)) != len(names):
@@ -386,11 +371,11 @@ def fit(
     lo, hi = _bounds(n, p)
     pinned = lo == hi
     theta = np.clip(theta, lo, hi)
-    n_masked = int(np.sum(mask))
+    n_masked = int(np.sum(problem.mask))
     scale = 1.0 / n_masked
 
     # Adam updates theta in place, so these views follow every step.
-    problem, arrays = _Problem(curriculum, obs, mask), _unpack(theta, n, p)
+    arrays = _unpack(theta, n, p)
     g = problem.grad
     moment1 = moment2 = np.zeros_like(theta)
     trace = np.empty(config.steps + 1)
@@ -426,7 +411,7 @@ def fit(
         if not math.isfinite(final_raw):
             raise DivergenceError(config.steps, "loss")
         squares = np.einsum("lpn,lpn->p", problem.resid, problem.resid)
-        counts = np.maximum(mask.sum(axis=(0, 2)), 1)
+        counts = np.maximum(problem.mask.sum(axis=(0, 2)), 1)
         per_algo = {name: float(s / c) for name, s, c in zip(names, squares, counts)}
     trace[config.steps] = final_raw * scale
     return FitResult(
@@ -510,22 +495,15 @@ def recovery_experiment(
     ``fit(init_params=...)``).  Trials run one after another in this
     process.  A trial whose fit diverges is skipped and reported.
     """
-    if min(n_tasks, n_algos, curriculum_len, trials) < 1:
-        raise ValidationError("all experiment counts must be at least 1")
-    if not 0 <= seed < 2**64:
-        raise ValidationError("seed must fit in an unsigned 64-bit integer")
+    if trials < 1:
+        raise ValidationError("trials must be at least 1")
+    base = ScenarioSpec(n_tasks, n_algos, curriculum_len, seed)
     per_trial, failures = [], []
     for t in range(trials):
-        trial_seed = (seed + t) % 2**64
-        spec = ScenarioSpec(
-            n_tasks=n_tasks,
-            n_algos=n_algos,
-            curriculum_len=curriculum_len,
-            seed=trial_seed,
-        )
+        spec = replace(base, seed=(seed + t) % 2**64)
         truth, curriculum, data = generate(spec)
         # The fit's init seed is scrambled so it cannot start at the truth.
-        cfg = replace(config, seed=(trial_seed ^ _SEED_SCRAMBLE) % 2**64)
+        cfg = replace(config, seed=(spec.seed ^ _SEED_SCRAMBLE) % 2**64)
         try:
             result = fit(curriculum, data, cfg)
         except DivergenceError as exc:

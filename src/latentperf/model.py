@@ -367,12 +367,16 @@ def _params_from_arrays(
     )
 
 
+def _same_tasks(what: str, n: int, other: str, n_other: int) -> None:
+    """Raise ValidationError unless ``what`` covers as many tasks as
+    ``other``: the one check and message for every task-count mismatch."""
+    if n != n_other:
+        raise ValidationError(f"{what} covers {n} tasks, {other} has {n_other}")
+
+
 def _checked_arrays(params: ScenarioParams, curriculum: Curriculum):
     """``_param_arrays`` after checking that both cover the same tasks."""
-    if curriculum.n_tasks != params.n:
-        raise ValidationError(
-            f"curriculum is over {curriculum.n_tasks} tasks, params have {params.n}"
-        )
+    _same_tasks("parameter set", params.n, "curriculum", curriculum.n_tasks)
     return _param_arrays(params)
 
 

@@ -23,6 +23,7 @@ from .model import (
     ScenarioParams,
     TaskSet,
     _algorithm_record,
+    _same_tasks,
 )
 
 COMPARISON_PARAMETERS = tuple(ALGORITHM_FIELDS)
@@ -80,10 +81,7 @@ def property_table(algorithms: Iterable[AlgorithmProperties]) -> Table:
 
 def transfer_table(params: ScenarioParams, taskset: TaskSet) -> Table:
     """Task-by-task transfer matrix; the self-transfer diagonal is bolded."""
-    if params.n != taskset.n:
-        raise ValidationError(
-            f"params cover {params.n} tasks, task set has {taskset.n}"
-        )
+    _same_tasks("parameter set", params.n, "task set", taskset.n)
     a = params.tasks.transfer
     rows = []
     for i, name in enumerate(taskset.names):
@@ -106,10 +104,7 @@ def transfer_table(params: ScenarioParams, taskset: TaskSet) -> Table:
 
 
 def difficulty_table(params: ScenarioParams, taskset: TaskSet) -> Table:
-    if params.n != taskset.n:
-        raise ValidationError(
-            f"params cover {params.n} tasks, task set has {taskset.n}"
-        )
+    _same_tasks("parameter set", params.n, "task set", taskset.n)
     d = params.tasks.difficulty
     machine = {
         "table": "task_difficulty",
@@ -268,13 +263,9 @@ def plot_curves(observed, predicted, curriculum: Curriculum, taskset: TaskSet) -
     observed = list(observed)
     if not observed:
         raise ValidationError("nothing to plot")
-    n = observed[0].n_tasks
-    if curriculum.n_tasks != n:
-        raise ValidationError(
-            f"curriculum is over {curriculum.n_tasks} tasks, curves have {n}"
-        )
-    if taskset.n != n:
-        raise ValidationError(f"task set has {taskset.n} names, curves have {n} tasks")
+    n, what = observed[0].n_tasks, f"matrix for {observed[0].algorithm!r}"
+    _same_tasks(what, n, "curriculum", curriculum.n_tasks)
+    _same_tasks(what, n, "task set", taskset.n)
     m = curriculum.m
     for mat in observed:
         if mat.values.shape != (n, m):

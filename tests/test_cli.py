@@ -206,14 +206,20 @@ _WRITERS = {
 }
 
 
+def _writer_inputs(tmp_path):
+    """A directory with every input of every ``_WRITERS`` command."""
+    src = _generate(tmp_path)
+    for name in ("raw_metrics.csv", "raw_boundaries.json"):
+        (src / name).write_bytes(_bytes(f"{DATA_DIR}/{name}"))
+    return src
+
+
 @pytest.mark.parametrize("command", sorted(_WRITERS))
 def test_outputs_get_their_directories_unless_a_file_is_in_the_way(
     tmp_path, capsys, command
 ):
     argv, written = _WRITERS[command]
-    src = _generate(tmp_path)
-    for name in ("raw_metrics.csv", "raw_boundaries.json"):
-        (src / name).write_bytes(_bytes(f"{DATA_DIR}/{name}"))
+    src = _writer_inputs(tmp_path)
     out = tmp_path / "new" / "sub" / "x"
     assert main(argv(src, str(out))) == 0
     assert (out / written).is_file()
@@ -224,6 +230,25 @@ def test_outputs_get_their_directories_unless_a_file_is_in_the_way(
     assert code == 2
     assert f"{tmp_path / 'taken'} exists and is not a directory" in capsys.readouterr().err
     assert (tmp_path / "taken").read_bytes() == b""
+
+
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_outputs_that_are_directories_are_refused_before_any_read(
+    tmp_path, capsys, command
+):
+    argv, written = _WRITERS[command]
+    src = _writer_inputs(tmp_path)
+    out = tmp_path / "out"
+    (out / written).mkdir(parents=True)
+    progress = ["--progress"] if command == "fit" else []
+    # Inputs that do not exist, then real ones: either way the refusal
+    # comes first, so no fit step runs and no output is written.
+    for inputs in (tmp_path / "absent", src):
+        assert main([*argv(inputs, str(out)), *progress]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out / written} is a directory, not a file\n"
+        assert list(out.rglob("*")) == ([out / written] if written else [])
 
 
 # ---------------------------------------------------------------------------

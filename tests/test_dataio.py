@@ -771,6 +771,19 @@ def test_load_dataset_rejects_overlong_curves(rng, tmp_path):
     )
     with pytest.raises(ValidationError, match="curves for 'B' span 6 steps"):
         load_dataset(tmp_path / "curves.csv", tmp_path / "cur.json")
+    # the span is checked before any matrix is sized from the file's steps
+    step = 10**12
+    (tmp_path / "curves.csv").write_text(
+        f"algorithm,step,task,performance\nA,{step},a,0.1\n"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"curves for 'A' span {step + 1} steps"):
+            load_dataset(tmp_path / "curves.csv", tmp_path / "cur.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_load_dataset_rejects_foreign_tasks(rng, tmp_path):
@@ -995,7 +1008,10 @@ def _compare_readers(tmp, curves, raw):
 
         assert _outcome(curves_new) == _outcome(curves_ref)
     else:
-        records, names, max_step = dataio._read_cells(curves_path, None)
+        records, names = dataio._read_records(
+            curves_path, dataio.CURVES_HEADER, "curves file", None, cells=True
+        )
+        max_step = max(int(rec["step"].max()) for rec in records.values())
         got = {
             algo: {(int(t), int(s)): float(v).hex() for s, t, v in rec.tolist()}
             for algo, rec in records.items()

@@ -298,8 +298,8 @@ def test_problem_workspace_leaves_no_stale_state(rng):
         names,
     )
     _, params_c, _ = random_instance(rng, 4, 9, 3)
-    obs, mask = estimator._check_shapes(cur, _random_observed(rng, params_a, cur))
-    shared = estimator._Problem(cur, obs, mask)
+    observed = _random_observed(rng, params_a, cur)
+    shared = estimator._Problem(cur, observed)
     sequence = [
         ("loss_and_grad", params_a),
         ("loss", params_b),
@@ -312,7 +312,7 @@ def test_problem_workspace_leaves_no_stale_state(rng):
     ]
     for method, params in sequence:
         arrays = _param_arrays(params)
-        fresh = estimator._Problem(cur, obs, mask)
+        fresh = estimator._Problem(cur, observed)
         value = getattr(shared, method)(arrays)
         assert value == getattr(fresh, method)(arrays)
         np.testing.assert_array_equal(shared.rollout.curves, fresh.rollout.curves)
@@ -329,8 +329,7 @@ def test_kernel_loops_read_contiguous_same_shape_operands(rng):
     # product gain[:, None] * transfer[i] is the one exception.
     _, params, cur = random_instance(rng, 4, 9, 3)
     n, p = params.n, params.p
-    obs, mask = estimator._check_shapes(cur, _random_observed(rng, params, cur))
-    problem = estimator._Problem(cur, obs, mask)
+    problem = estimator._Problem(cur, _random_observed(rng, params, cur))
     problem.loss_and_grad(_param_arrays(params))
     ws = problem.rollout
 
@@ -409,10 +408,11 @@ def test_kernel_matches_textbook_form_bitwise(rng, n, p, m, count):
     # must be bitwise those of the textbook evaluation.
     for _ in range(count):
         _, params, cur = random_instance(rng, n, m, p)
-        obs, mask = estimator._check_shapes(cur, _random_observed(rng, params, cur))
-        problem = estimator._Problem(cur, obs, mask)
+        problem = estimator._Problem(cur, _random_observed(rng, params, cur))
         value = problem.loss_and_grad(_param_arrays(params))
-        curves, expected, groups = _textbook_loss_and_grad(params, cur, obs, mask)
+        curves, expected, groups = _textbook_loss_and_grad(
+            params, cur, problem.obs, problem.mask
+        )
         np.testing.assert_array_equal(problem.rollout.curves, curves)
         assert value == expected
         for got, want in zip(problem.grad_groups, groups, strict=True):
@@ -425,8 +425,7 @@ def test_problem_buffers_have_one_step_major_layout(rng):
     # algorithm-major copy of the same numbers.
     _, params, cur = random_instance(rng, 4, 9, 3)
     n, p, m = params.n, params.p, cur.m
-    obs, mask = estimator._check_shapes(cur, _random_observed(rng, params, cur))
-    problem = estimator._Problem(cur, obs, mask)
+    problem = estimator._Problem(cur, _random_observed(rng, params, cur))
     problem.loss_and_grad(_param_arrays(params))
     buffers = {
         name: value
@@ -449,18 +448,17 @@ def test_loss_and_grad_allocates_less_than_one_step_major_array(rng):
     # size it is several times numpy's 8,192-element iterator buffer, so
     # an (m, p, n) temporary cannot hide inside that buffer's allocation.
     _, params, cur = random_instance(rng, 20, 400, 6)
-    obs, mask = estimator._check_shapes(cur, _random_observed(rng, params, cur))
-    problem = estimator._Problem(cur, obs, mask)
+    problem = estimator._Problem(cur, _random_observed(rng, params, cur))
     arrays = _param_arrays(params)
-    problem.loss_and_grad(arrays)  # builds the cached per-phase views
+    problem.loss_and_grad(arrays)  # warm-up
     tracemalloc.start()
     try:
         problem.loss_and_grad(arrays)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert obs.nbytes > 5 * 8192 * obs.itemsize
-    assert peak < obs.nbytes
+    assert problem.obs.nbytes > 5 * 8192 * problem.obs.itemsize
+    assert peak < problem.obs.nbytes
 
 
 # ---------------------------------------------------------------------------

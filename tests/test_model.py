@@ -13,7 +13,13 @@ from latentperf import (
     TaskProperties,
     TaskSet,
     ValidationError,
+    difficulty_table,
+    plot_curves,
     simulate_all,
+    transfer_table,
+    write_curriculum,
+    write_curves,
+    write_params,
 )
 from latentperf.model import (
     ALGORITHM_FIELDS,
@@ -135,6 +141,60 @@ def test_params_from_arrays_inverts_param_arrays(rng):
         assert back.tasks.transfer is not params.tasks.transfer
         with pytest.raises(ValueError):
             _params_from_arrays(*_param_arrays(params), names[:-1])
+
+
+_ONE = TaskSet(["u"])
+_THREE = Curriculum(entries=[0, 1, 2], n_tasks=3)
+
+# Every check that two inputs cover the same number of tasks, called with
+# params and a curriculum over two tasks (and one algorithm, a0) against a
+# task set of one or a curriculum of three, and the message it must raise.
+_TASK_COUNT_SITES = {
+    "write_curves": (
+        lambda out, params, cur: write_curves(out, _ONE, simulate_all(params, cur)),
+        "matrix for 'a0' covers 2 tasks, task set has 1",
+    ),
+    "write_curriculum": (
+        lambda out, params, cur: write_curriculum(out, _ONE, cur),
+        "curriculum covers 2 tasks, task set has 1",
+    ),
+    "write_params": (
+        lambda out, params, cur: write_params(out, _ONE, params),
+        "parameter set covers 2 tasks, task set has 1",
+    ),
+    "transfer_table": (
+        lambda out, params, cur: transfer_table(params, _ONE),
+        "parameter set covers 2 tasks, task set has 1",
+    ),
+    "difficulty_table": (
+        lambda out, params, cur: difficulty_table(params, _ONE),
+        "parameter set covers 2 tasks, task set has 1",
+    ),
+    "plot_curves, task set": (
+        lambda out, params, cur: plot_curves(simulate_all(params, cur), [], cur, _ONE),
+        "matrix for 'a0' covers 2 tasks, task set has 1",
+    ),
+    "plot_curves, curriculum": (
+        lambda out, params, cur: plot_curves(
+            simulate_all(params, cur), [], _THREE, TaskSet(["t0", "t1"])
+        ),
+        "matrix for 'a0' covers 2 tasks, curriculum has 3",
+    ),
+    "simulate_all": (
+        lambda out, params, cur: simulate_all(params, _THREE),
+        "parameter set covers 2 tasks, curriculum has 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_TASK_COUNT_SITES))
+def test_every_task_count_mismatch_has_one_message(rng, tmp_path, site):
+    call, message = _TASK_COUNT_SITES[site]
+    _, params, cur = random_instance(rng, 2, 3, 1)
+    with pytest.raises(ValidationError) as info:
+        call(tmp_path / "out", params, cur)
+    assert str(info.value) == message
+    assert not (tmp_path / "out").exists()  # refused before writing
 
 
 # ---------------------------------------------------------------------------

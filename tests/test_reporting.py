@@ -393,7 +393,7 @@ def test_plot_validates_shapes():
         plot_curves(bad, [], cur, taskset=ts)
     with pytest.raises(ValidationError):
         plot_curves(observed, bad, cur, taskset=ts)
-    with pytest.raises(ValidationError, match="task set has 1 names"):
+    with pytest.raises(ValidationError, match="covers 2 tasks, task set has 1"):
         plot_curves(observed, predicted, cur, taskset=TaskSet(["u"]))
-    with pytest.raises(ValidationError, match="curriculum is over 3 tasks"):
+    with pytest.raises(ValidationError, match="covers 2 tasks, curriculum has 3"):
         plot_curves(observed, predicted, Curriculum(entries=[0, 1, 2], n_tasks=3), ts)
