@@ -53,6 +53,7 @@ from .model import (
     TaskProperties,
     TaskSet,
     _algorithm_record,
+    _is_int,
     _same_tasks,
 )
 
@@ -384,10 +385,6 @@ def _string_list(value, field: str) -> list[str]:
     ):
         raise SchemaError("must be a list of non-empty strings", field=field)
     return value
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _number(value, field: str) -> float:

@@ -47,10 +47,11 @@ from .model import (
     Curriculum,
     ScenarioParams,
     _Rollout,
-    _checked_arrays,
     _forward_curves,
+    _is_int,
     _param_arrays,
     _params_from_arrays,
+    _same_tasks,
 )
 from .scenarios import ScenarioSpec, generate
 
@@ -88,11 +89,11 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValidationError("steps must be nonnegative")
+        if not _is_int(self.steps) or self.steps < 0:
+            raise ValidationError("steps must be a nonnegative integer")
         if not 0 < self.learning_rate < math.inf:
             raise ValidationError("learning_rate must be positive and finite")
-        if not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
 
 
@@ -129,23 +130,28 @@ class _Problem:
 
     The observed matrices are checked against the curriculum and stacked
     step-major into ``obs`` and ``mask`` (m, p, n), algorithms in the
-    order given.  A fit evaluates the same problem at every optimizer
-    step, so each evaluation refills its (m, p, n) arrays and the records
-    the backward loop reads instead of allocating them; after a warm-up it
-    allocates less than one (m, p, n) array.  It writes every buffer in
-    full before it reads it (states[0] alone is set once, to zero), in the
-    order of the expression it evaluates; results are therefore bitwise
-    the same whatever an earlier evaluation left behind.  Every (m, p, n)
-    buffer is C-contiguous with the step axis first, like the rollout's,
-    so each step's (p, n) slice is a contiguous operand of the backward
-    loop.  ``grad`` is the flat gradient laid out like ``_pack``, and
-    ``grad_groups`` its ``_unpack`` views.
+    order given; their names, ``names``, must be unique.  ``arrays`` alone
+    pairs a parameter set with them, by position.  A fit evaluates the
+    same problem at every optimizer step, so each evaluation refills its
+    (m, p, n) arrays and the records the backward loop reads instead of
+    allocating them; after a warm-up it allocates less than one (m, p, n)
+    array.  It writes every buffer in full before it reads it (states[0]
+    alone is set once, to zero), in the order of the expression it
+    evaluates; results are therefore bitwise the same whatever an earlier
+    evaluation left behind.  Every (m, p, n) buffer is C-contiguous with
+    the step axis first, like the rollout's, so each step's (p, n) slice
+    is a contiguous operand of the backward loop.  ``grad`` is the flat
+    gradient laid out like ``_pack``, and ``grad_groups`` its ``_unpack``
+    views.
     """
 
     def __init__(self, curriculum: Curriculum, observed):
         if len(observed) < 1:
             raise ValidationError("at least one observed matrix is required")
         n, m, p = curriculum.n_tasks, curriculum.m, len(observed)
+        self.names = [o.algorithm for o in observed]
+        if len(set(self.names)) != p:
+            raise ValidationError("observed algorithm names must be unique")
         for o in observed:
             if o.values.shape != (n, m):
                 raise ValidationError(
@@ -186,6 +192,18 @@ class _Problem:
                 [columns[i] for i in self.rollout.entries[::-1]],
             )
         )
+
+    def arrays(self, params: ScenarioParams):
+        """``params`` as the parameter groups the evaluations take, paired
+        with the observed matrices by position (names are not compared).
+        Raises ValidationError unless the task and algorithm counts match."""
+        _, p, n = self.obs.shape
+        _same_tasks("parameter set", params.n, "curriculum", n)
+        if params.p != p:
+            raise ValidationError(
+                f"parameter set covers {params.p} algorithms, observed data has {p}"
+            )
+        return _param_arrays(params)
 
     def loss(self, arrays) -> float:
         """Rollout at the parameter groups ``arrays``; leaves the masked
@@ -252,16 +270,18 @@ class _Problem:
 
 def loss(params: ScenarioParams, curriculum: Curriculum, observed) -> float:
     """Summed squared error between simulated and observed curves (masked
-    entries excluded)."""
-    arrays = _checked_arrays(params, curriculum)
-    return _Problem(curriculum, observed).loss(arrays)
+    entries excluded).  Algorithm k of ``params`` pairs with ``observed[k]``
+    by position, names not compared; a task or algorithm count that does
+    not match, or a repeated observed name, raises ValidationError."""
+    problem = _Problem(curriculum, observed)
+    return problem.loss(problem.arrays(params))
 
 
 def gradient(params: ScenarioParams, curriculum: Curriculum, observed) -> ParamGradient:
-    """Exact derivatives of ``loss`` with respect to every parameter."""
-    arrays = _checked_arrays(params, curriculum)
+    """Exact derivatives of ``loss`` with respect to every parameter, for
+    inputs paired and checked as ``loss`` pairs and checks them."""
     problem = _Problem(curriculum, observed)
-    problem.loss_and_grad(arrays)
+    problem.loss_and_grad(problem.arrays(params))
     return ParamGradient(*problem.grad_groups)
 
 
@@ -341,10 +361,11 @@ def fit(
     Runs ``config.steps`` Adam updates on the summed-squares objective,
     projecting onto the feasible boxes after every update.  Deterministic
     given (config, inputs).  ``init_params`` overrides the seeded random
-    initialization.  ``callback(step, loss, feasible)`` is invoked once per
-    update with the 1-based step index, the normalized loss at the point
-    the update's gradient was taken, and whether the projected parameters
-    satisfy every box constraint.
+    initialization; it pairs with ``observed`` by position, and count
+    mismatches raise ValidationError.  ``callback(step, loss, feasible)``
+    is invoked once per update with the 1-based step index, the normalized
+    loss at the point the update's gradient was taken, and whether the
+    projected parameters satisfy every box constraint.
 
     Every algorithm shares one transfer matrix and difficulty vector.  Its
     diagonal is held at exactly 1, also when ``init_params`` has another
@@ -356,15 +377,9 @@ def fit(
     fit moves, or a parameter goes non-finite; the loss is checked first.
     """
     problem = _Problem(curriculum, observed)
-    n, p = curriculum.n_tasks, len(observed)
-    names = [o.algorithm for o in observed]
-    if len(set(names)) != len(names):
-        raise ValidationError("observed algorithm names must be unique")
-
+    n, p, names = curriculum.n_tasks, len(observed), problem.names
     if init_params is not None:
-        if init_params.n != n or init_params.p != p:
-            raise ValidationError("init_params shape does not match inputs")
-        theta = _pack(_param_arrays(init_params))
+        theta = _pack(problem.arrays(init_params))
     else:
         theta = _initial_theta(n, p, config.seed)
 

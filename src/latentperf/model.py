@@ -35,6 +35,11 @@ from .errors import ValidationError
 D_MIN = 1e-3
 
 
+def _is_int(value) -> bool:
+    """The one integer rule: a Python or numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TaskSet:
     """Ordered collection of distinct task names."""
@@ -69,16 +74,17 @@ class Curriculum:
     n_tasks: int
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-        if self.n_tasks < 1:
-            raise ValidationError("n_tasks must be at least 1")
-        if len(self.entries) < 1:
+        entries = tuple(self.entries)
+        if not _is_int(self.n_tasks) or self.n_tasks < 1:
+            raise ValidationError("n_tasks must be an integer, at least 1")
+        if len(entries) < 1:
             raise ValidationError("a curriculum needs at least one entry")
-        for e in self.entries:
-            if not 0 <= e < self.n_tasks:
+        for e in entries:
+            if not _is_int(e) or not 0 <= e < self.n_tasks:
                 raise ValidationError(
-                    f"curriculum entry {e} out of range for {self.n_tasks} tasks"
+                    f"curriculum entry {e} is not an integer in [0, {self.n_tasks})"
                 )
+        object.__setattr__(self, "entries", tuple(int(e) for e in entries))
 
     @property
     def m(self) -> int:
@@ -374,12 +380,6 @@ def _same_tasks(what: str, n: int, other: str, n_other: int) -> None:
         raise ValidationError(f"{what} covers {n} tasks, {other} has {n_other}")
 
 
-def _checked_arrays(params: ScenarioParams, curriculum: Curriculum):
-    """``_param_arrays`` after checking that both cover the same tasks."""
-    _same_tasks("parameter set", params.n, "curriculum", curriculum.n_tasks)
-    return _param_arrays(params)
-
-
 def simulate_all(params: ScenarioParams, curriculum: Curriculum) -> list[PerformanceMatrix]:
     """Forward rollout for every algorithm, order preserved.
 
@@ -387,7 +387,8 @@ def simulate_all(params: ScenarioParams, curriculum: Curriculum) -> list[Perform
     curriculum step (and its algorithm) whose experience over difficulty is
     not finite; its curves would otherwise read exactly -1 or 1.
     """
-    arrays = _checked_arrays(params, curriculum)
+    _same_tasks("parameter set", params.n, "curriculum", curriculum.n_tasks)
+    arrays = _param_arrays(params)
     ws = _Rollout(params.n, params.p, curriculum.entries)
     with np.errstate(over="ignore", invalid="ignore"):
         curves = _forward_curves(ws, *arrays)

@@ -13,6 +13,7 @@ from .model import (
     Curriculum,
     PerformanceMatrix,
     ScenarioParams,
+    _is_int,
     _params_from_arrays,
     simulate_all,
 )
@@ -35,9 +36,10 @@ class ScenarioSpec:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        if min(self.n_tasks, self.n_algos, self.curriculum_len) < 1:
-            raise ValidationError("scenario dimensions must be at least 1")
-        if not 0 <= self.seed < 2**64:
+        sizes = (self.n_tasks, self.n_algos, self.curriculum_len)
+        if not all(_is_int(k) and k >= 1 for k in sizes):
+            raise ValidationError("scenario dimensions must be integers, at least 1")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
         if not 0 <= self.noise_std < math.inf:
             raise ValidationError("noise_std must be nonnegative and finite")

@@ -694,8 +694,52 @@ def test_fit_init_params_must_match_inputs(rng):
     wrong_n = random_instance(rng, 2, cur.m, 2)[1]
     wrong_p = random_instance(rng, 3, cur.m, 1)[1]
     for init in (wrong_n, wrong_p):
-        with pytest.raises(ValidationError, match="init_params shape"):
+        with pytest.raises(
+            ValidationError,
+            match="parameter set covers (2 tasks, curriculum has 3"
+            "|1 algorithms, observed data has 2)",
+        ):
             fit(cur, observed, FitConfig(steps=1), init_params=init)
+
+
+# Every entry point that pairs a parameter set with observed curves, called
+# as (params, curriculum, observed).
+_PAIRING_SITES = {
+    "loss": loss,
+    "gradient": gradient,
+    "fit(init_params=...)": lambda params, cur, observed: fit(
+        cur, observed, FitConfig(steps=1), init_params=params
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "n, p, message",
+    [
+        (3, 1, "parameter set covers 1 algorithms, observed data has 2"),
+        (3, 3, "parameter set covers 3 algorithms, observed data has 2"),
+        (4, 2, "parameter set covers 4 tasks, curriculum has 3"),
+    ],
+    ids=["one algorithm fewer", "one algorithm more", "another task count"],
+)
+@pytest.mark.parametrize("site", sorted(_PAIRING_SITES))
+def test_params_must_pair_with_observed_by_count(rng, site, n, p, message):
+    # params pair with the observed matrices by position, so only the
+    # counts are checked; before, loss and gradient broadcast a short
+    # parameter set and returned a number
+    _, cur, observed = _small_problem(rng, n=3, p=2)
+    params = random_instance(rng, n, cur.m, p)[1]
+    with pytest.raises(ValidationError) as info:
+        _PAIRING_SITES[site](params, cur, observed)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("site", ["loss", "gradient"])
+def test_loss_and_gradient_refuse_duplicate_observed_names(rng, site):
+    params, cur, observed = _small_problem(rng)
+    dup = [PerformanceMatrix(algorithm="same", values=o.values) for o in observed]
+    with pytest.raises(ValidationError, match="observed algorithm names must be unique"):
+        _PAIRING_SITES[site](params, cur, dup)
 
 
 def test_fit_config_validation():
@@ -707,6 +751,14 @@ def test_fit_config_validation():
     for seed in (-1, 2**64):
         with pytest.raises(ValidationError, match="unsigned 64-bit"):
             FitConfig(seed=seed)
+
+
+@pytest.mark.parametrize("field", ["steps", "seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+def test_fit_config_refuses_non_integer_counts(field, value):
+    # before, a float reached numpy and failed there with a TypeError
+    with pytest.raises(ValidationError, match=f"^{field} must"):
+        FitConfig(**{field: value})
 
 
 def test_fit_with_restarts_picks_best(rng):

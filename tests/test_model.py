@@ -63,6 +63,23 @@ def test_curriculum_validation():
         Curriculum(entries=[], n_tasks=2)
 
 
+@pytest.mark.parametrize(
+    "entries, n_tasks",
+    [((1.5, True, 2.9), 3), ((0, 1.0), 2), ((0, np.float64(1)), 2), ((0, 1), 2.5),
+     ((0,), True)],
+)
+def test_curriculum_refuses_non_integers(entries, n_tasks):
+    # before, int() truncated 1.5 to 1 and read True as 1
+    with pytest.raises(ValidationError, match="integer"):
+        Curriculum(entries=entries, n_tasks=n_tasks)
+
+
+def test_curriculum_takes_numpy_integers_as_ints():
+    cur = Curriculum(entries=np.array([0, 2, 1]), n_tasks=np.int64(3))
+    assert cur.entries == (0, 2, 1)
+    assert all(type(e) is int for e in cur.entries)
+
+
 def test_task_properties_validation():
     TaskProperties(transfer=np.eye(2), difficulty=[0.5, 0.5])
     with pytest.raises(ValidationError):

@@ -25,6 +25,14 @@ def test_spec_validation():
         ScenarioSpec(seed=-1)
 
 
+@pytest.mark.parametrize("field", ["n_tasks", "n_algos", "curriculum_len", "seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+def test_spec_refuses_non_integer_sizes_and_seed(field, value):
+    # before, a float reached numpy and failed there with a TypeError
+    with pytest.raises(ValidationError, match="integer"):
+        ScenarioSpec(**{field: value})
+
+
 def test_sampled_params_respect_boxes():
     for seed in range(25):
         params = sample_params(ScenarioSpec(n_tasks=4, n_algos=3, seed=seed))
