@@ -278,8 +278,8 @@ def loss(params: ScenarioParams, curriculum: Curriculum, observed) -> float:
 
 
 def gradient(params: ScenarioParams, curriculum: Curriculum, observed) -> ParamGradient:
-    """Exact derivatives of ``loss`` with respect to every parameter, for
-    inputs paired and checked as ``loss`` pairs and checks them."""
+    """Exact derivatives of ``loss`` with respect to every parameter; the
+    inputs pair and are checked as for ``loss``."""
     problem = _Problem(curriculum, observed)
     problem.loss_and_grad(problem.arrays(params))
     return ParamGradient(*problem.grad_groups)

@@ -724,9 +724,9 @@ _PAIRING_SITES = {
 )
 @pytest.mark.parametrize("site", sorted(_PAIRING_SITES))
 def test_params_must_pair_with_observed_by_count(rng, site, n, p, message):
-    # params pair with the observed matrices by position, so only the
-    # counts are checked; before, loss and gradient broadcast a short
-    # parameter set and returned a number
+    # params pair with the observed matrices by position, so the counts are
+    # all there is to check; unchecked, a short parameter set broadcasts
+    # over the observed matrices and gives a number
     _, cur, observed = _small_problem(rng, n=3, p=2)
     params = random_instance(rng, n, cur.m, p)[1]
     with pytest.raises(ValidationError) as info:
@@ -756,7 +756,7 @@ def test_fit_config_validation():
 @pytest.mark.parametrize("field", ["steps", "seed"])
 @pytest.mark.parametrize("value", [2.5, 3.0, True])
 def test_fit_config_refuses_non_integer_counts(field, value):
-    # before, a float reached numpy and failed there with a TypeError
+    # unchecked, a float reaches numpy and fails there with a TypeError
     with pytest.raises(ValidationError, match=f"^{field} must"):
         FitConfig(**{field: value})
 

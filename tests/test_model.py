@@ -69,7 +69,7 @@ def test_curriculum_validation():
      ((0,), True)],
 )
 def test_curriculum_refuses_non_integers(entries, n_tasks):
-    # before, int() truncated 1.5 to 1 and read True as 1
+    # int() alone would truncate 1.5 to 1 and read True as 1
     with pytest.raises(ValidationError, match="integer"):
         Curriculum(entries=entries, n_tasks=n_tasks)
 

@@ -28,7 +28,7 @@ def test_spec_validation():
 @pytest.mark.parametrize("field", ["n_tasks", "n_algos", "curriculum_len", "seed"])
 @pytest.mark.parametrize("value", [2.5, 3.0, True])
 def test_spec_refuses_non_integer_sizes_and_seed(field, value):
-    # before, a float reached numpy and failed there with a TypeError
+    # unchecked, a float reaches numpy and fails there with a TypeError
     with pytest.raises(ValidationError, match="integer"):
         ScenarioSpec(**{field: value})
 
