@@ -659,10 +659,9 @@ def normalize_minmax(matrix: PerformanceMatrix, task_names=None) -> PerformanceM
     (there is no scale to infer); ``task_names``, one per task row,
     improves that message.
     """
-    if task_names is not None and len(task_names) != matrix.n_tasks:
-        raise ValidationError(
-            f"{len(task_names)} task names for {matrix.n_tasks} task rows"
-        )
+    if task_names is not None:
+        what = f"matrix for {matrix.algorithm!r}"
+        _same_tasks(what, matrix.n_tasks, "list of task names", len(task_names))
     mask = matrix.mask
     vmin = np.min(matrix.values, axis=1, where=mask, initial=np.inf)
     vmax = np.max(matrix.values, axis=1, where=mask, initial=-np.inf)

@@ -15,23 +15,11 @@ itself by the full gain) fixes the column of every trained task.  One
 direction survives it: (difficulty, gamma, lambda) to
 c*(difficulty, gamma, lambda) with transfer unchanged.
 
-Gradients are exact: a hand-derived adjoint of the unrolled experience
-recurrence, in two phases.  A backward loop carries only ebar, d(loss)/
-d(experience), through the steps that are truly sequential, and records
-it; each parameter group's gradient is then one reduction over those
-records and the forward rollout's.  Tests check it against a forward-mode
-oracle and central finite differences.
-
-A fit builds one ``_Problem`` from the curriculum and the observed
-curves, which it checks and stacks.  Each (steps, algorithms, tasks)
-array an evaluation writes, and each operand of the per-step loops, is a
-buffer there that ufuncs refill with ``out=``; smaller arrays, such as
-the adjoint's epilogue and Adam's update, are plain expressions, where a
-buffer saves no time.  Operations and order are those of the plain
-expressions, so results are bitwise those of an allocating evaluation.
-Every (steps, algorithms, tasks) array is stored step-major and
-C-contiguous, and the loops and the reductions read it in that layout.
-``loss`` and ``gradient`` build one problem per call.
+Gradients are exact: ``model._backward`` is the hand-derived adjoint of
+the rollout, checked by tests against a forward-mode oracle and central
+finite differences.  A fit builds one ``_Problem`` from the curriculum
+and the observed curves, which it checks and stacks, and evaluates it at
+every optimizer step; ``loss`` and ``gradient`` build one per call.
 """
 
 from __future__ import annotations
@@ -46,7 +34,9 @@ from .model import (
     D_MIN,
     Curriculum,
     ScenarioParams,
+    _Adjoint,
     _Rollout,
+    _backward,
     _forward_curves,
     _is_int,
     _param_arrays,
@@ -125,24 +115,16 @@ class ParamGradient:
 
 
 class _Problem:
-    """One curriculum with its observed curves, and the buffers that
-    evaluating its loss and gradient writes, set up once.
+    """One curriculum with its observed curves, and the kernel buffers
+    that evaluating its loss and gradient refills: ``rollout`` and its
+    ``adjoint``.
 
     The observed matrices are checked against the curriculum and stacked
     step-major into ``obs`` and ``mask`` (m, p, n), algorithms in the
     order given; their names, ``names``, must be unique.  ``arrays`` alone
-    pairs a parameter set with them, by position.  A fit evaluates the
-    same problem at every optimizer step, so each evaluation refills its
-    (m, p, n) arrays and the records the backward loop reads instead of
-    allocating them; after a warm-up it allocates less than one (m, p, n)
-    array.  It writes every buffer in full before it reads it (states[0]
-    alone is set once, to zero), in the order of the expression it
-    evaluates; results are therefore bitwise the same whatever an earlier
-    evaluation left behind.  Every (m, p, n) buffer is C-contiguous with
-    the step axis first, like the rollout's, so each step's (p, n) slice
-    is a contiguous operand of the backward loop.  ``grad`` is the flat
-    gradient laid out like ``_pack``, and ``grad_groups`` its ``_unpack``
-    views.
+    pairs a parameter set with them, by position.  ``resid`` holds the
+    last evaluation's masked residuals.  ``grad`` is the flat gradient
+    laid out like ``_pack``, and ``grad_groups`` its ``_unpack`` views.
     """
 
     def __init__(self, curriculum: Curriculum, observed):
@@ -163,35 +145,11 @@ class _Problem:
         if not self.mask.any():
             raise ValidationError("observed data has no masked-true entries")
         self.rollout = _Rollout(n, p, curriculum.entries)
+        self.adjoint = _Adjoint(self.rollout)
         self.unobserved = ~self.mask
         self.resid = np.empty((m, p, n))
-        # first the squared residuals, then what the output map adds to
-        # ebar at step l
-        self.inject = np.empty((m, p, n))
-        # what one unit of dgain adds to the trained task's ebar through
-        # its performance
-        self.feedback = np.empty((m, p))
-        # ebars[l] = d(loss)/d(states[l + 1]), dgains[l] = d(loss)/d(gain
-        # at step l); ebar carries d(loss)/d(states[l]) between steps.
-        self.ebars = np.empty((m, p, n))
-        self.dgains = np.empty((m, p))
-        self.ebar = np.empty((p, n))
-        self.scratch = np.empty(p)
         self.grad = np.empty(n * n + n + 3 * p)
         self.grad_groups = _unpack(self.grad, n, p)
-        # per step l, last step first: inject[l], ebars[l], transfer[i] per
-        # algorithm, dgains[l], feedback[l] and ebar[:, i]
-        columns = list(self.ebar.T)
-        self.phases = list(
-            zip(
-                self.inject[::-1],
-                self.ebars[::-1],
-                self.rollout.rows_p[::-1],
-                self.dgains[::-1],
-                self.feedback[::-1],
-                [columns[i] for i in self.rollout.entries[::-1]],
-            )
-        )
 
     def arrays(self, params: ScenarioParams):
         """``params`` as the parameter groups the evaluations take, paired
@@ -212,59 +170,16 @@ class _Problem:
         pred = _forward_curves(self.rollout, *arrays)
         np.subtract(pred, self.obs, out=self.resid)
         np.copyto(self.resid, 0.0, where=self.unobserved)
-        np.multiply(self.resid, self.resid, out=self.inject)
-        return float(np.add.reduce(self.inject, axis=None))
+        # the squares borrow the adjoint's inject, which _backward
+        # overwrites before it reads, so no (m, p, n) buffer is added
+        squares = np.multiply(self.resid, self.resid, out=self.adjoint.inject)
+        return float(np.add.reduce(squares, axis=None))
 
     def loss_and_grad(self, arrays) -> float:
-        """Forward rollout plus the two-phase adjoint (see the module
-        docstring) at the parameter groups ``arrays``.
-
-        Returns the raw summed-squares loss and leaves its gradient in
-        ``grad``.  No BLAS call, so results are bitwise deterministic at any
-        thread count.
-        """
+        """Returns ``loss(arrays)`` and leaves its gradient in ``grad``."""
         _, difficulty, _, _, translation = arrays
-        loss = self.loss(arrays)  # also fills the rollout's keep
-        ws = self.rollout
-        e, pred = ws.entries, ws.curves
-        inject, feedback = self.inject, self.feedback
-        # inject = resid * (1 - pred * pred) / difficulty
-        np.multiply(pred, pred, out=inject)
-        np.subtract(1.0, inject, out=inject)
-        np.multiply(self.resid, inject, out=inject)
-        np.divide(inject, difficulty, out=inject)
-        # lambda * (1 - before * before) / (2 * difficulty[e])
-        np.divide(
-            translation * (1.0 - ws.before * ws.before), ws.row_difficulty, out=feedback
-        )
-
-        add, multiply, reduce = np.add, np.multiply, np.add.reduce
-        ebar, keep, pn, scratch = self.ebar, ws.keep, ws.scratch, self.scratch
-        ebar.fill(0.0)
-        for inj, ebar_l, row, dgain, fb, trained_ebar in self.phases:
-            add(ebar, inj, ebar_l)
-            multiply(ebar_l, row, pn)
-            reduce(pn, axis=1, out=dgain)
-            multiply(ebar_l, keep, ebar)
-            # at l = 0 this is d(loss)/d(states[0]), which nothing reads
-            multiply(dgain, fb, scratch)
-            add(trained_ebar, scratch, trained_ebar)
-
-        g_transfer, g_difficulty, g_gamma, g_retention, g_translation = self.grad_groups
-        dgains = self.dgains
-        g_transfer.fill(0.0)
-        np.add.at(g_transfer, e, np.einsum("lpn,lp->ln", self.ebars, ws.gains))
-        np.divide(
-            -np.einsum("lpn,lpn->n", inject, ws.states[1:]), difficulty, out=g_difficulty
-        )
-        # before[l] also reads d = difficulty[e[l]] through trained[l] =
-        # experience / (2 * d) (zero at l = 0): the factor -2 * trained
-        # here times feedback's 1 / (2 * d) is d(trained)/d(d)
-        trained_term = np.add.reduce(dgains * feedback * ws.trained, axis=1) * -2.0
-        np.add.at(g_difficulty, e, trained_term)
-        np.add.reduce(dgains, axis=0, out=g_gamma)
-        np.einsum("lpn,lpn->p", self.ebars, ws.states[:-1], out=g_retention)
-        np.add.reduce(dgains * ws.before, axis=0, out=g_translation)
+        loss = self.loss(arrays)
+        _backward(self.adjoint, self.resid, difficulty, translation, self.grad_groups)
         return loss
 
 
@@ -447,8 +362,8 @@ def fit_with_restarts(
 ) -> FitResult:
     """Run ``restarts`` independent fits (seeds config.seed, config.seed+1,
     ...) and keep the lowest-loss result; ties go to the earliest run."""
-    if restarts < 1:
-        raise ValidationError("restarts must be at least 1")
+    if not _is_int(restarts) or restarts < 1:
+        raise ValidationError("restarts must be an integer, at least 1")
     best = None
     for r in range(restarts):
         cfg = replace(config, seed=(config.seed + r) % 2**64)
@@ -510,8 +425,8 @@ def recovery_experiment(
     ``fit(init_params=...)``).  Trials run one after another in this
     process.  A trial whose fit diverges is skipped and reported.
     """
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
+    if not _is_int(trials) or trials < 1:
+        raise ValidationError("trials must be an integer, at least 1")
     base = ScenarioSpec(n_tasks, n_algos, curriculum_len, seed)
     per_trial, failures = [], []
     for t in range(trials):

@@ -1,4 +1,4 @@
-"""Domain types and the deterministic forward model.
+"""Domain types, the deterministic forward model and its adjoint.
 
 A lifelong learner works through a curriculum of tasks.  Each task holds
 a hidden *experience*, zero at the start.  Training task i updates every
@@ -12,13 +12,24 @@ e / (2 * d) falls below the normal range or 2 * d overflows.  All public
 functions here are pure: inputs are never mutated and equal inputs give
 bitwise-equal outputs.
 
-``simulate_all`` is the one implementation of both.  Its rollout,
-``_forward_curves``, writes into a ``_Rollout``: buffers and per-step
-views set up once per curriculum, so the estimator's thousand rollouts
-per fit allocate no (steps, algorithms, tasks) array.  Every buffer is
-step-major, and its loop runs on numpy's contiguous same-shape fast path
-wherever a value can be repeated into a buffer first.  ``simulate_all``
-builds one per call.
+``simulate_all`` is the one implementation of both.  The kernel is
+``_forward_curves``, which rolls experience forward into a ``_Rollout``,
+and ``_backward``, its hand-derived adjoint, which carries the loss's
+derivative back through the same steps into an ``_Adjoint``.  A fit runs
+both at every optimizer step; ``simulate_all`` builds one rollout per
+call and no adjoint.
+
+Every (steps, algorithms, tasks) array an evaluation writes, and every
+operand of the per-step loops, is a buffer set up once per curriculum
+that ufuncs refill with ``out=``; smaller arrays, such as the adjoint's
+epilogue, are plain expressions, where a buffer saves no time.  Each
+buffer is written in full before it is read (states[0] alone is set
+once, to zero), in the order of the expression it evaluates, so results
+are bitwise those of an allocating evaluation whatever an earlier one
+left behind.  Every (steps, algorithms, tasks) buffer is C-contiguous
+with the step axis first, and the loops run on numpy's contiguous
+same-shape fast path, about half the cost of a broadcasting or strided
+call, wherever a value can be repeated into a buffer first.
 """
 
 from __future__ import annotations
@@ -257,24 +268,15 @@ class PerformanceMatrix:
 
 
 class _Rollout:
-    """Every buffer a rollout of one curriculum writes, and the per-phase
-    views into them, set up once so that repeated rollouts allocate no
-    (m, p, n) array.
+    """Every buffer a rollout of one curriculum writes, and the per-step
+    views into them.
 
     ``states`` (m+1, p, n) is the experience trajectory: states[0] is all
     zeros and states[l+1] is experience after curriculum step l.  Of shape
     (m, p): ``trained``, the trained task's experience over 2 * difficulty
     before step l; ``before``, that task's performance; ``gains``, the
     gain gamma + before * lambda that step l adds along its transfer row.
-    ``curves`` (m, p, n) is the sigmoid of states[1:].  Every buffer is
-    C-contiguous with the step axis first.
-
-    The loop's operands are laid out for numpy's contiguous same-shape
-    fast path, which costs about half of a broadcasting or strided call:
-    ``keep`` (p, n) is the retention broadcast over tasks, and ``rows_p``
-    (m, p, n) and ``row_difficulty`` (m, p) hold the trained task's
-    transfer row and twice its difficulty once per algorithm.  Repeating
-    a value changes no result.
+    ``curves`` (m, p, n) is the sigmoid of states[1:].
     """
 
     def __init__(self, n: int, p: int, entries):
@@ -285,8 +287,8 @@ class _Rollout:
         self.trained = np.empty((m, p))
         self.before = np.empty((m, p))
         self.gains = np.empty((m, p))
-        # transfer[entries] and 2 * difficulty[entries] per algorithm, and
-        # the retention per task, refilled per rollout
+        # same-shape loop operands, refilled per rollout: transfer[entries]
+        # and 2 * difficulty[entries] per algorithm, the retention per task
         self.entries_p = np.repeat(self.entries[:, None], p, axis=1)
         self.rows_p = np.empty((m, p, n))
         self.row_difficulty = np.empty((m, p))
@@ -322,9 +324,7 @@ def _forward_curves(
 
     Fills every record of ``ws`` and returns ``ws.curves``, the
     predictions of shape (m, p, n).  The loop writes only the records;
-    ``curves`` is one sigmoid over them afterwards.  Every step is a ufunc
-    writing into a buffer, in the order of the expression it evaluates, so
-    results do not depend on whether a buffer held an earlier rollout.
+    ``curves`` is one sigmoid over them afterwards.
     """
     # entries are in range (Curriculum checks them); "clip" lets take
     # write straight into out instead of through a buffer
@@ -346,6 +346,93 @@ def _forward_curves(
         add(nxt, scratch, nxt)
     x = np.divide(ws.states[1:], difficulty2, out=ws.curves)
     return np.tanh(x, out=x)  # performance of every task, in place
+
+
+class _Adjoint:
+    """The buffers and per-step views of ``_backward`` for one
+    ``_Rollout``, whose records it reads."""
+
+    def __init__(self, rollout: _Rollout):
+        m, p, n = rollout.curves.shape
+        self.rollout = rollout
+        # what the output map adds to ebar at step l
+        self.inject = np.empty((m, p, n))
+        # what one unit of dgain adds to the trained task's ebar through
+        # its performance
+        self.feedback = np.empty((m, p))
+        # ebars[l] = d(loss)/d(states[l + 1]), dgains[l] = d(loss)/d(gain
+        # at step l); ebar carries d(loss)/d(states[l]) between steps.
+        self.ebars = np.empty((m, p, n))
+        self.dgains = np.empty((m, p))
+        self.ebar = np.empty((p, n))
+        self.scratch = np.empty(p)
+        # per step l, last step first: inject[l], ebars[l], transfer[i] per
+        # algorithm, dgains[l], feedback[l] and ebar[:, i]
+        columns = list(self.ebar.T)
+        self.phases = list(
+            zip(
+                self.inject[::-1],
+                self.ebars[::-1],
+                rollout.rows_p[::-1],
+                self.dgains[::-1],
+                self.feedback[::-1],
+                [columns[i] for i in rollout.entries[::-1]],
+            )
+        )
+
+
+def _backward(adj: _Adjoint, resid, difficulty, translation, groups) -> None:
+    """Write into ``groups``, in ``_param_arrays`` order, the gradient of
+    the summed squares of ``resid``: the masked residuals (m, p, n) of
+    ``adj``'s rollout, which holds the forward pass at the parameters
+    whose ``difficulty`` and ``translation`` are given.
+
+    Two phases.  The backward loop carries only ebar, d(loss)/
+    d(experience), through the steps that are truly sequential, and
+    records it; each group's gradient is then one reduction over those
+    records and the rollout's.  No BLAS call, so results are bitwise
+    deterministic at any thread count.
+    """
+    ws = adj.rollout
+    e, pred = ws.entries, ws.curves
+    inject, feedback = adj.inject, adj.feedback
+    # inject = resid * (1 - pred * pred) / difficulty
+    np.multiply(pred, pred, out=inject)
+    np.subtract(1.0, inject, out=inject)
+    np.multiply(resid, inject, out=inject)
+    np.divide(inject, difficulty, out=inject)
+    # lambda * (1 - before * before) / (2 * difficulty[e])
+    np.divide(
+        translation * (1.0 - ws.before * ws.before), ws.row_difficulty, out=feedback
+    )
+
+    add, multiply, reduce = np.add, np.multiply, np.add.reduce
+    ebar, keep, pn, scratch = adj.ebar, ws.keep, ws.scratch, adj.scratch
+    ebar.fill(0.0)
+    for inj, ebar_l, row, dgain, fb, trained_ebar in adj.phases:
+        add(ebar, inj, ebar_l)
+        multiply(ebar_l, row, pn)
+        reduce(pn, axis=1, out=dgain)
+        multiply(ebar_l, keep, ebar)
+        # at l = 0 this is d(loss)/d(states[0]), which nothing reads
+        multiply(dgain, fb, scratch)
+        add(trained_ebar, scratch, trained_ebar)
+
+    g_transfer, g_difficulty, g_gamma, g_retention, g_translation = groups
+    dgains = adj.dgains
+    g_transfer.fill(0.0)
+    np.add.at(g_transfer, e, np.einsum("lpn,lp->ln", adj.ebars, ws.gains))
+    np.divide(
+        -np.einsum("lpn,lpn->n", inject, ws.states[1:]), difficulty, out=g_difficulty
+    )
+    # before[l] also reads d = difficulty[e[l]] through trained[l] =
+    # experience / (2 * d) (zero at l = 0): the factor -2 * trained
+    # here times feedback's 1 / (2 * d) is d(trained)/d(d)
+    trained_term = np.add.reduce(dgains * feedback * ws.trained, axis=1) * -2.0
+    np.add.at(g_difficulty, e, trained_term)
+    np.add.reduce(dgains, axis=0, out=g_gamma)
+    np.einsum("lpn,lpn->p", adj.ebars, ws.states[:-1], out=g_retention)
+    np.add.reduce(dgains * ws.before, axis=0, out=g_translation)
 
 
 def _param_arrays(params: ScenarioParams):

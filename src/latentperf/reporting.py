@@ -256,33 +256,31 @@ def plot_curves(observed, predicted, curriculum: Curriculum, taskset: TaskSet) -
 
     Columns are headed by ``taskset``'s names.  Observed curves are
     solid, predicted curves dashed, and each phase where a task was
-    trained is shaded behind its panel.  Predicted matrices are matched to
-    observed ones by algorithm name; an empty ``predicted`` list draws
-    observed curves only.  Output bytes are a pure function of the inputs.
+    trained is shaded behind its panel.  ``predicted`` is empty, which
+    draws observed curves only, or holds one matrix per observed matrix,
+    paired with it by position (names are not compared).  Output bytes are
+    a pure function of the inputs.
     """
-    observed = list(observed)
+    observed, predicted = list(observed), list(predicted)
     if not observed:
         raise ValidationError("nothing to plot")
+    if predicted and len(predicted) != len(observed):
+        raise ValidationError(
+            f"{len(predicted)} predicted matrices for {len(observed)} observed"
+        )
     n, what = observed[0].n_tasks, f"matrix for {observed[0].algorithm!r}"
     _same_tasks(what, n, "curriculum", curriculum.n_tasks)
     _same_tasks(what, n, "task set", taskset.n)
     m = curriculum.m
-    for mat in observed:
+    kinds = [""] * len(observed) + ["predicted "] * len(predicted)
+    for kind, mat in zip(kinds, observed + predicted):
         if mat.values.shape != (n, m):
             raise ValidationError(
-                f"curves for {mat.algorithm!r} have shape {mat.values.shape}, "
+                f"{kind}curves for {mat.algorithm!r} have shape {mat.values.shape}, "
                 f"expected {(n, m)}"
             )
-    pred_by_name = {}
-    for mat in predicted:
-        if mat.values.shape != (n, m):
-            raise ValidationError(
-                f"predicted curves for {mat.algorithm!r} have shape "
-                f"{mat.values.shape}, expected {(n, m)}"
-            )
-        pred_by_name[mat.algorithm] = mat
 
-    all_vals = [mat.values[mat.mask] for mat in (*observed, *pred_by_name.values())]
+    all_vals = [mat.values[mat.mask] for mat in (*observed, *predicted)]
     lo = min([-1.0] + [float(v.min()) for v in all_vals if v.size])
     hi = max([1.0] + [float(v.max()) for v in all_vals if v.size])
 
@@ -307,7 +305,7 @@ def plot_curves(observed, predicted, curriculum: Curriculum, taskset: TaskSet) -
             f'<text x="{_LEFT - 8:.2f}" y="{y0 + _PANEL_H / 2:.2f}" '
             f'text-anchor="end">{escape(mat.algorithm, quote=False)}</text>'
         )
-        pred = pred_by_name.get(mat.algorithm)
+        pred = predicted[a] if predicted else None
         for j in range(n):
             x0 = _LEFT + j * (_PANEL_W + _GAP)
 
@@ -362,7 +360,7 @@ def plot_curves(observed, predicted, curriculum: Curriculum, taskset: TaskSet) -
         f'y2="{legend_y - 4:.2f}" stroke="{_OBSERVED_COLOR}" stroke-width="1.5"/>'
     )
     parts.append(f'<text x="{_LEFT + 30:.2f}" y="{legend_y:.2f}">observed</text>')
-    if pred_by_name:
+    if predicted:
         lx = _LEFT + 110
         parts.append(
             f'<line x1="{lx:.2f}" y1="{legend_y - 4:.2f}" x2="{lx + 24:.2f}" '

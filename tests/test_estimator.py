@@ -282,8 +282,8 @@ def test_problem_workspace_leaves_no_stale_state(rng):
     # One workspace runs forward-only losses interleaved with losses plus
     # gradients; each must be bitwise what a fresh workspace gives, so no
     # evaluation reads a buffer left over from the one before (the
-    # trajectory, keep, the transfer rows and difficulties, inject, the
-    # adjoint records, ebar, the gradient groups).  b shares a's
+    # rollout's trajectory, keep, transfer rows and difficulties, the
+    # adjoint's inject, records and ebar, the gradient groups).  b shares a's
     # gamma and lambda and differs in retention, transfer and difficulty,
     # the inputs of those buffers.
     _, params_a, cur = random_instance(rng, 4, 9, 3)
@@ -319,6 +319,7 @@ def test_problem_workspace_leaves_no_stale_state(rng):
         np.testing.assert_array_equal(shared.resid, fresh.resid)
         if method == "loss_and_grad":
             np.testing.assert_array_equal(shared.grad, fresh.grad)
+            np.testing.assert_array_equal(shared.adjoint.ebars, fresh.adjoint.ebars)
         assert (shared.rollout.states[0] == 0.0).all()
 
 
@@ -331,13 +332,13 @@ def test_kernel_loops_read_contiguous_same_shape_operands(rng):
     n, p = params.n, params.p
     problem = estimator._Problem(cur, _random_observed(rng, params, cur))
     problem.loss_and_grad(_param_arrays(params))
-    ws = problem.rollout
+    ws, adj = problem.rollout, problem.adjoint
 
     def fast(a):
         return a.shape == (p, n) and a.flags.c_contiguous
 
-    assert len(ws.phases) == len(problem.phases) == cur.m
-    for inj, ebar_l, row, *_ in problem.phases:
+    assert len(ws.phases) == len(adj.phases) == cur.m
+    for inj, ebar_l, row, *_ in adj.phases:
         assert fast(row)
         assert fast(ebar_l)
         assert fast(inj)
@@ -345,7 +346,7 @@ def test_kernel_loops_read_contiguous_same_shape_operands(rng):
         assert fast(prev) and fast(nxt)
         assert d.shape == trained.shape == (p,) and d.flags.c_contiguous
         assert gain_col.shape == (p, 1) and row.shape == (n,)
-    assert fast(ws.keep) and fast(ws.scratch) and fast(problem.ebar)
+    assert fast(ws.keep) and fast(ws.scratch) and fast(adj.ebar)
     # the map's 0.5 is folded into the divisor: every step divides by the
     # trained task's doubled difficulty, repeated once per algorithm
     difficulty2 = 2.0 * params.tasks.difficulty
@@ -401,11 +402,15 @@ def _textbook_loss_and_grad(params, cur, obs, mask):
     return curves, value, groups
 
 
-@pytest.mark.parametrize("n, p, m, count", [(5, 3, 9, 20), (20, 6, 60, 3)])
+@pytest.mark.parametrize(
+    "n, p, m, count",
+    [(5, 3, 9, 20), (20, 6, 60, 3), (1, 1, 1, 5), (1, 4, 6, 5), (4, 1, 1, 5), (3, 2, 1, 5)],
+)
 def test_kernel_matches_textbook_form_bitwise(rng, n, p, m, count):
     # The kernel divides by 2 * d where the textbook form halves e / d;
     # scaling by two is exact, so curves, loss and every gradient group
-    # must be bitwise those of the textbook evaluation.
+    # must be bitwise those of the textbook evaluation, also at one task,
+    # one algorithm or one step.
     for _ in range(count):
         _, params, cur = random_instance(rng, n, m, p)
         problem = estimator._Problem(cur, _random_observed(rng, params, cur))
@@ -420,16 +425,16 @@ def test_kernel_matches_textbook_form_bitwise(rng, n, p, m, count):
 
 
 def test_problem_buffers_have_one_step_major_layout(rng):
-    # Every (steps, algorithms, tasks) array a problem or its rollout holds
-    # is C-contiguous with the step axis first; no buffer keeps a second,
-    # algorithm-major copy of the same numbers.
+    # Every (steps, algorithms, tasks) array a problem, its rollout or its
+    # adjoint holds is C-contiguous with the step axis first; no buffer
+    # keeps a second, algorithm-major copy of the same numbers.
     _, params, cur = random_instance(rng, 4, 9, 3)
     n, p, m = params.n, params.p, cur.m
     problem = estimator._Problem(cur, _random_observed(rng, params, cur))
     problem.loss_and_grad(_param_arrays(params))
     buffers = {
         name: value
-        for owner in (problem, problem.rollout)
+        for owner in (problem, problem.rollout, problem.adjoint)
         for name, value in vars(owner).items()
         if isinstance(value, np.ndarray) and value.ndim == 3
     }
@@ -772,6 +777,16 @@ def test_fit_with_restarts_picks_best(rng):
     assert same.loss_total == single.loss_total
     with pytest.raises(ValidationError):
         fit_with_restarts(cur, observed, cfg, restarts=0)
+
+
+@pytest.mark.parametrize("count", [2.5, True, 0, -1])
+def test_restarts_and_trials_follow_the_integer_rule(rng, count):
+    # a float or a bool is refused before any fit runs, like a count below 1
+    _, cur, observed = _small_problem(rng)
+    with pytest.raises(ValidationError, match="^restarts must be an integer, at least 1$"):
+        fit_with_restarts(cur, observed, FitConfig(steps=1), restarts=count)
+    with pytest.raises(ValidationError, match="^trials must be an integer, at least 1$"):
+        recovery_experiment(trials=count, config=FitConfig(steps=1))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from latentperf import (
     TaskSet,
     ValidationError,
     difficulty_table,
+    normalize_minmax,
     plot_curves,
     simulate_all,
     transfer_table,
@@ -165,7 +166,8 @@ _THREE = Curriculum(entries=[0, 1, 2], n_tasks=3)
 
 # Every check that two inputs cover the same number of tasks, called with
 # params and a curriculum over two tasks (and one algorithm, a0) against a
-# task set of one or a curriculum of three, and the message it must raise.
+# task set or a list of task names of one or a curriculum of three, and the
+# message it must raise.
 _TASK_COUNT_SITES = {
     "write_curves": (
         lambda out, params, cur: write_curves(out, _ONE, simulate_all(params, cur)),
@@ -200,6 +202,10 @@ _TASK_COUNT_SITES = {
     "simulate_all": (
         lambda out, params, cur: simulate_all(params, _THREE),
         "parameter set covers 2 tasks, curriculum has 3",
+    ),
+    "normalize_minmax": (
+        lambda out, params, cur: normalize_minmax(simulate_all(params, cur)[0], ["u"]),
+        "matrix for 'a0' covers 2 tasks, list of task names has 1",
     ),
 }
 

@@ -10,14 +10,17 @@ from latentperf import (
     Curriculum,
     PerformanceMatrix,
     ScenarioParams,
+    ScenarioSpec,
     TaskProperties,
     TaskSet,
     ValidationError,
     comparison_table,
     difficulty_table,
+    generate,
     parse_params,
     plot_curves,
     property_table,
+    simulate_all,
     transfer_table,
 )
 
@@ -302,7 +305,11 @@ def _tiny_plot_inputs():
         PerformanceMatrix(
             algorithm="a",
             values=np.array([[0.12, 0.38, 0.61], [0.01, 0.19, 0.33]]),
-        )
+        ),
+        PerformanceMatrix(
+            algorithm="b",
+            values=np.array([[0.22, 0.28, 0.37], [0.04, 0.12, 0.38]]),
+        ),
     ]
     return ts, cur, observed, predicted
 
@@ -324,7 +331,7 @@ def test_plot_structure():
             assert f'id="panel-{a}-{j}"' in svg
     # task u trains twice, task v once: three shaded bands total
     assert svg.count('class="band"') == 2 * 3  # per algorithm row
-    # algorithm a has predictions, so dashed polylines exist
+    # both algorithms have predictions, so dashed polylines exist
     assert 'stroke-dasharray="5 3"' in svg
     assert "observed" in svg and "predicted" in svg
 
@@ -337,6 +344,25 @@ def test_plot_is_well_formed_xml_whatever_the_names():
     texts = {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
     assert {"u<1>", "v & w", "Progress & Compress"} <= texts
     ElementTree.parse(f"{GOLDEN_DIR}/curves.svg")
+
+
+def test_plot_pairs_predictions_by_position():
+    # predicted curves pair with observed ones by position, as in loss and
+    # fit: renamed predictions still draw, and a count mismatch raises.
+    # Three tasks, two algorithms: six dashed series plus the legend's.
+    params, cur, observed = generate(ScenarioSpec(3, 2, 4, seed=1))
+    ts = TaskSet(["t0", "t1", "t2"])
+    predicted = simulate_all(params, cur)
+    renamed = [
+        PerformanceMatrix(algorithm=f"other{k}", values=mat.values)
+        for k, mat in enumerate(predicted)
+    ]
+    svg = plot_curves(observed, renamed, cur, taskset=ts)
+    assert svg.count("stroke-dasharray") == 7
+    assert svg == plot_curves(observed, predicted, cur, taskset=ts)
+    for miscounted in (renamed[:1], renamed + renamed[:1]):
+        with pytest.raises(ValidationError, match="^(1|3) predicted matrices for 2 observed$"):
+            plot_curves(observed, miscounted, cur, taskset=ts)
 
 
 def test_plot_without_predictions_has_no_dashes():
@@ -391,8 +417,8 @@ def test_plot_validates_shapes():
     bad = [PerformanceMatrix(algorithm="a", values=np.zeros((2, 2)))]
     with pytest.raises(ValidationError):
         plot_curves(bad, [], cur, taskset=ts)
-    with pytest.raises(ValidationError):
-        plot_curves(observed, bad, cur, taskset=ts)
+    with pytest.raises(ValidationError, match="^predicted curves for 'a' have shape"):
+        plot_curves(observed, bad * 2, cur, taskset=ts)
     with pytest.raises(ValidationError, match="covers 2 tasks, task set has 1"):
         plot_curves(observed, predicted, cur, taskset=TaskSet(["u"]))
     with pytest.raises(ValidationError, match="covers 2 tasks, curriculum has 3"):
