@@ -17,9 +17,9 @@ c*(difficulty, gamma, lambda) with transfer unchanged.
 
 Gradients are exact: ``model._backward`` is the hand-derived adjoint of
 the rollout, checked by tests against a forward-mode oracle and central
-finite differences.  A fit builds one ``_Problem`` from the curriculum
-and the observed curves, which it checks and stacks, and evaluates it at
-every optimizer step; ``loss`` and ``gradient`` build one per call.
+finite differences.  A fit of S steps builds one ``_Problem`` and
+evaluates the loss and its gradient at S+1 points, the last of which
+gives the final losses; ``loss`` and ``gradient`` build one per call.
 """
 
 from __future__ import annotations
@@ -67,12 +67,10 @@ _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings.  Defaults: 1000 Adam steps at learning rate 1e-2
-    from seed 0.
-
-    ``seed`` draws the starting point, every entry uniformly inside its
-    box; the transfer diagonal is then pinned at 1.  Adam's moment rates
-    and epsilon are the standard 0.9, 0.999 and 1e-8."""
+    """Optimizer settings.  ``seed`` draws the starting point: transfer
+    entries uniformly from [-1, 1] and every other entry from [0, 1], then
+    projected into the box.  Adam's moment rates and epsilon are the
+    standard 0.9, 0.999 and 1e-8."""
 
     steps: int = 1000
     learning_rate: float = 1e-2
@@ -255,12 +253,57 @@ def _first_nonfinite(x: np.ndarray) -> int | None:
 
 
 def _initial_theta(n: int, p: int, seed: int) -> np.ndarray:
-    """Packed starting point drawn uniformly inside the box: transfer from
-    [-1, 1], every other entry from [0, 1]."""
     rng = np.random.default_rng(seed)
     return np.concatenate(
         [rng.uniform(-1.0, 1.0, size=n * n), rng.uniform(0.0, 1.0, size=n + 3 * p)]
     )
+
+
+def _descend(problem: _Problem, theta: np.ndarray, config: FitConfig, callback):
+    """Projected Adam from the packed start ``theta``, updated in place.
+    Leaves ``theta`` at the last of the ``config.steps + 1`` points it
+    evaluates, ``problem.resid`` and ``problem.grad`` at that point, and
+    returns the normalized loss at each."""
+    _, p, n = problem.obs.shape
+    lo, hi = _bounds(n, p)
+    pinned = lo == hi
+    theta.clip(lo, hi, out=theta)
+    scale = 1.0 / int(np.sum(problem.mask))
+
+    # Adam updates theta in place, so these views follow every step.
+    arrays = _unpack(theta, n, p)
+    g = problem.grad
+    moment1 = moment2 = np.zeros_like(theta)
+    trace = np.empty(config.steps + 1)
+    # Overflow is expected on the way to divergence; every non-finite value
+    # in this block is checked and reported, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, config.steps + 2):
+            value = problem.loss_and_grad(arrays)
+            if not math.isfinite(value):
+                raise DivergenceError(t - 1, "loss")
+            trace[t - 1] = value * scale
+            if t > config.steps:
+                return trace
+            # the pinned diagonal's gradient is never used, so never examined
+            np.copyto(g, 0.0, where=pinned)
+            bad = _first_nonfinite(g)
+            if bad is not None:
+                raise DivergenceError(
+                    t - 1, "gradient of " + _component_name(bad, n, p, problem.names)
+                )
+            moment1 = _BETA1 * moment1 + (1.0 - _BETA1) * g
+            moment2 = _BETA2 * moment2 + (1.0 - _BETA2) * (g * g)
+            m_hat, v_hat = moment1 / (1.0 - _BETA1**t), moment2 / (1.0 - _BETA2**t)
+            theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
+            theta.clip(lo, hi, out=theta)
+            # a step can overflow a parameter that has no upper bound
+            bad = _first_nonfinite(theta)
+            if bad is not None:
+                raise DivergenceError(t, _component_name(bad, n, p, problem.names))
+            if callback is not None:
+                feasible = bool(np.all(theta >= lo) and np.all(theta <= hi))
+                callback(t, float(trace[t - 1]), feasible)
 
 
 def fit(
@@ -284,9 +327,9 @@ def fit(
 
     Every algorithm shares one transfer matrix and difficulty vector.  Its
     diagonal is held at exactly 1, also when ``init_params`` has another
-    diagonal (see the module docstring for why).  The final losses come
-    from one more evaluation at the last parameters; their curves are
-    ``simulate_all(result.params, curriculum)``.
+    diagonal (see the module docstring for why).  The loss and its gradient
+    are evaluated at steps+1 points, the last of which gives the final
+    losses; their curves are ``simulate_all(result.params, curriculum)``.
 
     Raises DivergenceError if the loss, the gradient of a parameter the
     fit moves, or a parameter goes non-finite; the loss is checked first.
@@ -297,56 +340,13 @@ def fit(
         theta = _pack(problem.arrays(init_params))
     else:
         theta = _initial_theta(n, p, config.seed)
-
-    lo, hi = _bounds(n, p)
-    pinned = lo == hi
-    theta = np.clip(theta, lo, hi)
-    n_masked = int(np.sum(problem.mask))
-    scale = 1.0 / n_masked
-
-    # Adam updates theta in place, so these views follow every step.
-    arrays = _unpack(theta, n, p)
-    g = problem.grad
-    moment1 = moment2 = np.zeros_like(theta)
-    trace = np.empty(config.steps + 1)
-    # Overflow is expected on the way to divergence; every non-finite value
-    # in this block is checked and reported, so numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, config.steps + 1):
-            value = problem.loss_and_grad(arrays)
-            if not math.isfinite(value):
-                raise DivergenceError(t - 1, "loss")
-            # the pinned diagonal's gradient is never used, so never examined
-            np.copyto(g, 0.0, where=pinned)
-            bad = _first_nonfinite(g)
-            if bad is not None:
-                raise DivergenceError(
-                    t - 1, "gradient of " + _component_name(bad, n, p, names)
-                )
-            trace[t - 1] = value * scale
-            moment1 = _BETA1 * moment1 + (1.0 - _BETA1) * g
-            moment2 = _BETA2 * moment2 + (1.0 - _BETA2) * (g * g)
-            m_hat, v_hat = moment1 / (1.0 - _BETA1**t), moment2 / (1.0 - _BETA2**t)
-            theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
-            theta.clip(lo, hi, out=theta)
-            # a step can overflow a parameter that has no upper bound
-            bad = _first_nonfinite(theta)
-            if bad is not None:
-                raise DivergenceError(t, _component_name(bad, n, p, names))
-            if callback is not None:
-                feasible = bool(np.all(theta >= lo) and np.all(theta <= hi))
-                callback(t, float(trace[t - 1]), feasible)
-
-        final_raw = problem.loss(arrays)
-        if not math.isfinite(final_raw):
-            raise DivergenceError(config.steps, "loss")
-        squares = np.einsum("lpn,lpn->p", problem.resid, problem.resid)
-        counts = np.maximum(problem.mask.sum(axis=(0, 2)), 1)
-        per_algo = {name: float(s / c) for name, s, c in zip(names, squares, counts)}
-    trace[config.steps] = final_raw * scale
+    trace = _descend(problem, theta, config, callback)
+    squares = np.einsum("lpn,lpn->p", problem.resid, problem.resid)
+    counts = np.maximum(problem.mask.sum(axis=(0, 2)), 1)
+    per_algo = {name: float(s / c) for name, s, c in zip(names, squares, counts)}
     return FitResult(
-        params=_params_from_arrays(*arrays, names),
-        loss_total=float(final_raw * scale),
+        params=_params_from_arrays(*_unpack(theta, n, p), names),
+        loss_total=float(trace[-1]),
         loss_per_algorithm=per_algo,
         loss_trace=trace,
     )
@@ -432,7 +432,6 @@ def recovery_experiment(
     for t in range(trials):
         spec = replace(base, seed=(seed + t) % 2**64)
         truth, curriculum, data = generate(spec)
-        # The fit's init seed is scrambled so it cannot start at the truth.
         cfg = replace(config, seed=(spec.seed ^ _SEED_SCRAMBLE) % 2**64)
         try:
             result = fit(curriculum, data, cfg)
