@@ -54,6 +54,7 @@ from .model import (
     TaskSet,
     _algorithm_record,
     _is_int,
+    _is_real,
     _same_tasks,
 )
 
@@ -388,7 +389,7 @@ def _string_list(value, field: str) -> list[str]:
 
 
 def _number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_real(value):
         raise SchemaError("must be a number", field=field)
     try:
         return float(value)

@@ -38,6 +38,7 @@ from .model import (
     _Rollout,
     _backward,
     _forward_curves,
+    _is_finite,
     _is_int,
     _param_arrays,
     _params_from_arrays,
@@ -79,7 +80,7 @@ class FitConfig:
     def __post_init__(self):
         if not _is_int(self.steps) or self.steps < 0:
             raise ValidationError("steps must be a nonnegative integer")
-        if not 0 < self.learning_rate < math.inf:
+        if not (_is_finite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError("learning_rate must be positive and finite")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")

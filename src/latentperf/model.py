@@ -35,6 +35,7 @@ call, wherever a value can be repeated into a buffer first.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,20 @@ D_MIN = 1e-3
 def _is_int(value) -> bool:
     """The one integer rule: a Python or numpy integer, never a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """The one real-number rule: an integer by ``_is_int``, or a Python or
+    numpy float."""
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
+def _is_finite(value) -> bool:
+    """``_is_real`` and finite as a float: not NaN, not infinite, and not an
+    integer too large to convert."""
+    if _is_int(value):
+        return -sys.float_info.max <= value <= sys.float_info.max
+    return _is_real(value) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -158,11 +173,10 @@ class AlgorithmProperties:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError("algorithm name must be a non-empty string")
-        g = float(self.transfer_efficiency)
-        h = float(self.experience_retention)
-        lam = float(self.expertise_translation)
-        if not (math.isfinite(g) and math.isfinite(h) and math.isfinite(lam)):
+        values = [getattr(self, f) for f in ALGORITHM_FIELDS.values()]
+        if not all(map(_is_finite, values)):
             raise ValidationError("algorithm properties must be finite")
+        g, h, lam = map(float, values)
         if g < 0.0:
             raise ValidationError("transfer_efficiency must be nonnegative")
         if lam < 0.0:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +12,7 @@ from .model import (
     Curriculum,
     PerformanceMatrix,
     ScenarioParams,
+    _is_finite,
     _is_int,
     _params_from_arrays,
     simulate_all,
@@ -41,7 +41,7 @@ class ScenarioSpec:
             raise ValidationError("scenario dimensions must be integers, at least 1")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
-        if not 0 <= self.noise_std < math.inf:
+        if not (_is_finite(self.noise_std) and self.noise_std >= 0):
             raise ValidationError("noise_std must be nonnegative and finite")
 
 

@@ -750,9 +750,13 @@ def test_loss_and_gradient_refuse_duplicate_observed_names(rng, site):
 def test_fit_config_validation():
     with pytest.raises(ValidationError):
         FitConfig(steps=-1)
-    for lr in (0.0, float("inf"), float("nan")):
-        with pytest.raises(ValidationError):
+    # one real-number rule: a string, None, a bool or an integer beyond a
+    # float's range is refused like an infinity
+    for lr in (0.0, float("inf"), float("nan"), "0.1", None, True, 10**400):
+        with pytest.raises(ValidationError, match="^learning_rate must be positive"):
             FitConfig(learning_rate=lr)
+    FitConfig(learning_rate=np.float32(0.5))
+    FitConfig(learning_rate=np.int64(1))
     for seed in (-1, 2**64):
         with pytest.raises(ValidationError, match="unsigned 64-bit"):
             FitConfig(seed=seed)

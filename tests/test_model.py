@@ -127,6 +127,17 @@ def test_algorithm_properties_validation():
         AlgorithmProperties("bad", 0.5, 0.5, -2.0)
     with pytest.raises(ValidationError):
         AlgorithmProperties("", 0.5, 0.5, 0.5)
+    # one real-number rule: a string, None, a bool or an integer beyond a
+    # float's range is refused like an infinity, in every position
+    for bad in ("0.5", None, True, 10**400, float("inf")):
+        for k in range(3):
+            values = [0.5, 0.5, 0.5]
+            values[k] = bad
+            with pytest.raises(ValidationError, match="^algorithm properties must be finite$"):
+                AlgorithmProperties("bad", *values)
+    ok = AlgorithmProperties("np", np.float32(0.5), np.int64(1), np.float64(2.0))
+    assert (ok.transfer_efficiency, ok.experience_retention) == (0.5, 1.0)
+    assert type(ok.experience_retention) is float
 
 
 def test_scenario_params_rejects_duplicate_algorithm_names():

@@ -18,9 +18,11 @@ def test_spec_validation():
         ScenarioSpec(n_tasks=0)
     with pytest.raises(ValidationError):
         ScenarioSpec(curriculum_len=0)
-    for noise in (-0.1, float("inf"), float("nan")):
-        with pytest.raises(ValidationError):
+    for noise in (-0.1, float("inf"), float("nan"), "0.1", None, True, 10**400):
+        with pytest.raises(ValidationError, match="^noise_std must be nonnegative"):
             ScenarioSpec(noise_std=noise)
+    ScenarioSpec(noise_std=np.float32(0.5))
+    ScenarioSpec(noise_std=np.int64(0))
     with pytest.raises(ValidationError):
         ScenarioSpec(seed=-1)
 
