@@ -529,28 +529,40 @@ def test_fit_deterministic(rng):
 
 
 def test_fit_runs_one_rollout_per_evaluation(rng, monkeypatch):
-    # A fit of S steps evaluates the loss S + 1 times and runs no other
-    # rollout: its curves are the caller's simulate_all.  generate adds one
-    # rollout per recovery trial.
+    # A fit of S steps evaluates the loss and its gradient at S + 1 points
+    # and runs no other rollout: its curves are the caller's simulate_all.
+    # generate adds one rollout, and no adjoint, per recovery trial.
     _, cur, observed = _small_problem(rng)
-    forward, calls = model._forward_curves, []
+    forward, backward, calls, backward_calls = (
+        model._forward_curves, model._backward, [], []
+    )
 
     def counting(*args):
         calls.append(1)
         return forward(*args)
 
+    def counting_backward(*args):
+        backward_calls.append(1)
+        return backward(*args)
+
     for module in (model, estimator):
         monkeypatch.setattr(module, "_forward_curves", counting)
+        monkeypatch.setattr(module, "_backward", counting_backward)
     cfg, restarts, trials = FitConfig(steps=4), 3, 2
     fit(cur, observed, cfg)
     assert len(calls) == cfg.steps + 1
+    assert len(backward_calls) == cfg.steps + 1
     calls.clear()
+    backward_calls.clear()
     fit_with_restarts(cur, observed, cfg, restarts)
     assert len(calls) == restarts * (cfg.steps + 1)
+    assert len(backward_calls) == restarts * (cfg.steps + 1)
     calls.clear()
+    backward_calls.clear()
     result = recovery_experiment(trials=trials, config=cfg)
     assert result.n_succeeded == trials
     assert len(calls) == trials * (cfg.steps + 2)
+    assert len(backward_calls) == trials * (cfg.steps + 1)
 
 
 def test_fit_matches_allocating_reference(rng):
@@ -580,6 +592,15 @@ def test_fit_matches_allocating_reference(rng):
         step = config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         theta = np.clip(theta - step, lo, hi)
     np.testing.assert_array_equal(_pack(_param_arrays(result.params)), theta)
+    # the final losses are those of the last point, evaluated like the rest
+    final = loss(result.params, cur, observed) * scale
+    assert result.loss_trace[-1] == final
+    assert result.loss_total == final
+    predicted = simulate_all(result.params, cur)
+    for o, pred in zip(observed, predicted, strict=True):
+        resid = np.where(o.mask, pred.values - o.values, 0.0)
+        mse = np.sum(resid * resid) / max(int(o.mask.sum()), 1)
+        assert result.loss_per_algorithm[o.algorithm] == pytest.approx(mse, rel=1e-13)
 
 
 def test_fit_trace_and_losses(rng):
@@ -603,7 +624,7 @@ def test_fit_steps_zero_returns_projected_init(rng):
 def test_fit_callback_reports_feasible_steps(rng):
     _, cur, observed = _small_problem(rng)
     seen = []
-    fit(
+    result = fit(
         cur,
         observed,
         FitConfig(steps=25, seed=1),
@@ -612,6 +633,8 @@ def test_fit_callback_reports_feasible_steps(rng):
     assert [t for t, _, _ in seen] == list(range(1, 26))
     assert all(ok for _, _, ok in seen)
     assert all(np.isfinite(v) for _, v, _ in seen)
+    # each reported loss is the trace's entry for the point it was taken at
+    assert all(v == result.loss_trace[t - 1] for t, v, _ in seen)
 
 
 def test_fit_result_params_feasible(rng):
