@@ -24,11 +24,14 @@ tokenizer and number parser, whenever that can prove the file clean (see
 numbers.  Both paths give the same values for every file they accept.
 The fast path reads names as byte fields a multiple of 8 bytes wider than
 the longest name known so far (the task set's, or those the file has
-shown), and codes a block's names as integers: by one comparison where
-the block holds one name, by sorting them as uint64 where they fit in 8
-bytes, and by sorting the bytes otherwise.  np.loadtxt cuts an over-long
-field short without a word, so a block in which any name fills its field
-is read again with fields as wide as its longest line.
+shown), and codes a block's names as integers through a sorted table of
+the names known so far (see ``_Names``): by one comparison of 8-byte words
+where the block holds one name, and otherwise by np.searchsorted, keyed
+by uint64 where the names' field is 8 bytes wide and by the bytes
+otherwise.  Only the names the table lacks are sorted, and they join it
+in order of first appearance.  np.loadtxt cuts an over-long field short
+without a word, so a block in which any name fills its field is read
+again with fields as wide as its longest line.
 """
 
 from __future__ import annotations
@@ -220,27 +223,72 @@ def _parse_block(lines, algos, tasks):
     raise _Defer
 
 
-def _codes(column: np.ndarray, known: dict[str, int], grow: bool):
-    """Codes for a block's byte-string column from ``known`` (name -> code),
-    a fixed table (a task set's) or, with ``grow``, one that takes new
-    names in order of first appearance, as (each row's code, the distinct
-    codes in ascending order).  A name outside a fixed table and an empty
-    name raise _Defer."""
-    if (column == column[0]).all():
-        first, inverse = [0], np.zeros(len(column), np.intp)
-    else:
-        keys = column.astype("S8").view(np.uint64) if column.itemsize <= 8 else column
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    table = np.empty(len(first), np.int64)
-    for i in np.argsort(first):
-        name = column[first[i]].decode("ascii")
-        code = known.get(name)
-        if code is None:
-            if not (grow and name):
-                raise _Defer
-            code = known[name] = len(known)
-        table[i] = code
-    return table[inverse], np.sort(table)
+class _Names:
+    """One column's name table in one file: ``codes`` maps each known name
+    to its code, ``given`` names first and then, with ``grow``, new names
+    in order of first appearance; without ``grow`` a name outside the table
+    raises _Defer, and so does an empty name.  The same names sit sorted
+    by key in ``_sorted``, rebuilt only when a name joins or the key type
+    changes, so a block's names are coded by np.searchsorted."""
+
+    def __init__(self, given, grow: bool):
+        self.codes = {name: j for j, name in enumerate(given)}
+        self.grow = grow
+        self._sorted = None  # (key dtype, sorted keys, their codes)
+
+    def _table(self, dtype: np.dtype):
+        """The known names as (their keys of ``dtype``, sorted; their codes)."""
+        if self._sorted is None or self._sorted[0] != dtype:
+            width = 8 if dtype.kind == "u" else dtype.itemsize
+            # a name longer than a key cannot be in the column, and would be
+            # cut short
+            known = [(name.encode(), code) for name, code in self.codes.items()]
+            fits = [(key, code) for key, code in known if len(key) <= width]
+            names = np.array([key for key, _ in fits], f"S{width}")
+            codes = np.array([code for _, code in fits], np.int64)
+            keys = names.view(np.uint64) if dtype.kind == "u" else names
+            order = np.argsort(keys)
+            self._sorted = dtype, keys[order], codes[order]
+        return self._sorted[1:]
+
+    def __call__(self, column: np.ndarray):
+        """Codes for a block's byte-string column, as (each row's code, the
+        distinct codes in ascending order).  Names in fields of at most 8
+        bytes are keyed by their uint64 view, and others by their bytes."""
+        width = -(-column.itemsize // 8) * 8
+        words = column.astype(f"S{width}").view(np.uint64).reshape(len(column), -1)
+        if (words[1:] == words[:-1]).all():
+            code = self._add(column[:1], [0])
+            return np.full(len(column), code, np.int64), [code]
+        keys = words[:, 0] if words.shape[1] == 1 else column
+        table, codes = self._table(keys.dtype)
+        at = np.searchsorted(table, keys)
+        missed = (
+            np.flatnonzero(table.take(at, mode="clip") != keys)
+            if len(table) else np.arange(len(keys))
+        )
+        if len(missed):
+            # only the names the table lacks are sorted, to find each one's
+            # first appearance
+            _, first = np.unique(keys[missed], return_index=True)
+            self._add(column, missed[np.sort(first)])
+            table, codes = self._table(keys.dtype)
+            at = np.searchsorted(table, keys)
+        rows = codes[at]
+        return rows, np.flatnonzero(np.bincount(rows))
+
+    def _add(self, column: np.ndarray, rows) -> int:
+        """Code each of ``column[rows]``, new names joining the table in
+        the order given; returns the last code."""
+        for i in rows:
+            name = column[i].decode("ascii")
+            code = self.codes.get(name)
+            if code is None:
+                if not (self.grow and name):
+                    raise _Defer
+                code = self.codes[name] = len(self.codes)
+                self._sorted = None
+        return code
 
 
 def _fast_records(path, header, tasks, cells: bool):
@@ -252,8 +300,7 @@ def _fast_records(path, header, tasks, cells: bool):
     int64 steps, finite float64 values, non-empty algorithm names and
     known tasks; a curves file (``cells``) also needs no negative step and
     no duplicate cell."""
-    algos: dict[str, int] = {}
-    names = {name: j for j, name in enumerate(tasks or ())}
+    algos, names = _Names((), grow=True), _Names(tasks or (), grow=tasks is None)
     stores: dict[int, bytearray] = {}  # per algorithm code
     limit = csv.field_size_limit()
     want = ",".join(header).encode()
@@ -270,27 +317,27 @@ def _fast_records(path, header, tasks, cells: bool):
                 continue
             if len(block) > limit and max(map(len, lines)) > limit:
                 raise _Defer
-            rows = _parse_block(lines, algos, names)
+            rows = _parse_block(lines, algos.codes, names.codes)
             steps, values = rows["step"], rows["value"]
             if not np.isfinite(values).all() or cells and steps.min() < 0:
                 raise _Defer
-            algo_codes, present = _codes(rows["algo"], algos, grow=True)
+            algo_codes, present = algos(rows["algo"])
             block = np.empty(len(rows), _RECORD)
             block["step"], block["metric"] = steps, values
-            block["task"] = _codes(rows["task"], names, grow=tasks is None)[0]
+            block["task"] = names(rows["task"])[0]
             for a in present:
                 # codes grow in order of first appearance, and so do stores
                 mine = block[algo_codes == a] if len(present) > 1 else block
                 stores.setdefault(a, bytearray()).extend(mine)
     if not stores:
         raise _Defer
-    records = _record_arrays(algos, stores.values())
+    records = _record_arrays(algos.codes, stores.values())
     for rec in records.values() if cells else ():
         by_cell = rec[np.lexsort((rec["task"], rec["step"]))]
         step, task = by_cell["step"], by_cell["task"]
         if ((step[1:] == step[:-1]) & (task[1:] == task[:-1])).any():
             raise _Defer
-    return records, tuple(names)
+    return records, tuple(names.codes)
 
 
 def _read_records(path, header, what: str, tasks, cells: bool):
@@ -638,8 +685,11 @@ def downsample_to_boundaries(raw: RawLog) -> PerformanceMatrix:
     codes, steps, metrics = (raw.records[f] for f in ("task", "step", "metric"))
     # phase l ends right before the next phase starts; the last phase is open
     ends = np.array([b for b, _ in raw.boundaries[1:]], dtype=np.int64) - 1
-    # each record's phase is the first whose end is at or after its step
-    phases = np.searchsorted(ends, steps)
+    # each record's phase is the first whose end is at or after its step:
+    # cut the step-sorted records after each phase end
+    cuts = np.searchsorted(steps, ends, side="right")
+    counts = np.diff(cuts, prepend=0, append=len(steps))
+    phases = np.repeat(np.arange(len(raw.boundaries)), counts)
     # records are sorted by step, so of two rows at one step the later has
     # the larger index: the latest record per (task, phase), carried
     # forward into the phases that log nothing for that task

@@ -66,6 +66,17 @@ def _is_finite(value) -> bool:
     return _is_real(value) and math.isfinite(value)
 
 
+def _finite_array(value) -> np.ndarray:
+    """``value`` as a new float64 array: a numpy integer or float array, or
+    nested sequences whose entries each pass ``_is_finite``."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value.astype(np.float64)
+    entries = np.array(value, dtype=object)
+    if not all(map(_is_finite, entries.flat)):
+        raise ValidationError("task properties must be finite")
+    return entries.astype(np.float64)
+
+
 @dataclass(frozen=True)
 class TaskSet:
     """Ordered collection of distinct task names."""
@@ -130,8 +141,7 @@ class TaskProperties:
     difficulty: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.transfer, dtype=np.float64)
-        d = np.array(self.difficulty, dtype=np.float64)
+        a, d = _finite_array(self.transfer), _finite_array(self.difficulty)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"transfer must be square, got shape {a.shape}")
         if d.ndim != 1 or d.shape[0] != a.shape[0]:

@@ -138,3 +138,40 @@ def test_markdown_ties_count_for_neither_side():
     against = {"pairs": 3, "workloads": [{"workload": "w", "metrics": {"x": m}}]}
     row = bench_record.markdown_rows(against, [metric])[2]
     assert "| 1/3 |" in row
+
+
+_REV = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]
+
+
+def _gain_cell(better, rev, head):
+    """The gain-rule cell of the one table row for these runs."""
+    m, metric = _compared(better, rev, head)
+    against = {"pairs": len(rev), "workloads": [{"workload": "w", "metrics": {"x": m}}]}
+    header, _, row = bench_record.markdown_rows(against, [metric])
+    assert header.endswith("| gain rule |")
+    return row.strip("|").split("|")[-1].strip()
+
+
+def test_gain_rule_met_with_nine_wins_and_a_gain_past_the_parent_spread():
+    # the parent's quartiles lie 0.45 apart; HEAD is 2 lower in every pair
+    # but the last, which it loses, or in the higher direction 2 higher
+    head = [v - 2.0 for v in _REV[:-1]] + [11.0]
+    assert _gain_cell("lower", _REV, head) == "met"
+    assert _gain_cell("higher", _REV, [v + 2.0 for v in _REV[:-1]] + [10.0]) == "met"
+    # a tie counts for neither side, so nine wins and a tie still meet it
+    assert _gain_cell("lower", _REV, head[:-1] + [_REV[-1]]) == "met"
+
+
+def test_gain_rule_not_met_with_eight_wins_or_a_gain_within_the_spread():
+    # eight wins and two ties of ten
+    head = [v - 2.0 for v in _REV[:8]] + _REV[8:]
+    assert _gain_cell("lower", _REV, head) == "not met"
+    # ten wins, but the medians differ by 0.1, within the 0.45 spread
+    assert _gain_cell("lower", _REV, [v - 0.1 for v in _REV]) == "not met"
+    # ten wins in the other direction are ten losses
+    assert _gain_cell("higher", _REV, [v - 2.0 for v in _REV]) == "not met"
+
+
+def test_pairs_default_to_ten():
+    # the fewest pairs at which the gain rule allows one loss
+    assert bench_record.arguments().parse_args(["out.json"]).pairs == 10

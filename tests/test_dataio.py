@@ -1222,6 +1222,60 @@ def test_curves_without_a_task_set_skip_the_row_path(tmp_path, monkeypatch):
     assert _cells(matrices) == _cells_ref(cells, order, max_step + 1)
 
 
+def _multi_block_body(rng, header):
+    """A CSV body several real blocks long, in segments: block 1 holds
+    algorithms a, bb and tasks u, v; a later run holds one name per column;
+    then c and w appear (at most 8 bytes) and a 21-byte algorithm and a
+    16-byte task; then short names again in the now wider fields; last, in
+    blocks of their own, a second long algorithm that shares all but its
+    last byte with the first.
+    Steps are the row index, so no cell repeats.  Returns (text, the offset
+    of each name's first row)."""
+    long_algo, long_task = "a_long_learner_name_1", "a_long_task_name"
+    segments = [
+        (["a", "bb"], ["u", "v"], 5_000),
+        (["bb"], ["v"], 5_000),
+        (["a", "bb", "c"], ["u", "v", "w"], 5_000),
+        (["c", long_algo], ["w", long_task], 6_000),
+        (["a"], ["u"], 5_000),
+        (["a", "bb", long_algo], ["u", "w", long_task], 3_000),
+        ([long_algo, long_algo[:-1] + "2"], [long_task], 4_000),
+    ]
+    lines, first, size = [",".join(header)], {}, len(",".join(header)) + 1
+    for algos, tasks, rows in segments:
+        for algo, task, value in zip(
+            rng.choice(algos, rows), rng.choice(tasks, rows), rng.normal(size=rows)
+        ):
+            line = f"{algo},{len(lines)},{task},{value:.6f}"
+            first.setdefault(algo, size)
+            first.setdefault(task, size)
+            lines.append(line)
+            size += len(line) + 1
+    return "\n".join(lines) + "\n", first
+
+
+@pytest.mark.parametrize("header", [dataio.RAW_HEADER, dataio.CURVES_HEADER])
+def test_readers_agree_across_blocks(rng, tmp_path, monkeypatch, header):
+    # the fast path's name tables grow between blocks, and its keys change
+    # from 8-byte words to whole names as fields widen past 8 bytes
+    text, first = _multi_block_body(rng, header)
+    assert len(text) > 4 * dataio._BLOCK_BYTES
+    for name in ("c", "w", "a_long_learner_name_1", "a_long_task_name"):
+        assert first[name] > dataio._BLOCK_BYTES
+    path = _write(tmp_path, "log.csv", text)
+    cells = header == dataio.CURVES_HEADER
+    # a raw log's task set, in an order the file does not show
+    tasks = None if cells else ("a_long_task_name", "w", "v", "u")
+    want = dataio._row_records(path, header, "file", tasks, cells)
+    _no_row_path(monkeypatch)
+    got = dataio._read_records(path, header, "file", tasks, cells)
+    assert got[1] == want[1]
+    algos = ["a", "bb", "c", "a_long_learner_name_1", "a_long_learner_name_2"]
+    algos.sort(key=first.get)
+    assert list(got[0]) == list(want[0]) == algos
+    assert [r.tobytes() for r in got[0].values()] == [r.tobytes() for r in want[0].values()]
+
+
 @pytest.mark.parametrize("suffix", ["x", "xy", "xyz"])
 def test_a_known_task_with_a_suffix_is_an_unknown_task(tmp_path, monkeypatch, suffix):
     # within, at and over the task field's width of 8 bytes

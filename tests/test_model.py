@@ -92,6 +92,21 @@ def test_task_properties_validation():
             TaskProperties(transfer=np.eye(2), difficulty=[0.5, bad])
     with pytest.raises(ValidationError):
         TaskProperties(transfer=np.ones((2, 3)), difficulty=[0.5, 0.5])
+    # the real-number rule: no strings, no bools, no integer past a float
+    for transfer, difficulty in (
+        ([["1"]], [0.5]), ([[1.0]], ["0.5"]), ([["1"]], ["0.5"]),
+        ([[True]], [0.5]), ([[1.0]], [True]), ([[True]], [True]),
+        (np.eye(1, dtype=bool), [0.5]), ([[1.0]], [10**400]),
+    ):
+        with pytest.raises(ValidationError, match="finite"):
+            TaskProperties(transfer=transfer, difficulty=difficulty)
+    # numpy integer and float arrays and entries pass
+    props = TaskProperties(
+        transfer=np.eye(2, dtype=np.float32), difficulty=np.array([1, 2], np.int64)
+    )
+    assert props.transfer.dtype == props.difficulty.dtype == np.float64
+    props = TaskProperties(transfer=[[np.float64(0.5)]], difficulty=[np.int64(1)])
+    assert (props.transfer.tolist(), props.difficulty.tolist()) == ([[0.5]], [1.0])
 
 
 def test_task_properties_arrays_read_only():

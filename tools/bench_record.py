@@ -18,7 +18,7 @@ first run.  This takes about four minutes.
 ``--against REV`` also compares HEAD with commit REV.  REV's files are
 exported with ``git archive`` into a temporary directory, which is removed
 however the run ends.  For each workload it then runs ``--trace 0`` N
-times on each side (default 3), in pairs with seeds 1..N; the odd pairs
+times on each side (default 10), in pairs with seeds 1..N; the odd pairs
 run REV first and the even pairs HEAD first, so drift over time does not
 favour one side.  Under ``against`` it writes every pair's summaries and,
 per end-to-end metric, each side's values, median and quartiles, the
@@ -34,6 +34,11 @@ direction).  A metric is marked unresolved instead when REV's own runs
 spread wider than the bound (the distance between REV's quartiles,
 relative to its median), as the pairs then cannot tell a change within
 the bound from noise, unless every HEAD run is better than every REV run.
+The row's last cell says whether HEAD meets the gain rule, which a claimed
+speed-up must meet: HEAD wins at least nine tenths of the pairs (ties
+count for neither), and its median is better than REV's by more than the
+distance between REV's quartiles.  Ten pairs is the fewest that can meet
+it with a loss allowed.
 """
 
 from __future__ import annotations
@@ -158,12 +163,22 @@ def head_dominates(m: dict) -> bool:
     return max(head) < min(rev)
 
 
+def meets_gain_rule(m: dict, pairs: int) -> bool:
+    """Whether HEAD wins at least nine tenths of ``pairs`` and its median is
+    better than REV's by more than the distance between REV's quartiles."""
+    sign = 1 if m["better"] == "higher" else -1
+    q1, q3 = m["rev"]["quartiles"]
+    gain = sign * (m["head"]["median"] - m["rev"]["median"])
+    return 10 * m["head_wins"] >= 9 * pairs and gain > q3 - q1
+
+
 def markdown_rows(against: dict, end_to_end) -> list[str]:
     """The comparison as Markdown table rows, header included; ``end_to_end``
     is BENCHMARK.json's list, which holds each metric's bound."""
     bounds = {metric["name"]: metric["bound"] for metric in end_to_end}
-    rows = ["| workload | metric | REV → HEAD median | ratio | HEAD wins | bound |",
-            "| --- | --- | --- | --- | --- | --- |"]
+    rows = ["| workload | metric | REV → HEAD median | ratio | HEAD wins | bound "
+            "| gain rule |",
+            "| --- | --- | --- | --- | --- | --- | --- |"]
     for w in against["workloads"]:
         for name, m in w["metrics"].items():
             ratio = "n/a" if m["median_ratio"] is None else f"{m['median_ratio']:.3f}"
@@ -180,18 +195,24 @@ def markdown_rows(against: dict, end_to_end) -> list[str]:
                 verdict = f"{limit:.0%}: ok"
             rows.append(
                 f"| {w['workload']} | {name} ({m['unit']}) | {medians} | {ratio} "
-                f"| {m['head_wins']}/{against['pairs']} | {verdict} |"
+                f"| {m['head_wins']}/{against['pairs']} | {verdict} "
+                f"| {'met' if meets_gain_rule(m, against['pairs']) else 'not met'} |"
             )
     return rows
 
 
-def main(argv=None) -> int:
+def arguments() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="the BENCH_*.json file to write")
     parser.add_argument("--against", metavar="REV",
                         help="also compare HEAD with this commit in alternating pairs")
-    parser.add_argument("--pairs", type=int, default=3,
-                        help="pairs per workload for --against (default 3)")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="pairs per workload for --against (default 10)")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = arguments()
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
