@@ -685,16 +685,18 @@ def downsample_to_boundaries(raw: RawLog) -> PerformanceMatrix:
     codes, steps, metrics = (raw.records[f] for f in ("task", "step", "metric"))
     # phase l ends right before the next phase starts; the last phase is open
     ends = np.array([b for b, _ in raw.boundaries[1:]], dtype=np.int64) - 1
+    m = len(raw.boundaries)
     # each record's phase is the first whose end is at or after its step:
     # cut the step-sorted records after each phase end
     cuts = np.searchsorted(steps, ends, side="right")
-    counts = np.diff(cuts, prepend=0, append=len(steps))
-    phases = np.repeat(np.arange(len(raw.boundaries)), counts)
+    phases = np.repeat(np.arange(m), np.diff(cuts, prepend=0, append=len(steps)))
     # records are sorted by step, so of two rows at one step the later has
     # the larger index: the latest record per (task, phase), carried
-    # forward into the phases that log nothing for that task
-    latest = np.full((len(raw.tasks), len(raw.boundaries)), -1)
-    np.maximum.at(latest, (codes, phases), np.arange(len(steps)))
+    # forward into the phases that log nothing for that task.  Cells are
+    # indexed flat, as ufunc.at is about 10x faster with one index array.
+    latest = np.full(len(raw.tasks) * m, -1)
+    np.maximum.at(latest, codes * m + phases, np.arange(len(steps)))
+    latest = latest.reshape(len(raw.tasks), m)
     np.maximum.accumulate(latest, axis=1, out=latest)
     mask = latest >= 0
     values = np.where(mask, metrics[latest], 0.0)
