@@ -1225,18 +1225,19 @@ def test_curves_without_a_task_set_skip_the_row_path(tmp_path, monkeypatch):
 def _multi_block_body(rng, header):
     """A CSV body several real blocks long, in segments: block 1 holds
     algorithms a, bb and tasks u, v; a later run holds one name per column;
-    then c and w appear (at most 8 bytes) and a 21-byte algorithm and a
-    16-byte task; then short names again in the now wider fields; last, in
-    blocks of their own, a second long algorithm that shares all but its
-    last byte with the first.
-    Steps are the row index, so no cell repeats.  Returns (text, the offset
-    of each name's first row)."""
+    then c and w appear (at most 8 bytes); then a 21-byte algorithm among
+    known tasks, which widens the task field too; then a 16-byte task;
+    then short names again in the now wider fields; last, in blocks of
+    their own, a second long algorithm that shares all but its last byte
+    with the first.  Steps are the row index, so no cell repeats.  Returns
+    (text, the offset of each name's first row)."""
     long_algo, long_task = "a_long_learner_name_1", "a_long_task_name"
     segments = [
         (["a", "bb"], ["u", "v"], 5_000),
         (["bb"], ["v"], 5_000),
         (["a", "bb", "c"], ["u", "v", "w"], 5_000),
-        (["c", long_algo], ["w", long_task], 6_000),
+        (["c", long_algo], ["u", "w"], 5_000),
+        (["a", long_algo], ["w", long_task], 4_000),
         (["a"], ["u"], 5_000),
         (["a", "bb", long_algo], ["u", "w", long_task], 3_000),
         ([long_algo, long_algo[:-1] + "2"], [long_task], 4_000),

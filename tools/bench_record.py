@@ -37,8 +37,8 @@ the bound from noise, unless every HEAD run is better than every REV run.
 The row's last cell says whether HEAD meets the gain rule, which a claimed
 speed-up must meet: HEAD wins at least nine tenths of the pairs (ties
 count for neither), and its median is better than REV's by more than the
-distance between REV's quartiles.  Ten pairs is the fewest that can meet
-it with a loss allowed.
+distance between REV's quartiles.  The default of ten pairs is the
+fewest at which the rule allows one lost pair.
 """
 
 from __future__ import annotations
