@@ -241,9 +241,12 @@ class _Names:
         if self._sorted is None or self._sorted[0] != dtype:
             width = 8 if dtype.kind == "u" else dtype.itemsize
             # a name longer than a key cannot be in the column, and would be
-            # cut short
+            # cut short; nor can one holding a NUL (the column holds none),
+            # and a trailing NUL would give it the key of the name without it
             known = [(name.encode(), code) for name, code in self.codes.items()]
-            fits = [(key, code) for key, code in known if len(key) <= width]
+            fits = [
+                (key, code) for key, code in known if len(key) <= width and b"\0" not in key
+            ]
             names = np.array([key for key, _ in fits], f"S{width}")
             codes = np.array([code for _, code in fits], np.int64)
             keys = names.view(np.uint64) if dtype.kind == "u" else names

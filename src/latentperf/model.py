@@ -66,13 +66,14 @@ def _is_finite(value) -> bool:
     return _is_real(value) and math.isfinite(value)
 
 
-def _finite_array(value) -> np.ndarray:
-    """``value`` as a new float64 array: a numpy integer or float array, or
-    nested sequences whose entries each pass ``_is_finite``."""
-    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
-        return value.astype(np.float64)
+def _finite_array(value, name: str) -> np.ndarray:
+    """``value``, an array or nested sequences whose entries each pass
+    ``_is_finite``, as a new float64 array.  Ragged nesting, which numpy
+    leaves as sequence entries, is refused as a shape fault."""
     entries = np.array(value, dtype=object)
     if not all(map(_is_finite, entries.flat)):
+        if any(np.ndim(e) for e in entries.flat):
+            raise ValidationError(f"{name} must be a rectangular array")
         raise ValidationError("task properties must be finite")
     return entries.astype(np.float64)
 
@@ -141,15 +142,14 @@ class TaskProperties:
     difficulty: np.ndarray
 
     def __post_init__(self):
-        a, d = _finite_array(self.transfer), _finite_array(self.difficulty)
+        a = _finite_array(self.transfer, "transfer")
+        d = _finite_array(self.difficulty, "difficulty")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"transfer must be square, got shape {a.shape}")
         if d.ndim != 1 or d.shape[0] != a.shape[0]:
             raise ValidationError(
                 f"difficulty shape {d.shape} does not match transfer {a.shape}"
             )
-        if not np.all(np.isfinite(a)) or not np.all(np.isfinite(d)):
-            raise ValidationError("task properties must be finite")
         if np.any(a < -1.0) or np.any(a > 1.0):
             raise ValidationError("transfer entries must lie in [-1, 1]")
         if np.any(d < D_MIN):

@@ -1300,6 +1300,21 @@ def test_a_known_task_with_a_suffix_is_an_unknown_task(tmp_path, monkeypatch, su
         parse_raw_log(raw, bnd)
 
 
+def test_a_task_name_ending_in_nul_does_not_code_the_name_without_it(tmp_path):
+    # a NUL pads byte fields, so "u\0" and "u" would share a key
+    bnd = _write(
+        tmp_path, "b.json",
+        json.dumps({"tasks": ["u\0", "v"], "boundaries": [[0, "v"]]}),
+    )
+    raw = _write(
+        tmp_path, "r.csv",
+        "algorithm,global_step,task,metric\na,0,v,0.5\na,1,u,0.5\na,2,v,0.5\n",
+    )
+    with pytest.raises(ParseError) as info:
+        parse_raw_log(raw, bnd)
+    assert str(info.value) == "line 3: unknown task 'u'"
+
+
 def test_one_very_long_name_among_short_lines_takes_the_row_path(tmp_path, monkeypatch):
     # the block's name fields, as wide as its longest line, would pass
     # _FIELD_BYTES, so the row path reads the file instead

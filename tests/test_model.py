@@ -100,6 +100,12 @@ def test_task_properties_validation():
     ):
         with pytest.raises(ValidationError, match="finite"):
             TaskProperties(transfer=transfer, difficulty=difficulty)
+    # ragged nesting is a shape fault, not a non-finite entry
+    for transfer, difficulty in (
+        ([[1.0], [1.0, 2.0]], [0.5, 0.5]), (np.eye(2), [0.5, [0.5]]),
+    ):
+        with pytest.raises(ValidationError, match="rectangular"):
+            TaskProperties(transfer=transfer, difficulty=difficulty)
     # numpy integer and float arrays and entries pass
     props = TaskProperties(
         transfer=np.eye(2, dtype=np.float32), difficulty=np.array([1, 2], np.int64)
