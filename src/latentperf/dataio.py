@@ -13,9 +13,9 @@ Raw training logs arrive as ``algorithm,global_step,task,metric`` CSV plus
 a boundaries JSON marking where each curriculum phase starts; they are
 downsampled to one column per phase before fitting.  A parsed log holds its
 rows as 24-byte records (int64 step, int64 index into the log's task name
-table, float64 metric), stably sorted by step so that rows at the same step
-keep their file order.  Both CSV paths append these records to one
-``bytearray`` per algorithm, and ``RawLog`` takes records in no other shape.
+table, float64 metric).  Both CSV paths append these records, in file
+order, to one ``bytearray`` per algorithm; ``RawLog`` takes them as they
+are and stably sorts them by step, so rows at one step keep file order.
 
 Both CSV formats are read in blocks of lines by np.loadtxt, numpy's C
 tokenizer and number parser, whenever that can prove the file clean (see
@@ -56,6 +56,7 @@ from .model import (
     TaskProperties,
     TaskSet,
     _algorithm_record,
+    _is_finite,
     _is_int,
     _is_real,
     _same_tasks,
@@ -64,8 +65,11 @@ from .model import (
 CURVES_HEADER = ("algorithm", "step", "task", "performance")
 RAW_HEADER = ("algorithm", "global_step", "task", "metric")
 
-# Steps must fit in 64 bits: they become numpy indices and int64 arrays.
-_STEP_LIMIT = 2**63
+
+def _is_step(value) -> bool:
+    """The step rule: an integer by ``_is_int`` that fits in an int64."""
+    return _is_int(value) and -(2**63) <= value < 2**63
+
 
 # One raw-log row: step, index into the log's task name table, metric.
 _RECORD = np.dtype([("step", np.int64), ("task", np.int64), ("metric", np.float64)])
@@ -147,7 +151,7 @@ def _row_records(path, header, what: str, tasks, cells: bool):
                     raise ParseError(
                         f"{step_name} {step_s!r} is not an integer", line=lineno
                     )
-                if not -_STEP_LIMIT <= step < _STEP_LIMIT:
+                if not _is_step(step):
                     raise ParseError(
                         f"{step_name} {step_s!r} is out of range", line=lineno
                     )
@@ -562,18 +566,19 @@ _TASK_CODES = "record tasks must be integer indices into tasks, the task name ta
 
 @dataclass(frozen=True, eq=False)
 class RawLog:
-    """One algorithm's raw training log.
+    """One algorithm's raw training log, the one owner of its rules.
 
     ``records`` holds one (global_step, task, metric) row per logged row,
-    where ``task`` is an integer index into ``tasks``, the log's task name
-    table, so each name is held once per log, not once per row.  It may be
-    given as any sequence of such rows or a structured array with integer
-    ``step`` and ``task`` fields, and is stored as a read-only numpy
-    structured array of 24-byte records: ``step`` (int64), ``task`` (int64)
-    and ``metric`` (finite float64).  It is sorted by step, and rows at the
-    same step keep their input order, so a later row wins a tie.
-    ``boundaries`` holds (global_step, trained_task) pairs marking where
-    each curriculum phase starts, strictly increasing, each task in ``tasks``.
+    where ``task`` indexes ``tasks``, the log's task name table (a
+    TaskSet's names), so each name is held once per log, not once per row.
+    A 1-D array of the 24-byte records it is stored as is taken as it is;
+    other input must be (step, task, metric) tuples or lists, with steps
+    by ``_is_step``, tasks by ``_is_int`` and finite real metrics.  It is
+    stored read-only and stably sorted by step, so rows at the same step
+    keep their input order and a later row wins a tie.  ``boundaries``
+    holds (global_step, trained_task) pairs marking where each curriculum
+    phase starts: steps by ``_is_step``, strictly increasing, each task in
+    ``tasks``.
     """
 
     algorithm: str
@@ -582,42 +587,40 @@ class RawLog:
     tasks: tuple[str, ...]
 
     def __post_init__(self):
-        given = self.records
-        # numpy's cast to int64 would truncate a float or bool step or task
-        # and wrap a uint64 one, so check them first
-        if isinstance(given, np.ndarray) and given.dtype.names is not None:
-            kinds = [given.dtype[field].kind for field in ("step", "task")]
-            if kinds[0] == "u" and len(given) and given["step"].max() >= _STEP_LIMIT:
-                raise ValidationError("record steps must fit in 64 bits")
-            integral = [kind in "iu" for kind in kinds]
+        tasks = TaskSet(self.tasks).names
+        records = self.records
+        if isinstance(records, np.ndarray) and records.dtype == _RECORD and records.ndim == 1:
+            codes = records["task"]
+            if len(codes) and not (0 <= codes.min() and codes.max() < len(tasks)):
+                raise ValidationError(_TASK_CODES)
+            if not np.isfinite(records["metric"]).all():
+                raise ValidationError("record metrics must be finite numbers")
         else:
-            given = list(given)
-            integral = [all(_is_int(row[i]) for row in given) for i in (0, 1)]
-        if not integral[0]:
-            raise ValidationError("record steps must be integers")
-        if not integral[1]:
-            raise ValidationError(_TASK_CODES)
-        try:
-            records = np.asarray(given, dtype=_RECORD)
-        except OverflowError:  # a Python int past 64 bits
-            raise ValidationError("record steps and tasks must fit in 64 bits") from None
-        tasks = tuple(self.tasks)
-        codes = records["task"]
-        if len(codes) and not (0 <= codes.min() and codes.max() < len(tasks)):
-            raise ValidationError(_TASK_CODES)
+            # numpy's casts would truncate a float or bool step or task, wrap
+            # a uint64 one and parse a string metric, so each row is checked
+            rows = records.tolist() if isinstance(records, np.ndarray) else list(records)
+            if not all(isinstance(row, (tuple, list)) and len(row) == 3 for row in rows):
+                raise ValidationError("records must be (global_step, task, metric) rows")
+            if not all(_is_step(row[0]) for row in rows):
+                raise ValidationError("record steps must be integers that fit in 64 bits")
+            if not all(_is_int(row[1]) and 0 <= row[1] < len(tasks) for row in rows):
+                raise ValidationError(_TASK_CODES)
+            if not all(_is_finite(row[2]) for row in rows):
+                raise ValidationError("record metrics must be finite numbers")
+            records = np.array(list(map(tuple, rows)), _RECORD)
+        steps = records["step"]
+        if (steps[1:] < steps[:-1]).any():
+            records = records[np.argsort(steps, kind="stable")]
         records = records.view()
         records.setflags(write=False)
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "tasks", tasks)
         object.__setattr__(self, "boundaries", tuple(self.boundaries))
-        steps = records["step"]
-        if np.any(steps[1:] < steps[:-1]):
-            raise ValidationError("records must be sorted by global_step")
-        if not np.isfinite(records["metric"]).all():
-            raise ValidationError("record metrics must be finite")
         bsteps = [b[0] for b in self.boundaries]
-        if len(self.boundaries) < 1:
+        if not bsteps:
             raise ValidationError("at least one boundary is required")
+        if not all(map(_is_step, bsteps)):
+            raise ValidationError("boundary steps must be integers that fit in 64 bits")
         if any(b >= a for b, a in zip(bsteps, bsteps[1:])):
             raise ValidationError("boundaries must be strictly increasing")
         if any(trained not in tasks for _, trained in self.boundaries):
@@ -637,8 +640,7 @@ def parse_boundaries(path) -> tuple[TaskSet, tuple[tuple[int, str], ...]]:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not _is_int(pair[0])
-            or not -_STEP_LIMIT <= pair[0] < _STEP_LIMIT
+            or not _is_step(pair[0])
             or not isinstance(pair[1], str)
         ):
             raise SchemaError(
@@ -656,8 +658,8 @@ def parse_raw_log(metrics_path, boundaries_path):
     """Read a raw metrics CSV plus its boundaries JSON.
 
     Returns (TaskSet, Curriculum, list of RawLog), one log per algorithm in
-    first-appearance order.  Records are stably sorted by global_step, so
-    later rows win ties at the same step.
+    first-appearance order.  RawLog sorts each log's records by
+    global_step, so later rows win ties at the same step.
     """
     taskset, boundaries = parse_boundaries(boundaries_path)
     curriculum = Curriculum(
@@ -667,12 +669,7 @@ def parse_raw_log(metrics_path, boundaries_path):
     per_algo, _ = _read_records(
         metrics_path, RAW_HEADER, "raw log", taskset.names, cells=False
     )
-    logs = []
-    for algo, records in per_algo.items():
-        steps = records["step"]
-        if (steps[1:] < steps[:-1]).any():
-            records = records[np.argsort(steps, kind="stable")]
-        logs.append(RawLog(algo, records, boundaries, tasks=taskset.names))
+    logs = [RawLog(algo, rec, boundaries, taskset.names) for algo, rec in per_algo.items()]
     return taskset, curriculum, logs
 
 

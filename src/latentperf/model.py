@@ -85,6 +85,8 @@ class TaskSet:
     names: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.names, str):
+            raise ValidationError("task names must be a sequence of names, not one string")
         object.__setattr__(self, "names", tuple(self.names))
         if len(self.names) < 1:
             raise ValidationError("a task set needs at least one task")

@@ -464,10 +464,10 @@ def test_downsample_matches_reference(data):
             max_size=25,
         )
     )
-    records = sorted(records, key=lambda r: r[0])
+    # RawLog sorts the records; the oracle takes them sorted, ties in order
     log = RawLog(algorithm="a", records=records, boundaries=boundaries, tasks=tasks)
     mat = downsample_to_boundaries(log)
-    named = [(s, tasks[j], v) for s, j, v in records]
+    named = [(s, tasks[j], v) for s, j, v in sorted(records, key=lambda r: r[0])]
     values, mask = downsample_ref(named, boundaries, tasks)
     assert mat.mask.tolist() == mask
     assert mat.values.tolist() == values
@@ -495,9 +495,14 @@ def test_downsample_unlogged_task_row_is_masked_and_early_records_land_in_phase_
 
 
 def test_rawlog_validation():
-    with pytest.raises(ValidationError):
-        RawLog(algorithm="a", records=((5, 0, 1.0), (2, 0, 1.0)),
-               boundaries=((0, "t"),), tasks=("t",))
+    # out-of-order records are sorted by step; rows at one step keep their order
+    rows = ((5, 0, 1.0), (2, 1, 2.0), (5, 1, 3.0), (2, 0, 4.0), (5, 0, 5.0))
+    record = [("step", np.int64), ("task", np.int64), ("metric", np.float64)]
+    for given in (rows, np.array(list(rows), dtype=record)):
+        log = RawLog(algorithm="a", records=given, boundaries=((0, "t"),), tasks=("t", "u"))
+        assert log.records.tolist() == [
+            (2, 1, 2.0), (2, 0, 4.0), (5, 0, 1.0), (5, 1, 3.0), (5, 0, 5.0)
+        ]
     with pytest.raises(ValidationError):
         RawLog(algorithm="a", records=(), boundaries=((0, "t"), (0, "t")), tasks=("t",))
     with pytest.raises(ValidationError):
@@ -545,7 +550,7 @@ def test_rawlog_rejects_bad_records():
     for task in (0.7, 0.0, False, np.float64(0.0), "t"):
         with pytest.raises(ValidationError, match="integer indices into tasks"):
             RawLog("a", [(0, task, 1.0)], bounds, tasks)
-    with pytest.raises(ValidationError, match="64 bits"):
+    with pytest.raises(ValidationError, match="name table"):
         RawLog("a", [(0, 2**64, 1.0)], bounds, tasks)
     with pytest.raises(ValidationError, match="steps must be integers"):
         RawLog("a", structured((1.7, 0, 1.0), step=float), bounds, tasks)
@@ -566,6 +571,28 @@ def test_rawlog_rejects_bad_records():
             RawLog("a", [(k, code, 1.0) for k, code in enumerate(codes)], bounds, tasks)
     with pytest.raises(ValidationError, match="name table"):
         RawLog("a", structured((0, 2**63, 1.0), task=np.uint64), bounds, tasks)
+    # list rows are rows, not a second array axis
+    listed = RawLog("a", [[0, 0, 0.5], [1, 0, 0.25]], bounds, tasks)
+    assert listed.records.shape == (2,)
+    assert listed.records.tolist() == [(0, 0, 0.5), (1, 0, 0.25)]
+    assert downsample_to_boundaries(listed).values.tolist() == [[0.25]]
+    with pytest.raises(ValidationError, match="steps must be integers"):
+        RawLog("a", np.array([[0, 0, 0.5], [1, 0, 0.25]]), bounds, tasks)
+    for rows in ([0, 0, 0.5], [(0, 0)], [(0, 0, 1.0, 2)], ["abc"]):
+        with pytest.raises(ValidationError, match="rows"):
+            RawLog("a", rows, bounds, tasks)
+    for metric in ("1.5", None, True, 10**400):
+        with pytest.raises(ValidationError, match="finite numbers"):
+            RawLog("a", [(0, 0, metric)], bounds, tasks)
+    # boundary steps follow the record step rule
+    for steps in ((True, 2), (0, 2.5), (0, 2**63), (-(2**63) - 1, 0)):
+        with pytest.raises(ValidationError, match="boundary steps must be integers"):
+            RawLog("a", [], tuple((s, "t") for s in steps), tasks)
+    # the task table is a TaskSet's: distinct names, never one string
+    with pytest.raises(ValidationError, match="unique"):
+        RawLog("a", [], bounds, ("t", "t"))
+    with pytest.raises(ValidationError, match="one string"):
+        RawLog("a", [], bounds, "t")
 
 
 def test_parse_raw_log_memory_per_row(tmp_path):

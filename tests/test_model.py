@@ -48,6 +48,8 @@ def test_taskset_rejects_duplicates_and_unknowns():
         TaskSet(["a", "a"])
     with pytest.raises(ValidationError):
         TaskSet([])
+    with pytest.raises(ValidationError, match="one string"):
+        TaskSet("abc")  # not the three tasks a, b and c
     ts = TaskSet(["a"])
     with pytest.raises(ValidationError):
         ts.index("zzz")
