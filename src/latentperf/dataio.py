@@ -577,8 +577,7 @@ class RawLog:
     stored read-only and stably sorted by step, so rows at the same step
     keep their input order and a later row wins a tie.  ``boundaries``
     holds (global_step, trained_task) pairs marking where each curriculum
-    phase starts: steps by ``_is_step``, strictly increasing, each task in
-    ``tasks``.
+    phase starts, checked and stored as tuples by ``_boundaries``.
     """
 
     algorithm: str
@@ -587,6 +586,8 @@ class RawLog:
     tasks: tuple[str, ...]
 
     def __post_init__(self):
+        if not isinstance(self.algorithm, str) or not self.algorithm:
+            raise ValidationError("algorithm name must be a non-empty string")
         tasks = TaskSet(self.tasks).names
         records = self.records
         if isinstance(records, np.ndarray) and records.dtype == _RECORD and records.ndim == 1:
@@ -615,43 +616,40 @@ class RawLog:
         records.setflags(write=False)
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "tasks", tasks)
-        object.__setattr__(self, "boundaries", tuple(self.boundaries))
-        bsteps = [b[0] for b in self.boundaries]
-        if not bsteps:
-            raise ValidationError("at least one boundary is required")
-        if not all(map(_is_step, bsteps)):
-            raise ValidationError("boundary steps must be integers that fit in 64 bits")
-        if any(b >= a for b, a in zip(bsteps, bsteps[1:])):
-            raise ValidationError("boundaries must be strictly increasing")
-        if any(trained not in tasks for _, trained in self.boundaries):
-            raise ValidationError("boundaries must train tasks from the task name table")
+        object.__setattr__(self, "boundaries", _boundaries(self.boundaries, tasks))
+
+
+def _boundaries(pairs, tasks) -> tuple[tuple[int, str], ...]:
+    """The one boundary rule: ``pairs`` is a non-empty tuple or list of (step,
+    task) tuples or lists, steps by ``_is_step`` and strictly increasing, each
+    task a name in ``tasks``.  Returns them as tuples; raises ValidationError."""
+    if not isinstance(pairs, (tuple, list)) or not pairs:
+        raise ValidationError("boundaries must be a non-empty list of pairs")
+    if not all(isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in pairs):
+        raise ValidationError("each boundary must be a (global_step, task) pair")
+    steps = [step for step, _ in pairs]
+    if not all(map(_is_step, steps)):
+        raise ValidationError("boundary steps must be integers that fit in 64 bits")
+    if any(b >= a for b, a in zip(steps, steps[1:])):
+        raise ValidationError("boundaries must be strictly increasing")
+    unknown = [task for _, task in pairs if not (isinstance(task, str) and task in tasks)]
+    if unknown:
+        raise ValidationError(f"unknown task {unknown[0]!r}: not in the task name table")
+    return tuple(map(tuple, pairs))
 
 
 def parse_boundaries(path) -> tuple[TaskSet, tuple[tuple[int, str], ...]]:
-    """Read a boundaries JSON: {"tasks": [...], "boundaries": [[step, task], ...]}."""
+    """Read a boundaries JSON: {"tasks": [...], "boundaries": [[step, task], ...]}.
+
+    The pairs follow ``_boundaries``; a fault raises SchemaError on the
+    ``boundaries`` field."""
     doc = _load_json_object(path, "boundaries file")
     _check_keys(doc, ("tasks", "boundaries"), "boundaries file")
     taskset = TaskSet(names=tuple(_string_list(doc["tasks"], "tasks")))
-    bl = doc["boundaries"]
-    if not isinstance(bl, list) or not bl:
-        raise SchemaError("must be a non-empty list", field="boundaries")
-    out = []
-    for pair in bl:
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not _is_step(pair[0])
-            or not isinstance(pair[1], str)
-        ):
-            raise SchemaError(
-                "each entry must be [global_step, task_name]", field="boundaries"
-            )
-        taskset.index(pair[1])  # validates the name
-        out.append((pair[0], pair[1]))
-    steps = [s for s, _ in out]
-    if any(b >= a for b, a in zip(steps, steps[1:])):
-        raise SchemaError("steps must be strictly increasing", field="boundaries")
-    return taskset, tuple(out)
+    try:
+        return taskset, _boundaries(doc["boundaries"], taskset.names)
+    except ValidationError as exc:
+        raise SchemaError(str(exc), field="boundaries") from None
 
 
 def parse_raw_log(metrics_path, boundaries_path):
@@ -708,9 +706,9 @@ def normalize_minmax(matrix: PerformanceMatrix, task_names=None) -> PerformanceM
     row's own min and max.
 
     Masked entries are untouched and rows with no observations pass
-    through.  A row whose observed values are all equal is an error
-    (there is no scale to infer); ``task_names``, one per task row,
-    improves that message.
+    through.  A row whose observed values are all equal, or span more
+    than a float holds, is an error (no scale to infer); ``task_names``,
+    one per task row, improves that message.
     """
     if task_names is not None:
         what = f"matrix for {matrix.algorithm!r}"
@@ -718,15 +716,16 @@ def normalize_minmax(matrix: PerformanceMatrix, task_names=None) -> PerformanceM
     mask = matrix.mask
     vmin = np.min(matrix.values, axis=1, where=mask, initial=np.inf)
     vmax = np.max(matrix.values, axis=1, where=mask, initial=-np.inf)
-    # a row with no observations reads inf and -inf, so it passes through
-    constant = np.flatnonzero(vmax == vmin)
-    if constant.size:
-        j = int(constant[0])
+    with np.errstate(over="ignore"):
+        span = vmax - vmin
+    # an empty row's span is -inf, so it passes; a finite span keeps x - vmin finite
+    degenerate = np.flatnonzero((span == 0) | (span == np.inf))
+    if degenerate.size:
+        j = int(degenerate[0])
         name = task_names[j] if task_names is not None else f"task index {j}"
-        raise NormalizationError(
-            f"task {name}: constant values, nothing to normalize", task=str(name)
-        )
+        why = "constant values" if span[j] == 0 else "value range overflows a float"
+        raise NormalizationError(f"task {name}: {why}, nothing to normalize", task=str(name))
     values = matrix.values.copy()
     np.subtract(values, vmin[:, None], out=values, where=mask)
-    np.divide(values, (vmax - vmin)[:, None], out=values, where=mask)
+    np.divide(values, span[:, None], out=values, where=mask)
     return PerformanceMatrix(algorithm=matrix.algorithm, values=values, mask=mask)

@@ -26,7 +26,7 @@ class SchemaError(ParseError):
 
 
 class NormalizationError(ValueError):
-    """A task row to normalize is degenerate (constant values).  Names the task."""
+    """A task row to normalize is degenerate (constant, or too wide a range).  Names the task."""
 
     def __init__(self, message: str, task: str | None = None):
         super().__init__(message)

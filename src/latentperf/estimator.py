@@ -433,7 +433,7 @@ def recovery_experiment(
     for t in range(trials):
         spec = replace(base, seed=(seed + t) % 2**64)
         truth, curriculum, data = generate(spec)
-        cfg = replace(config, seed=(spec.seed ^ _SEED_SCRAMBLE) % 2**64)
+        cfg = replace(config, seed=spec.seed ^ _SEED_SCRAMBLE)
         try:
             result = fit(curriculum, data, cfg)
         except DivergenceError as exc:

@@ -512,6 +512,25 @@ def test_ingest_constant_metric_exits_2(tmp_path, capsys):
     assert "task t" in capsys.readouterr().err
 
 
+def test_ingest_metric_range_overflowing_a_float_exits_2(tmp_path, capsys):
+    raw = tmp_path / "wide.csv"
+    raw.write_text(
+        "algorithm,global_step,task,metric\n"
+        "a,0,t,-1e308\n"
+        "a,10,t,1e308\n"
+    )
+    bounds = tmp_path / "bounds.json"
+    bounds.write_text('{"tasks": ["t"], "boundaries": [[0, "t"], [10, "t"]]}')
+    code = main([
+        "ingest",
+        "--raw", str(raw),
+        "--boundaries", str(bounds),
+        "--out", str(tmp_path / "out.csv"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: task t: value range overflows")
+
+
 def test_ingest_bad_input_bytes_exit_2(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     bounds = tmp_path / "bounds.json"

@@ -593,6 +593,9 @@ def test_rawlog_rejects_bad_records():
         RawLog("a", [], bounds, ("t", "t"))
     with pytest.raises(ValidationError, match="one string"):
         RawLog("a", [], bounds, "t")
+    for algorithm in ("", 5, None):
+        with pytest.raises(ValidationError, match="algorithm name must be a non-empty string"):
+            RawLog(algorithm, [], bounds, tasks)
 
 
 def test_parse_raw_log_memory_per_row(tmp_path):
@@ -695,6 +698,43 @@ def test_parse_boundaries_errors(tmp_path):
     assert info.value.field == "boundaries"
 
 
+# one boundary fault per row, with a fragment of the message it must give
+_BAD_BOUNDARIES = [
+    (5, "non-empty list"),
+    (None, "non-empty list"),
+    ([], "non-empty list"),
+    ([[0]], "(global_step, task) pair"),
+    ([[0, "t", "x"]], "(global_step, task) pair"),
+    ([5], "(global_step, task) pair"),
+    ([[True, "t"]], "64 bits"),
+    ([[1.5, "t"]], "64 bits"),
+    ([[2**63, "t"]], "64 bits"),
+    ([[0, "t"], [0, "t"]], "strictly increasing"),
+    ([[5, "t"], [0, "t"]], "strictly increasing"),
+    ([[0, "w"]], "unknown task 'w'"),
+    ([[0, 5]], "unknown task 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "pairs, message", _BAD_BOUNDARIES, ids=[repr(p) for p, _ in _BAD_BOUNDARIES]
+)
+def test_rawlog_and_boundaries_file_share_one_boundary_rule(tmp_path, pairs, message):
+    with pytest.raises(ValidationError) as built:
+        RawLog("a", [], pairs, ("t",))
+    assert message in str(built.value)
+    path = _write(tmp_path, "b.json", json.dumps({"tasks": ["t"], "boundaries": pairs}))
+    with pytest.raises(SchemaError) as read:
+        parse_boundaries(path)
+    assert read.value.field == "boundaries"
+    assert str(read.value) == f"field 'boundaries': {built.value}"
+
+
+def test_rawlog_stores_boundary_pairs_as_tuples():
+    log = RawLog("a", [], boundaries=[[0, "t"]], tasks=("t",))
+    assert log.boundaries == ((0, "t"),)
+
+
 # ---------------------------------------------------------------------------
 # normalization
 
@@ -749,6 +789,18 @@ def test_normalize_constant_row_errors_with_task_name():
     with pytest.raises(NormalizationError) as info:
         normalize_minmax(mat)
     assert info.value.task == "task index 1"
+
+
+def test_normalize_range_overflowing_a_float_errors_with_task_name():
+    values = np.array([[0.0, 1.0], [-1e308, 1e308]])
+    mat = PerformanceMatrix(algorithm="a", values=values)
+    with pytest.raises(NormalizationError, match="overflows") as info:
+        normalize_minmax(mat, task_names=["ok", "wide"])
+    assert info.value.task == "wide"
+    assert str(info.value).startswith("task wide: ")
+    # a wide range that still fits in a float is scaled as usual
+    wide = PerformanceMatrix(algorithm="a", values=np.array([[-8e307, 0.0, 8e307]]))
+    np.testing.assert_array_equal(normalize_minmax(wide).values, [[0.0, 0.5, 1.0]])
 
 
 def test_normalize_task_names_must_cover_every_row():
