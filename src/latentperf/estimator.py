@@ -20,6 +20,9 @@ the rollout, checked by tests against a forward-mode oracle and central
 finite differences.  A fit of S steps builds one ``_Problem`` and
 evaluates the loss and its gradient at S+1 points, the last of which
 gives the final losses; ``loss`` and ``gradient`` build one per call.
+Adam moves one packed parameter vector, whose layout ``model.py`` owns
+(``model._pack``); ``_Problem`` holds it as ``theta``, beside the
+gradient packed the same way.
 """
 
 from __future__ import annotations
@@ -34,20 +37,24 @@ from .model import (
     D_MIN,
     Curriculum,
     ScenarioParams,
+    _GROUPS,
     _Adjoint,
     _Rollout,
     _backward,
+    _component_name,
     _forward_curves,
     _is_finite,
     _is_int,
-    _param_arrays,
+    _pack,
     _params_from_arrays,
+    _refuse_overflow,
     _same_tasks,
+    _unpack,
 )
 from .scenarios import ScenarioSpec, generate
 
 # Per-parameter-group mean-squared-error bounds the recovery check is held
-# to (twice the errors the approach is known to reach on this setup).
+# to (twice the errors the approach reaches on this setup), in _GROUPS order.
 RECOVERY_THRESHOLDS = {
     "transfer": 0.24,
     "difficulty": 0.08,
@@ -55,8 +62,6 @@ RECOVERY_THRESHOLDS = {
     "h": 0.02,
     "lambda": 0.05,
 }
-# The parameter groups in packed order; every per-group table uses it.
-_GROUPS = tuple(RECOVERY_THRESHOLDS)
 
 # Scrambling constant used to derive an initialization seed that cannot
 # collide with the seed that sampled a synthetic ground truth.
@@ -114,16 +119,18 @@ class ParamGradient:
 
 
 class _Problem:
-    """One curriculum with its observed curves, and the kernel buffers
-    that evaluating its loss and gradient refills: ``rollout`` and its
-    ``adjoint``.
+    """One curriculum with its observed curves, the point its loss and
+    gradient are evaluated at, and the kernel buffers that evaluating them
+    refills: ``rollout`` and its ``adjoint``.
 
     The observed matrices are checked against the curriculum and stacked
     step-major into ``obs`` and ``mask`` (m, p, n), algorithms in the
-    order given; their names, ``names``, must be unique.  ``arrays`` alone
-    pairs a parameter set with them, by position.  ``resid`` holds the
-    last evaluation's masked residuals.  ``grad`` is the flat gradient
-    laid out like ``_pack``, and ``grad_groups`` its ``_unpack`` views.
+    order given; their names, ``names``, must be unique.  ``theta`` is the
+    packed point (``model._pack``) and ``groups`` its ``_unpack`` views;
+    ``set_params`` alone writes a parameter set there, paired with the
+    observed matrices by position.  ``resid`` holds the last evaluation's
+    masked residuals, ``grad`` the gradient packed like ``theta`` and
+    ``grad_groups`` its views.
     """
 
     def __init__(self, curriculum: Curriculum, observed):
@@ -147,26 +154,27 @@ class _Problem:
         self.adjoint = _Adjoint(self.rollout)
         self.unobserved = ~self.mask
         self.resid = np.empty((m, p, n))
-        self.grad = np.empty(n * n + n + 3 * p)
+        self.theta = np.empty(n * n + n + 3 * p)
+        self.groups = _unpack(self.theta, n, p)
+        self.grad = np.empty_like(self.theta)
         self.grad_groups = _unpack(self.grad, n, p)
 
-    def arrays(self, params: ScenarioParams):
-        """``params`` as the parameter groups the evaluations take, paired
-        with the observed matrices by position (names are not compared).
-        Raises ValidationError unless the task and algorithm counts match."""
+    def set_params(self, params: ScenarioParams) -> None:
+        """Write ``params`` into ``theta``, paired with the observed
+        matrices by position (names are not compared).  Raises
+        ValidationError unless the task and algorithm counts match."""
         _, p, n = self.obs.shape
         _same_tasks("parameter set", params.n, "curriculum", n)
         if params.p != p:
             raise ValidationError(
                 f"parameter set covers {params.p} algorithms, observed data has {p}"
             )
-        return _param_arrays(params)
+        self.theta[:] = _pack(params)
 
-    def loss(self, arrays) -> float:
-        """Rollout at the parameter groups ``arrays``; leaves the masked
-        residuals in ``resid`` and returns their summed squares (the raw
-        loss)."""
-        pred = _forward_curves(self.rollout, *arrays)
+    def loss(self) -> float:
+        """Rollout at ``theta``; leaves the masked residuals in ``resid``
+        and returns their summed squares (the raw loss)."""
+        pred = _forward_curves(self.rollout, self.groups)
         np.subtract(pred, self.obs, out=self.resid)
         np.copyto(self.resid, 0.0, where=self.unobserved)
         # the squares borrow the adjoint's inject, which _backward
@@ -174,11 +182,10 @@ class _Problem:
         squares = np.multiply(self.resid, self.resid, out=self.adjoint.inject)
         return float(np.add.reduce(squares, axis=None))
 
-    def loss_and_grad(self, arrays) -> float:
-        """Returns ``loss(arrays)`` and leaves its gradient in ``grad``."""
-        _, difficulty, _, _, translation = arrays
-        loss = self.loss(arrays)
-        _backward(self.adjoint, self.resid, difficulty, translation, self.grad_groups)
+    def loss_and_grad(self) -> float:
+        """Returns ``loss()`` and leaves its gradient in ``grad``."""
+        loss = self.loss()
+        _backward(self.adjoint, self.resid, self.groups, self.grad_groups)
         return loss
 
 
@@ -186,61 +193,37 @@ def loss(params: ScenarioParams, curriculum: Curriculum, observed) -> float:
     """Summed squared error between simulated and observed curves (masked
     entries excluded).  Algorithm k of ``params`` pairs with ``observed[k]``
     by position, names not compared; a task or algorithm count that does
-    not match, or a repeated observed name, raises ValidationError."""
+    not match, or a repeated observed name, raises ValidationError, and so
+    do params that overflow the rollout, as in ``simulate_all``."""
     problem = _Problem(curriculum, observed)
-    return problem.loss(problem.arrays(params))
+    problem.set_params(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = problem.loss()
+    _refuse_overflow(problem.rollout, params)
+    return value
 
 
 def gradient(params: ScenarioParams, curriculum: Curriculum, observed) -> ParamGradient:
     """Exact derivatives of ``loss`` with respect to every parameter; the
     inputs pair and are checked as for ``loss``."""
     problem = _Problem(curriculum, observed)
-    problem.loss_and_grad(problem.arrays(params))
+    problem.set_params(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        problem.loss()
+    _refuse_overflow(problem.rollout, params)
+    # not loss_and_grad: the adjoint runs outside errstate, so it warns of
+    # overflows of its own, such as from observations near a float's limit
+    _backward(problem.adjoint, problem.resid, problem.groups, problem.grad_groups)
     return ParamGradient(*problem.grad_groups)
-
-
-def _pack(arrays) -> np.ndarray:
-    transfer, difficulty, gamma, retention, translation = arrays
-    return np.concatenate(
-        [transfer.ravel(), difficulty, gamma, retention, translation]
-    )
-
-
-def _unpack(theta: np.ndarray, n: int, p: int):
-    k = n * n
-    return (
-        theta[:k].reshape(n, n),
-        theta[k : k + n],
-        theta[k + n : k + n + p],
-        theta[k + n + p : k + n + 2 * p],
-        theta[k + n + 2 * p :],
-    )
 
 
 def _bounds(n: int, p: int):
     """Box of the packed parameter vector; lo == hi == 1 pins the transfer
     diagonal."""
-    lo = np.concatenate(
-        [np.full(n * n, -1.0), np.full(n, D_MIN), np.zeros(3 * p)]
-    )
-    hi = np.concatenate(
-        [np.ones(n * n), np.full(n + p, np.inf), np.ones(p), np.full(p, np.inf)]
-    )
+    lo = np.repeat([-1.0, D_MIN, 0.0], [n * n, n, 3 * p])
+    hi = np.repeat([1.0, np.inf, 1.0, np.inf], [n * n, n + p, p, p])
     lo[: n * n : n + 1] = 1.0
     return lo, hi
-
-
-def _component_name(flat_index: int, n: int, p: int, algo_names) -> str:
-    k = n * n
-    if flat_index < k:
-        return f"transfer[{flat_index // n},{flat_index % n}]"
-    flat_index -= k
-    if flat_index < n:
-        return f"difficulty[{flat_index}]"
-    flat_index -= n
-    group, a = divmod(flat_index, p)
-    label = _GROUPS[2 + group]
-    return f"{label}({algo_names[a]})"
 
 
 def _first_nonfinite(x: np.ndarray) -> int | None:
@@ -253,34 +236,26 @@ def _first_nonfinite(x: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-def _initial_theta(n: int, p: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return np.concatenate(
-        [rng.uniform(-1.0, 1.0, size=n * n), rng.uniform(0.0, 1.0, size=n + 3 * p)]
-    )
-
-
-def _descend(problem: _Problem, theta: np.ndarray, config: FitConfig, callback):
-    """Projected Adam from the packed start ``theta``, updated in place.
+def _descend(problem: _Problem, config: FitConfig, callback):
+    """Projected Adam from ``problem.theta``, which it moves in place.
     Leaves ``theta`` at the last of the ``config.steps + 1`` points it
     evaluates, ``problem.resid`` and ``problem.grad`` at that point, and
     returns the normalized loss at each."""
     _, p, n = problem.obs.shape
     lo, hi = _bounds(n, p)
     pinned = lo == hi
+    # Adam moves theta in place, so problem.groups follow every step.
+    theta, g = problem.theta, problem.grad
     theta.clip(lo, hi, out=theta)
     scale = 1.0 / int(np.sum(problem.mask))
 
-    # Adam updates theta in place, so these views follow every step.
-    arrays = _unpack(theta, n, p)
-    g = problem.grad
     moment1 = moment2 = np.zeros_like(theta)
     trace = np.empty(config.steps + 1)
     # Overflow is expected on the way to divergence; every non-finite value
     # in this block is checked and reported, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.steps + 2):
-            value = problem.loss_and_grad(arrays)
+            value = problem.loss_and_grad()
             if not math.isfinite(value):
                 raise DivergenceError(t - 1, "loss")
             trace[t - 1] = value * scale
@@ -338,15 +313,17 @@ def fit(
     problem = _Problem(curriculum, observed)
     n, p, names = curriculum.n_tasks, len(observed), problem.names
     if init_params is not None:
-        theta = _pack(problem.arrays(init_params))
+        problem.set_params(init_params)
     else:
-        theta = _initial_theta(n, p, config.seed)
-    trace = _descend(problem, theta, config, callback)
+        rng = np.random.default_rng(config.seed)
+        problem.theta[: n * n] = rng.uniform(-1.0, 1.0, size=n * n)
+        problem.theta[n * n :] = rng.uniform(0.0, 1.0, size=n + 3 * p)
+    trace = _descend(problem, config, callback)
     squares = np.einsum("lpn,lpn->p", problem.resid, problem.resid)
     counts = np.maximum(problem.mask.sum(axis=(0, 2)), 1)
     per_algo = {name: float(s / c) for name, s, c in zip(names, squares, counts)}
     return FitResult(
-        params=_params_from_arrays(*_unpack(theta, n, p), names),
+        params=_params_from_arrays(*problem.groups, names),
         loss_total=float(trace[-1]),
         loss_per_algorithm=per_algo,
         loss_trace=trace,
@@ -384,10 +361,9 @@ def parameter_recovery_errors(
     """
     if truth.n != estimate.n or truth.p != estimate.p:
         raise ValidationError("parameter sets have different shapes")
-    ta, ea = _param_arrays(truth), _param_arrays(estimate)
-    return {
-        k: float(np.mean((ea[idx] - ta[idx]) ** 2)) for idx, k in enumerate(_GROUPS)
-    }
+    n, p = truth.n, truth.p
+    pairs = zip(_GROUPS, _unpack(_pack(truth), n, p), _unpack(_pack(estimate), n, p))
+    return {k: float(np.mean((e - t) ** 2)) for k, t, e in pairs}
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ bitwise-equal outputs.
 and ``_backward``, its hand-derived adjoint, which carries the loss's
 derivative back through the same steps into an ``_Adjoint``.  A fit runs
 both at every optimizer step; ``simulate_all`` builds one rollout per
-call and no adjoint.
+call and no adjoint.  Both read a parameter set in its one array form,
+owned here: the packed vector that ``_pack`` lays out in ``_GROUPS``
+order, ``_unpack`` views by group and ``_params_from_arrays`` inverts.
 
 Every (steps, algorithms, tasks) array an evaluation writes, and every
 operand of the per-step loops, is a buffer set up once per curriculum
@@ -209,6 +211,9 @@ ALGORITHM_FIELDS = {
     "lambda": "expertise_translation",
 }
 
+# The parameter groups in packed order; every per-group table follows it.
+_GROUPS = ("transfer", "difficulty", *ALGORITHM_FIELDS)
+
 
 def _algorithm_record(algo: AlgorithmProperties) -> dict:
     """``{"name", "gamma", "h", "lambda"}``, as a params file and the
@@ -338,20 +343,15 @@ class _Rollout:
         )
 
 
-def _forward_curves(
-    ws: _Rollout,
-    transfer: np.ndarray,
-    difficulty: np.ndarray,
-    gamma: np.ndarray,
-    retention: np.ndarray,
-    translation: np.ndarray,
-) -> np.ndarray:
-    """Vectorized rollout over all algorithms at once, in ``ws``'s buffers.
+def _forward_curves(ws: _Rollout, groups) -> np.ndarray:
+    """Vectorized rollout over all algorithms at once, in ``ws``'s buffers,
+    at ``groups``, the ``_unpack`` views of a packed vector.
 
     Fills every record of ``ws`` and returns ``ws.curves``, the
     predictions of shape (m, p, n).  The loop writes only the records;
     ``curves`` is one sigmoid over them afterwards.
     """
+    transfer, difficulty, gamma, retention, translation = groups
     # entries are in range (Curriculum checks them); "clip" lets take
     # write straight into out instead of through a buffer
     difficulty2 = difficulty * 2.0
@@ -407,11 +407,11 @@ class _Adjoint:
         )
 
 
-def _backward(adj: _Adjoint, resid, difficulty, translation, groups) -> None:
-    """Write into ``groups``, in ``_param_arrays`` order, the gradient of
-    the summed squares of ``resid``: the masked residuals (m, p, n) of
-    ``adj``'s rollout, which holds the forward pass at the parameters
-    whose ``difficulty`` and ``translation`` are given.
+def _backward(adj: _Adjoint, resid, groups, grad_groups) -> None:
+    """Write into ``grad_groups``, ``_unpack``'s views of a flat vector,
+    the gradient of the summed squares of ``resid``: the masked residuals
+    (m, p, n) of ``adj``'s rollout, which holds the forward pass at
+    ``groups``, the views of another.
 
     Two phases.  The backward loop carries only ebar, d(loss)/
     d(experience), through the steps that are truly sequential, and
@@ -419,6 +419,7 @@ def _backward(adj: _Adjoint, resid, difficulty, translation, groups) -> None:
     records and the rollout's.  No BLAS call, so results are bitwise
     deterministic at any thread count.
     """
+    _, difficulty, _, _, translation = groups
     ws = adj.rollout
     e, pred = ws.entries, ws.curves
     inject, feedback = adj.inject, adj.feedback
@@ -444,7 +445,7 @@ def _backward(adj: _Adjoint, resid, difficulty, translation, groups) -> None:
         multiply(dgain, fb, scratch)
         add(trained_ebar, scratch, trained_ebar)
 
-    g_transfer, g_difficulty, g_gamma, g_retention, g_translation = groups
+    g_transfer, g_difficulty, g_gamma, g_retention, g_translation = grad_groups
     dgains = adj.dgains
     g_transfer.fill(0.0)
     np.add.at(g_transfer, e, np.einsum("lpn,lp->ln", adj.ebars, ws.gains))
@@ -461,22 +462,27 @@ def _backward(adj: _Adjoint, resid, difficulty, translation, groups) -> None:
     np.add.reduce(dgains * ws.before, axis=0, out=g_translation)
 
 
-def _param_arrays(params: ScenarioParams):
-    """``(transfer, difficulty, gamma, retention, translation)``: one array
-    per parameter group, the last three with one entry per algorithm in
-    ALGORITHM_FIELDS order.  ``_params_from_arrays`` inverts it."""
-    return params.tasks.transfer, params.tasks.difficulty, *(
-        np.array([getattr(a, f) for a in params.algorithms])
-        for f in ALGORITHM_FIELDS.values()
+def _pack(params: ScenarioParams) -> np.ndarray:
+    """``params`` as one packed vector: transfer row by row, difficulty,
+    then one entry per algorithm for each ALGORITHM_FIELDS key."""
+    return np.concatenate(
+        [params.tasks.transfer.ravel(), params.tasks.difficulty]
+        + [[getattr(a, f) for a in params.algorithms] for f in ALGORITHM_FIELDS.values()]
     )
+
+
+def _unpack(theta: np.ndarray, n: int, p: int):
+    """The ``_GROUPS`` views of a packed vector for n tasks, p algorithms."""
+    k = n * n
+    return theta[:k].reshape(n, n), theta[k : k + n], *theta[k + n :].reshape(3, p)
 
 
 def _params_from_arrays(
     transfer, difficulty, gamma, retention, translation, names
 ) -> ScenarioParams:
-    """The inverse of ``_param_arrays``: entry a of each per-algorithm
-    array belongs to the algorithm named ``names[a]``.  The arrays are
-    copied, never kept."""
+    """The inverse of ``_pack``, given ``_unpack``'s views or arrays of
+    their shapes: entry a of each per-algorithm array belongs to the
+    algorithm named ``names[a]``.  The arrays are copied, never kept."""
     return ScenarioParams(
         tasks=TaskProperties(transfer=transfer, difficulty=difficulty),
         algorithms=tuple(
@@ -486,6 +492,17 @@ def _params_from_arrays(
     )
 
 
+def _component_name(flat_index: int, n: int, p: int, algo_names) -> str:
+    """Entry ``flat_index`` of a packed vector by name, e.g. ``gamma(a)``."""
+    k = n * n
+    if flat_index < k:
+        return f"transfer[{flat_index // n},{flat_index % n}]"
+    if flat_index < k + n:
+        return f"difficulty[{flat_index - k}]"
+    group, a = divmod(flat_index - k - n, p)
+    return f"{_GROUPS[2 + group]}({algo_names[a]})"
+
+
 def _same_tasks(what: str, n: int, other: str, n_other: int) -> None:
     """Raise ValidationError unless ``what`` covers as many tasks as
     ``other``: the one check and message for every task-count mismatch."""
@@ -493,25 +510,29 @@ def _same_tasks(what: str, n: int, other: str, n_other: int) -> None:
         raise ValidationError(f"{what} covers {n} tasks, {other} has {n_other}")
 
 
-def simulate_all(params: ScenarioParams, curriculum: Curriculum) -> list[PerformanceMatrix]:
-    """Forward rollout for every algorithm, order preserved.
-
-    Params that overflow the rollout raise ValidationError naming the first
-    curriculum step (and its algorithm) whose experience over difficulty is
-    not finite; its curves would otherwise read exactly -1 or 1.
-    """
-    _same_tasks("parameter set", params.n, "curriculum", curriculum.n_tasks)
-    arrays = _param_arrays(params)
-    ws = _Rollout(params.n, params.p, curriculum.entries)
+def _refuse_overflow(ws: _Rollout, params: ScenarioParams) -> None:
+    """Raise ValidationError naming the first step (and algorithm) of the
+    rollout ``ws`` at ``params`` whose experience over difficulty is not
+    finite, as its curves would read exactly -1 or 1: the one overflow
+    check of simulate_all, loss and gradient."""
     with np.errstate(over="ignore", invalid="ignore"):
-        curves = _forward_curves(ws, *arrays)
-        finite = np.isfinite(ws.states[1:] / arrays[1]).all(axis=2)
+        finite = np.isfinite(ws.states[1:] / params.tasks.difficulty).all(axis=2)
     if not finite.all():
         step, k = np.argwhere(~finite)[0]
         raise ValidationError(
             f"experience over difficulty of {params.algorithms[k].name!r} is not "
             f"finite at step {step}: the params overflow the rollout"
         )
+
+
+def simulate_all(params: ScenarioParams, curriculum: Curriculum) -> list[PerformanceMatrix]:
+    """Forward rollout for every algorithm, order preserved.  Params that
+    overflow the rollout raise ValidationError (``_refuse_overflow``)."""
+    _same_tasks("parameter set", params.n, "curriculum", curriculum.n_tasks)
+    ws = _Rollout(params.n, params.p, curriculum.entries)
+    with np.errstate(over="ignore", invalid="ignore"):
+        curves = _forward_curves(ws, _unpack(_pack(params), params.n, params.p))
+    _refuse_overflow(ws, params)
     return [
         PerformanceMatrix(algorithm=a.name, values=curves[:, k].T)
         for k, a in enumerate(params.algorithms)

@@ -128,14 +128,18 @@ def _average_ranks(values) -> list[float]:
     ]
 
 
-def _spearman(x_ranks, y_ranks) -> float:
+def _spearman(x_ranks, y_ranks) -> float | None:
+    """Pearson correlation of two rank lists; None, as it is undefined,
+    for fewer than two ranks or when either list is all ties."""
+    if len(x_ranks) < 2:
+        return None
     x = np.asarray(x_ranks)
     y = np.asarray(y_ranks)
     xd = x - x.mean()
     yd = y - y.mean()
     denom = float(np.sqrt(np.sum(xd * xd) * np.sum(yd * yd)))
     if denom == 0.0:
-        return 0.0
+        return None
     return float(np.sum(xd * yd) / denom)
 
 
@@ -150,7 +154,8 @@ def comparison_table(
     Algorithms missing from a dataset leave a blank cell.  The machine
     output carries full-precision values, ranks, and the Spearman rank
     correlation for every pair of datasets (over their shared algorithms;
-    null when fewer than two are shared).
+    null when fewer than two are shared, or when the shared algorithms
+    all tie in either dataset, as the correlation is undefined there).
     """
     if parameter not in COMPARISON_PARAMETERS:
         raise ValidationError(
@@ -188,10 +193,7 @@ def comparison_table(
     spearman = {}
     for la, lb in itertools.combinations(labels, 2):
         shared = [n for n in algo_order if n in per_label[la] and n in per_label[lb]]
-        spearman[f"{la}|{lb}"] = (
-            _spearman(ranks_of(la, shared), ranks_of(lb, shared))
-            if len(shared) >= 2 else None
-        )
+        spearman[f"{la}|{lb}"] = _spearman(ranks_of(la, shared), ranks_of(lb, shared))
 
     machine = {
         "table": "comparison",

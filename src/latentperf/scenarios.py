@@ -64,9 +64,7 @@ def sample_params(spec: ScenarioSpec) -> ScenarioParams:
     transfer = rng.uniform(-1.0, 1.0, size=(spec.n_tasks, spec.n_tasks))
     np.fill_diagonal(transfer, 1.0)
     difficulty = rng.uniform(D_MIN, 1.0, size=spec.n_tasks)
-    gamma = rng.uniform(0.0, 1.0, size=spec.n_algos)
-    retention = rng.uniform(0.0, 1.0, size=spec.n_algos)
-    translation = rng.uniform(0.0, 1.0, size=spec.n_algos)
+    gamma, retention, translation = rng.uniform(0.0, 1.0, size=(3, spec.n_algos))
     names = [f"algo{a + 1}" for a in range(spec.n_algos)]
     return _params_from_arrays(transfer, difficulty, gamma, retention, translation, names)
 

@@ -11,7 +11,7 @@ from latentperf import (
     TaskProperties,
     TaskSet,
 )
-from latentperf.model import _Rollout, _forward_curves, _param_arrays
+from latentperf.model import _Rollout, _forward_curves, _pack, _unpack
 
 # Hypothesis reports a falsifying example through hypothesis.extra._patching,
 # whose libcst import pulls in mypy_extensions.TypedDict and its
@@ -73,7 +73,7 @@ def kernel_rollout(params, entries):
     ``states``, each step's ``before`` and the ``curves`` that
     ``simulate_all`` returns."""
     ws = _Rollout(params.n, params.p, entries)
-    _forward_curves(ws, *_param_arrays(params))
+    _forward_curves(ws, _unpack(_pack(params), params.n, params.p))
     return ws
 
 

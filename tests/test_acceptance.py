@@ -33,8 +33,8 @@ from latentperf import (
     write_curves,
     write_params,
 )
-from latentperf.estimator import _SEED_SCRAMBLE, _pack
-from latentperf.model import _param_arrays
+from latentperf.estimator import _SEED_SCRAMBLE
+from latentperf.model import _pack
 
 from conftest import GOLDEN_DIR, kernel_rollout, params_as_lists, random_instance
 from oracles import fd_gradient, forward_ref, loss_ref, relative_errors
@@ -122,7 +122,7 @@ def test_criterion_2_gradient_matches_finite_differences(capfd):
             )
             return loss_ref(transfer, list(theta[k : k + n]), algos, entries, obs, msk, n)
 
-        theta = list(_pack(_param_arrays(params)))
+        theta = list(_pack(params))
         approx = fd_gradient(ref_loss, theta, eps=1e-6)
         worst = max(worst, max(relative_errors(approx, list(flat))))
     elapsed = time.perf_counter() - started

@@ -357,6 +357,12 @@ def test_params_schema_errors(tmp_path):
     assert info.value.field == "gamma"
     assert "field 'gamma':" in str(info.value)
 
+    # an integer too large for a float, such as 1 followed by 400 zeros
+    huge = _write(tmp_path, "h.json", json.dumps(variant(difficulty=[0.5, 10**400])))
+    with pytest.raises(SchemaError, match="is out of range") as info:
+        parse_params(huge)
+    assert info.value.field == "difficulty"
+
     valid = good["algorithms"][0]
     for k, (doc, field) in enumerate([
         (variant(difficulty=[0.5]), "difficulty"),
@@ -571,6 +577,14 @@ def test_rawlog_rejects_bad_records():
             RawLog("a", [(k, code, 1.0) for k, code in enumerate(codes)], bounds, tasks)
     with pytest.raises(ValidationError, match="name table"):
         RawLog("a", structured((0, 2**63, 1.0), task=np.uint64), bounds, tasks)
+    # a record array is checked as a whole: codes inside the table, finite
+    # metrics
+    for code in (1, -1):
+        with pytest.raises(ValidationError, match="name table"):
+            RawLog("a", structured((0, code, 1.0)), bounds, tasks)
+    for metric in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            RawLog("a", structured((0, 0, metric)), bounds, tasks)
     # list rows are rows, not a second array axis
     listed = RawLog("a", [[0, 0, 0.5], [1, 0, 0.25]], bounds, tasks)
     assert listed.records.shape == (2,)

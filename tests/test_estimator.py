@@ -21,8 +21,8 @@ from latentperf import (
     simulate_all,
 )
 from latentperf import estimator, model
-from latentperf.estimator import _pack
-from latentperf.model import D_MIN, _param_arrays, _params_from_arrays
+from latentperf.estimator import RECOVERY_THRESHOLDS
+from latentperf.model import D_MIN, _pack, _params_from_arrays, _unpack
 from latentperf.scenarios import ScenarioSpec, generate
 
 from conftest import params_as_lists, random_instance
@@ -178,7 +178,7 @@ def _worst_fd_error(params, cur, observed, eps=1e-6):
         [o.values.tolist() for o in observed],
         [o.mask.tolist() for o in observed],
     )
-    theta = list(_pack(_param_arrays(params)))
+    theta = list(_pack(params))
     approx = fd_gradient(f, theta, eps=eps)
     return max(relative_errors(approx, list(g)))
 
@@ -288,7 +288,7 @@ def test_problem_workspace_leaves_no_stale_state(rng):
     # the inputs of those buffers.
     _, params_a, cur = random_instance(rng, 4, 9, 3)
     names = params_a.algorithm_names()
-    transfer, difficulty, gamma, retention, translation = _param_arrays(params_a)
+    transfer, difficulty, gamma, retention, translation = _unpack(_pack(params_a), 4, 3)
     params_b = _params_from_arrays(
         np.clip(transfer + rng.uniform(-0.5, 0.5, transfer.shape), -1.0, 1.0),
         difficulty + rng.uniform(0.1, 1.0, difficulty.shape),
@@ -311,10 +311,11 @@ def test_problem_workspace_leaves_no_stale_state(rng):
         ("loss", params_b),
     ]
     for method, params in sequence:
-        arrays = _param_arrays(params)
         fresh = estimator._Problem(cur, observed)
-        value = getattr(shared, method)(arrays)
-        assert value == getattr(fresh, method)(arrays)
+        shared.set_params(params)
+        fresh.set_params(params)
+        value = getattr(shared, method)()
+        assert value == getattr(fresh, method)()
         np.testing.assert_array_equal(shared.rollout.curves, fresh.rollout.curves)
         np.testing.assert_array_equal(shared.resid, fresh.resid)
         if method == "loss_and_grad":
@@ -331,7 +332,8 @@ def test_kernel_loops_read_contiguous_same_shape_operands(rng):
     _, params, cur = random_instance(rng, 4, 9, 3)
     n, p = params.n, params.p
     problem = estimator._Problem(cur, _random_observed(rng, params, cur))
-    problem.loss_and_grad(_param_arrays(params))
+    problem.set_params(params)
+    problem.loss_and_grad()
     ws, adj = problem.rollout, problem.adjoint
 
     def fast(a):
@@ -360,7 +362,7 @@ def _textbook_loss_and_grad(params, cur, obs, mask):
     lambda * (0.5 * (1 - before**2)) / d[i] and the trained task's
     difficulty term -sum(dgain * feedback * (e / d)).  The reductions are
     the kernel's, so the two agree bit for bit."""
-    transfer, d, gamma, h, lam = _param_arrays(params)
+    transfer, d, gamma, h, lam = _unpack(_pack(params), params.n, params.p)
     entries = np.array(cur.entries)
     m, p, n = obs.shape
     states = np.zeros((m + 1, p, n))
@@ -414,7 +416,8 @@ def test_kernel_matches_textbook_form_bitwise(rng, n, p, m, count):
     for _ in range(count):
         _, params, cur = random_instance(rng, n, m, p)
         problem = estimator._Problem(cur, _random_observed(rng, params, cur))
-        value = problem.loss_and_grad(_param_arrays(params))
+        problem.set_params(params)
+        value = problem.loss_and_grad()
         curves, expected, groups = _textbook_loss_and_grad(
             params, cur, problem.obs, problem.mask
         )
@@ -431,7 +434,8 @@ def test_problem_buffers_have_one_step_major_layout(rng):
     _, params, cur = random_instance(rng, 4, 9, 3)
     n, p, m = params.n, params.p, cur.m
     problem = estimator._Problem(cur, _random_observed(rng, params, cur))
-    problem.loss_and_grad(_param_arrays(params))
+    problem.set_params(params)
+    problem.loss_and_grad()
     buffers = {
         name: value
         for owner in (problem, problem.rollout, problem.adjoint)
@@ -454,11 +458,11 @@ def test_loss_and_grad_allocates_less_than_one_step_major_array(rng):
     # an (m, p, n) temporary cannot hide inside that buffer's allocation.
     _, params, cur = random_instance(rng, 20, 400, 6)
     problem = estimator._Problem(cur, _random_observed(rng, params, cur))
-    arrays = _param_arrays(params)
-    problem.loss_and_grad(arrays)  # warm-up
+    problem.set_params(params)
+    problem.loss_and_grad()  # warm-up
     tracemalloc.start()
     try:
-        problem.loss_and_grad(arrays)
+        problem.loss_and_grad()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -579,10 +583,10 @@ def test_fit_matches_allocating_reference(rng):
     b1, b2, eps = estimator._BETA1, estimator._BETA2, estimator._EPSILON
     lo, hi = estimator._bounds(n, p)
     scale = 1.0 / sum(int(o.mask.sum()) for o in observed)
-    theta = np.clip(_pack(_param_arrays(truth)), lo, hi)
+    theta = np.clip(_pack(truth), lo, hi)
     moment1 = moment2 = np.zeros_like(theta)
     for t in range(1, config.steps + 1):
-        params = _params_from_arrays(*estimator._unpack(theta, n, p), names)
+        params = _params_from_arrays(*_unpack(theta, n, p), names)
         assert result.loss_trace[t - 1] == loss(params, cur, observed) * scale
         g = np.where(lo < hi, _pack_gradient(gradient(params, cur, observed)), 0.0)
         moment1 = b1 * moment1 + (1.0 - b1) * g
@@ -591,7 +595,7 @@ def test_fit_matches_allocating_reference(rng):
         v_hat = moment2 / (1.0 - b2**t)
         step = config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         theta = np.clip(theta - step, lo, hi)
-    np.testing.assert_array_equal(_pack(_param_arrays(result.params)), theta)
+    np.testing.assert_array_equal(_pack(result.params), theta)
     # the final losses are those of the last point, evaluated like the rest
     final = loss(result.params, cur, observed) * scale
     assert result.loss_trace[-1] == final
@@ -663,6 +667,13 @@ def test_fit_divergence_reports_step_and_parameter():
             fit(cur, observed, FitConfig(steps=5), init_params=params)
     assert info.value.step == 0
     assert "after 0 optimizer steps" in str(info.value)
+    # a start that overflows the rollout has a finite loss (every curve
+    # saturates) but a non-finite gradient, named by its first entry
+    overflowing, cur, observed = _overflowing_problem()
+    with pytest.raises(DivergenceError) as info:
+        fit(cur, observed, FitConfig(steps=3), init_params=overflowing)
+    assert info.value.step == 0
+    assert str(info.value) == "non-finite gradient of difficulty[0] after 0 optimizer steps"
 
 
 def test_fit_divergence_reports_loss_not_pinned_diagonal():
@@ -703,7 +714,7 @@ def test_component_name_follows_packed_layout():
     for n, p in ((1, 1), (2, 3), (3, 2)):
         names = [f"algo{a}" for a in range(p)]
         flat = np.arange(n * n + n + 3 * p)
-        transfer, difficulty, *per_algorithm = estimator._unpack(flat, n, p)
+        transfer, difficulty, *per_algorithm = _unpack(flat, n, p)
         expected = {}
         for (i, j), k in np.ndenumerate(transfer):
             expected[k] = f"transfer[{i},{j}]"
@@ -714,7 +725,13 @@ def test_component_name_follows_packed_layout():
                 expected[k] = f"{label}({names[a]})"
         assert sorted(expected) == list(flat)
         for k in flat:
-            assert estimator._component_name(int(k), n, p, names) == expected[k]
+            assert model._component_name(int(k), n, p, names) == expected[k]
+
+
+def test_recovery_thresholds_follow_the_packed_groups():
+    # every per-group table, the thresholds and the recovery errors
+    # included, lists the groups in the packed order
+    assert tuple(RECOVERY_THRESHOLDS) == model._GROUPS
 
 
 def test_fit_init_params_must_match_inputs(rng):
@@ -760,6 +777,35 @@ def test_params_must_pair_with_observed_by_count(rng, site, n, p, message):
     with pytest.raises(ValidationError) as info:
         _PAIRING_SITES[site](params, cur, observed)
     assert str(info.value) == message
+
+
+def _overflowing_problem():
+    """Params whose first step overflows experience over difficulty, a
+    curriculum and zero observations for them."""
+    tasks = TaskProperties(transfer=np.eye(2), difficulty=[0.5, 0.5])
+    params = ScenarioParams(tasks, [AlgorithmProperties("a", 1e308, 1.0, 0.0)])
+    observed = [PerformanceMatrix(algorithm="a", values=np.zeros((2, 3)))]
+    return params, Curriculum(entries=[0, 0, 1], n_tasks=2), observed
+
+
+@pytest.mark.filterwarnings("error")
+def test_loss_and_gradient_refuse_params_that_overflow_the_rollout():
+    # one check and one message with simulate_all, and no numpy warning:
+    # unchecked, loss read 4.0 from the saturated curves and gradient gave
+    # a NaN difficulty entry
+    params, cur, observed = _overflowing_problem()
+    message = (
+        "experience over difficulty of 'a' is not finite at step 0: "
+        "the params overflow the rollout"
+    )
+    for call in (
+        lambda: simulate_all(params, cur),
+        lambda: loss(params, cur, observed),
+        lambda: gradient(params, cur, observed),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("site", ["loss", "gradient"])

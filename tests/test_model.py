@@ -25,8 +25,9 @@ from latentperf import (
 from latentperf.model import (
     ALGORITHM_FIELDS,
     D_MIN,
-    _param_arrays,
+    _pack,
     _params_from_arrays,
+    _unpack,
 )
 
 from conftest import kernel_rollout, params_as_lists, random_instance
@@ -50,6 +51,9 @@ def test_taskset_rejects_duplicates_and_unknowns():
         TaskSet([])
     with pytest.raises(ValidationError, match="one string"):
         TaskSet("abc")  # not the three tasks a, b and c
+    for names in (["a", ""], ["a", 5], [None]):
+        with pytest.raises(ValidationError, match="non-empty strings"):
+            TaskSet(names)
     ts = TaskSet(["a"])
     with pytest.raises(ValidationError):
         ts.index("zzz")
@@ -94,6 +98,9 @@ def test_task_properties_validation():
             TaskProperties(transfer=np.eye(2), difficulty=[0.5, bad])
     with pytest.raises(ValidationError):
         TaskProperties(transfer=np.ones((2, 3)), difficulty=[0.5, 0.5])
+    for difficulty in ([0.5, 0.5, 0.5], [[0.5, 0.5]], 0.5):
+        with pytest.raises(ValidationError, match="does not match transfer"):
+            TaskProperties(transfer=np.eye(2), difficulty=difficulty)
     # the real-number rule: no strings, no bools, no integer past a float
     for transfer, difficulty in (
         ([["1"]], [0.5]), ([[1.0]], ["0.5"]), ([["1"]], ["0.5"]),
@@ -138,6 +145,15 @@ def test_performance_matrix_rejects_non_finite_observations():
             PerformanceMatrix(algorithm="a", values=values, mask=mask)
     with pytest.raises(ValidationError, match="finite"):
         PerformanceMatrix(algorithm="a", values=values)
+    # the other checks: a 2-d matrix, a mask of its shape, a name
+    for bad in ([0.5, 0.5], [[[0.5]]], 0.5):
+        with pytest.raises(ValidationError, match="must be 2-d"):
+            PerformanceMatrix(algorithm="a", values=bad)
+    with pytest.raises(ValidationError, match="does not match values"):
+        PerformanceMatrix(algorithm="a", values=np.zeros((2, 2)), mask=[True, True])
+    for name in ("", None, 5):
+        with pytest.raises(ValidationError, match="non-empty string"):
+            PerformanceMatrix(algorithm=name, values=np.zeros((2, 2)))
 
 
 def test_algorithm_properties_validation():
@@ -166,6 +182,11 @@ def test_algorithm_properties_validation():
 def test_scenario_params_rejects_duplicate_algorithm_names():
     tasks = TaskProperties(transfer=np.eye(2), difficulty=[0.5, 0.5])
     ScenarioParams(tasks, [AlgorithmProperties("a", 0.1, 0.5, 0.1)])
+    with pytest.raises(ValidationError, match="at least one algorithm"):
+        ScenarioParams(tasks, [])
+    for entry in ("a", ("a", 0.1, 0.5, 0.1), None):
+        with pytest.raises(ValidationError, match="must be AlgorithmProperties"):
+            ScenarioParams(tasks, [AlgorithmProperties("a", 0.1, 0.5, 0.1), entry])
     with pytest.raises(ValidationError, match="duplicate algorithm name"):
         ScenarioParams(
             tasks,
@@ -177,7 +198,7 @@ def test_scenario_params_rejects_duplicate_algorithm_names():
         )
 
 
-def test_params_from_arrays_inverts_param_arrays(rng):
+def test_params_from_arrays_inverts_pack(rng):
     # positional construction relies on the table following the fields
     assert tuple(ALGORITHM_FIELDS.values()) == tuple(
         f.name for f in dataclasses.fields(AlgorithmProperties)
@@ -185,14 +206,16 @@ def test_params_from_arrays_inverts_param_arrays(rng):
     for n, p in [(1, 1), (1, 3), (4, 1), (3, 2), (6, 5)]:
         _, params, _ = random_instance(rng, n, 4, p)
         names = params.algorithm_names()
-        back = _params_from_arrays(*_param_arrays(params), names)
+        theta = _pack(params)
+        back = _params_from_arrays(*_unpack(theta, n, p), names)
         assert back.algorithms == params.algorithms
-        for got, want in zip(_param_arrays(back), _param_arrays(params)):
+        for got, want in zip(_unpack(_pack(back), n, p), _unpack(theta, n, p)):
             assert got.dtype == want.dtype == np.float64
             assert got.tobytes() == want.tobytes()
         assert back.tasks.transfer is not params.tasks.transfer
+        assert not np.shares_memory(back.tasks.transfer, theta)
         with pytest.raises(ValueError):
-            _params_from_arrays(*_param_arrays(params), names[:-1])
+            _params_from_arrays(*_unpack(theta, n, p), names[:-1])
 
 
 _ONE = TaskSet(["u"])

@@ -254,6 +254,28 @@ def test_comparison_ties_share_average_rank():
     assert table.rows[0][1] == "0.50 (1.5)"
 
 
+def test_comparison_spearman_null_when_shared_algorithms_all_tie():
+    # a dataset whose shared algorithms all tie has no ranking, so the rank
+    # correlation is undefined (it read 0.0, as if the rankings disagreed);
+    # a partial tie still ranks
+    tied = [AlgorithmProperties(n, 0.5, 0.5, 0.5) for n in ("p", "q", "r")]
+    spread = _algos_with_gamma({"p": 0.1, "q": 0.4, "r": 0.9})
+    partial = _algos_with_gamma({"p": 0.4, "q": 0.4, "r": 0.9})
+    datasets = {"tied": tied, "spread": spread, "partial": partial}
+    table = comparison_table(datasets, "gamma")
+    machine = json.loads(table.to_json())
+    assert machine["spearman"]["tied|spread"] is None
+    assert machine["spearman"]["tied|partial"] is None
+    assert machine["spearman"]["spread|partial"] == pytest.approx(0.8660254037844387)
+    assert '"tied|spread": null' in table.to_json()
+    # the same null as for fewer than two shared algorithms
+    for names in (["p", "y"], ["y", "z"]):
+        other = _algos_with_gamma(dict(zip(names, (0.3, 0.7))))
+        datasets = {"spread": spread, "other": other}
+        machine = json.loads(comparison_table(datasets, "gamma").to_json())
+        assert machine["spearman"] == {"spread|other": None}
+
+
 def test_comparison_missing_algorithm_blank_cell():
     partial = dict(list(CIFAR_GAMMA.items())[:3])
     table = comparison_table(
