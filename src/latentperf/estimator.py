@@ -17,9 +17,10 @@ c*(difficulty, gamma, lambda) with transfer unchanged.
 
 Gradients are exact: ``model._backward`` is the hand-derived adjoint of
 the rollout, checked by tests against a forward-mode oracle and central
-finite differences.  A fit of S steps builds one ``_Problem`` and
-evaluates the loss and its gradient at S+1 points, the last of which
-gives the final losses; ``loss`` and ``gradient`` build one per call.
+finite differences.  ``loss``, ``gradient`` and ``fit`` take caller
+input through one ``_Problem``, which bounds the observations and passes
+params through ``model._checked_curves``, so ``loss`` is finite or raises.
+A fit of S steps evaluates the loss and its gradient at S+1 points.
 Adam moves one packed parameter vector, whose layout ``model.py`` owns
 (``model._pack``); ``_Problem`` holds it as ``theta``, beside the
 gradient packed the same way.
@@ -41,13 +42,13 @@ from .model import (
     _Adjoint,
     _Rollout,
     _backward,
+    _checked_curves,
     _component_name,
     _forward_curves,
     _is_finite,
     _is_int,
     _pack,
     _params_from_arrays,
-    _refuse_overflow,
     _same_tasks,
     _unpack,
 )
@@ -150,6 +151,13 @@ class _Problem:
         self.mask = np.stack([o.mask for o in observed]).transpose(2, 0, 1).copy()
         if not self.mask.any():
             raise ValidationError("observed data has no masked-true entries")
+        # Predictions lie in [-1, 1], so no squared error exceeds (|obs| + 1)^2,
+        # and _squares sums in this order: its loss is finite if this sum is.
+        # Scaling by 2^-511 is exact below 2^512 (one square from there on
+        # overflows) and keeps the sum normal; 4 - 2^-51 is float max * 2^-1022.
+        b = np.where(self.mask, np.abs(self.obs) + 1.0, 0.0) * 2.0**-511
+        if b.max() >= 2.0 or np.add.reduce(b * b, axis=None) > 4.0 - 2.0**-51:
+            raise ValidationError("observed values too large: squared errors overflow")
         self.rollout = _Rollout(n, p, curriculum.entries)
         self.adjoint = _Adjoint(self.rollout)
         self.unobserved = ~self.mask
@@ -159,10 +167,10 @@ class _Problem:
         self.grad = np.empty_like(self.theta)
         self.grad_groups = _unpack(self.grad, n, p)
 
-    def set_params(self, params: ScenarioParams) -> None:
-        """Write ``params`` into ``theta``, paired with the observed
-        matrices by position (names are not compared).  Raises
-        ValidationError unless the task and algorithm counts match."""
+    def set_params(self, params: ScenarioParams) -> float:
+        """Write ``params`` into ``theta``, paired with the observed matrices by
+        position (names not compared), and return the raw loss there through the
+        door, ``model._checked_curves``; ValidationError unless counts match."""
         _, p, n = self.obs.shape
         _same_tasks("parameter set", params.n, "curriculum", n)
         if params.p != p:
@@ -170,11 +178,11 @@ class _Problem:
                 f"parameter set covers {params.p} algorithms, observed data has {p}"
             )
         self.theta[:] = _pack(params)
+        return self._squares(_checked_curves(self.rollout, self.groups, params))
 
-    def loss(self) -> float:
-        """Rollout at ``theta``; leaves the masked residuals in ``resid``
-        and returns their summed squares (the raw loss)."""
-        pred = _forward_curves(self.rollout, self.groups)
+    def _squares(self, pred) -> float:
+        """Leaves the masked residuals of ``pred`` in ``resid`` and returns
+        their summed squares (the raw loss)."""
         np.subtract(pred, self.obs, out=self.resid)
         np.copyto(self.resid, 0.0, where=self.unobserved)
         # the squares borrow the adjoint's inject, which _backward
@@ -183,24 +191,21 @@ class _Problem:
         return float(np.add.reduce(squares, axis=None))
 
     def loss_and_grad(self) -> float:
-        """Returns ``loss()`` and leaves its gradient in ``grad``."""
-        loss = self.loss()
+        """The raw loss at ``theta``, unchecked like a fit's iterates; leaves
+        the masked residuals in ``resid`` and their gradient in ``grad``."""
+        loss = self._squares(_forward_curves(self.rollout, self.groups))
         _backward(self.adjoint, self.resid, self.groups, self.grad_groups)
         return loss
 
 
 def loss(params: ScenarioParams, curriculum: Curriculum, observed) -> float:
     """Summed squared error between simulated and observed curves (masked
-    entries excluded).  Algorithm k of ``params`` pairs with ``observed[k]``
-    by position, names not compared; a task or algorithm count that does
-    not match, or a repeated observed name, raises ValidationError, and so
-    do params that overflow the rollout, as in ``simulate_all``."""
-    problem = _Problem(curriculum, observed)
-    problem.set_params(params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = problem.loss()
-    _refuse_overflow(problem.rollout, params)
-    return value
+    entries excluded), always finite.  Algorithm k of ``params`` pairs with
+    ``observed[k]`` by position, names not compared.  A task or algorithm
+    count that does not match, a repeated observed name, params that
+    overflow the rollout (as in ``simulate_all``) and observed values too
+    large to square raise ValidationError."""
+    return _Problem(curriculum, observed).set_params(params)
 
 
 def gradient(params: ScenarioParams, curriculum: Curriculum, observed) -> ParamGradient:
@@ -208,11 +213,7 @@ def gradient(params: ScenarioParams, curriculum: Curriculum, observed) -> ParamG
     inputs pair and are checked as for ``loss``."""
     problem = _Problem(curriculum, observed)
     problem.set_params(params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        problem.loss()
-    _refuse_overflow(problem.rollout, params)
-    # not loss_and_grad: the adjoint runs outside errstate, so it warns of
-    # overflows of its own, such as from observations near a float's limit
+    # params near a float's limit can overflow the adjoint, which then warns
     _backward(problem.adjoint, problem.resid, problem.groups, problem.grad_groups)
     return ParamGradient(*problem.grad_groups)
 
@@ -295,11 +296,11 @@ def fit(
     Runs ``config.steps`` Adam updates on the summed-squares objective,
     projecting onto the feasible boxes after every update.  Deterministic
     given (config, inputs).  ``init_params`` overrides the seeded random
-    initialization; it pairs with ``observed`` by position, and count
-    mismatches raise ValidationError.  ``callback(step, loss, feasible)``
-    is invoked once per update with the 1-based step index, the normalized
-    loss at the point the update's gradient was taken, and whether the
-    projected parameters satisfy every box constraint.
+    start; it and ``observed`` pair and are checked as for ``loss``.
+    ``callback(step, loss, feasible)`` is invoked once per update with the
+    1-based step index, the normalized loss at the point the update's
+    gradient was taken, and whether the projected parameters satisfy every
+    box constraint.
 
     Every algorithm shares one transfer matrix and difficulty vector.  Its
     diagonal is held at exactly 1, also when ``init_params`` has another
@@ -342,13 +343,10 @@ def fit_with_restarts(
     ...) and keep the lowest-loss result; ties go to the earliest run."""
     if not _is_int(restarts) or restarts < 1:
         raise ValidationError("restarts must be an integer, at least 1")
-    best = None
-    for r in range(restarts):
-        cfg = replace(config, seed=(config.seed + r) % 2**64)
-        result = fit(curriculum, observed, cfg, callback=callback)
-        if best is None or result.loss_total < best.loss_total:
-            best = result
-    return best
+    configs = (replace(config, seed=(config.seed + r) % 2**64) for r in range(restarts))
+    results = (fit(curriculum, observed, cfg, callback=callback) for cfg in configs)
+    # min keeps the first of equal keys, so ties go to the earliest run
+    return min(results, key=lambda result: result.loss_total)
 
 
 def parameter_recovery_errors(

@@ -17,9 +17,11 @@ bitwise-equal outputs.
 and ``_backward``, its hand-derived adjoint, which carries the loss's
 derivative back through the same steps into an ``_Adjoint``.  A fit runs
 both at every optimizer step; ``simulate_all`` builds one rollout per
-call and no adjoint.  Both read a parameter set in its one array form,
-owned here: the packed vector that ``_pack`` lays out in ``_GROUPS``
-order, ``_unpack`` views by group and ``_params_from_arrays`` inverts.
+call and no adjoint.  Caller parameters reach the kernel only through
+``_checked_curves``, which refuses any that overflow the rollout.  Both
+read a parameter set in its one array form, owned here: the packed
+vector that ``_pack`` lays out in ``_GROUPS`` order, ``_unpack`` views
+by group and ``_params_from_arrays`` inverts.
 
 Every (steps, algorithms, tasks) array an evaluation writes, and every
 operand of the per-step loops, is a buffer set up once per curriculum
@@ -510,29 +512,29 @@ def _same_tasks(what: str, n: int, other: str, n_other: int) -> None:
         raise ValidationError(f"{what} covers {n} tasks, {other} has {n_other}")
 
 
-def _refuse_overflow(ws: _Rollout, params: ScenarioParams) -> None:
-    """Raise ValidationError naming the first step (and algorithm) of the
-    rollout ``ws`` at ``params`` whose experience over difficulty is not
-    finite, as its curves would read exactly -1 or 1: the one overflow
-    check of simulate_all, loss and gradient."""
+def _checked_curves(ws: _Rollout, groups, params: ScenarioParams) -> np.ndarray:
+    """``_forward_curves(ws, groups)``, ``groups`` views of ``_pack(params)``:
+    the one door from a caller's parameters to the kernel.  Raises
+    ValidationError naming the first step (and algorithm) whose experience
+    over difficulty is not finite, as its curves would read exactly -1 or 1."""
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(ws.states[1:] / params.tasks.difficulty).all(axis=2)
+        curves = _forward_curves(ws, groups)
+        finite = np.isfinite(ws.states[1:] / groups[1]).all(axis=2)
     if not finite.all():
         step, k = np.argwhere(~finite)[0]
         raise ValidationError(
             f"experience over difficulty of {params.algorithms[k].name!r} is not "
             f"finite at step {step}: the params overflow the rollout"
         )
+    return curves
 
 
 def simulate_all(params: ScenarioParams, curriculum: Curriculum) -> list[PerformanceMatrix]:
     """Forward rollout for every algorithm, order preserved.  Params that
-    overflow the rollout raise ValidationError (``_refuse_overflow``)."""
+    overflow the rollout raise ValidationError (``_checked_curves``)."""
     _same_tasks("parameter set", params.n, "curriculum", curriculum.n_tasks)
     ws = _Rollout(params.n, params.p, curriculum.entries)
-    with np.errstate(over="ignore", invalid="ignore"):
-        curves = _forward_curves(ws, _unpack(_pack(params), params.n, params.p))
-    _refuse_overflow(ws, params)
+    curves = _checked_curves(ws, _unpack(_pack(params), params.n, params.p), params)
     return [
         PerformanceMatrix(algorithm=a.name, values=curves[:, k].T)
         for k, a in enumerate(params.algorithms)

@@ -367,9 +367,10 @@ def test_fit_steps_zero_is_projected_init(tmp_path, capsys):
     assert (est.tasks.difficulty >= 1e-3).all()
 
 
-def test_fit_divergence_exits_3(tmp_path, capsys):
+def test_fit_observations_too_large_to_square_exit_2(tmp_path, capsys):
     data = _generate(tmp_path)
-    # rewrite the curves with astronomically large targets
+    # rewrite the curves with astronomically large targets, whose squared
+    # errors overflow a float: bad input, not a diverged fit
     ts, mats = parse_curves(data / "curves.csv")
     text = ["algorithm,step,task,performance"]
     for mat in mats:
@@ -380,9 +381,9 @@ def test_fit_divergence_exits_3(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _ = _fit(tmp_path, data)
-    assert code == 3
+    assert code == 2
     err = capsys.readouterr().err
-    assert "error:" in err and "after 0 optimizer steps" in err
+    assert err == "error: observed values too large: squared errors overflow\n"
 
 
 def test_fit_parameter_overflow_exits_3(tmp_path, capsys):

@@ -312,10 +312,11 @@ def test_problem_workspace_leaves_no_stale_state(rng):
     ]
     for method, params in sequence:
         fresh = estimator._Problem(cur, observed)
-        shared.set_params(params)
-        fresh.set_params(params)
-        value = getattr(shared, method)()
-        assert value == getattr(fresh, method)()
+        # the door, set_params, is the loss-only evaluation
+        value, expected = shared.set_params(params), fresh.set_params(params)
+        if method == "loss_and_grad":
+            value, expected = shared.loss_and_grad(), fresh.loss_and_grad()
+        assert value == expected
         np.testing.assert_array_equal(shared.rollout.curves, fresh.rollout.curves)
         np.testing.assert_array_equal(shared.resid, fresh.resid)
         if method == "loss_and_grad":
@@ -653,7 +654,9 @@ def test_fit_result_params_feasible(rng):
         assert a.expertise_translation >= 0.0
 
 
-def test_fit_divergence_reports_step_and_parameter():
+def test_fit_refuses_huge_observations_and_an_overflowing_start():
+    # Input faults, not divergence: both raise ValidationError before any
+    # optimizer step.
     tasks = TaskProperties(transfer=np.eye(2), difficulty=[0.5, 0.5])
     params = ScenarioParams(
         tasks=tasks, algorithms=[AlgorithmProperties("a", 0.1, 0.5, 0.1)]
@@ -662,31 +665,54 @@ def test_fit_divergence_reports_step_and_parameter():
     observed = [
         PerformanceMatrix(algorithm="a", values=np.full((2, 2), 1e308))
     ]
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError) as info:
-            fit(cur, observed, FitConfig(steps=5), init_params=params)
-    assert info.value.step == 0
-    assert "after 0 optimizer steps" in str(info.value)
-    # a start that overflows the rollout has a finite loss (every curve
-    # saturates) but a non-finite gradient, named by its first entry
+    with pytest.raises(ValidationError, match="^observed values too large"):
+        fit(cur, observed, FitConfig(steps=5), init_params=params)
+    # a start that overflows the rollout is refused with simulate_all's
+    # message, naming the cause rather than a gradient entry
     overflowing, cur, observed = _overflowing_problem()
-    with pytest.raises(DivergenceError) as info:
+    with pytest.raises(ValidationError, match="the params overflow the rollout$"):
         fit(cur, observed, FitConfig(steps=3), init_params=overflowing)
-    assert info.value.step == 0
-    assert str(info.value) == "non-finite gradient of difficulty[0] after 0 optimizer steps"
 
 
-def test_fit_divergence_reports_loss_not_pinned_diagonal():
-    # An infinite loss also makes the pinned diagonal's gradient non-finite;
-    # the report names the loss, not a parameter the fit never moves.
+def _corrupting(real, nan_entries, value):
+    """A ``_Problem.loss_and_grad`` that runs ``real``, writes NaN into
+    ``grad[nan_entries]`` and returns ``value`` of the real loss."""
+
+    def loss_and_grad(problem):
+        loss = real(problem)
+        problem.grad[nan_entries] = np.nan
+        return value(loss)
+
+    return loss_and_grad
+
+
+def test_fit_never_examines_the_pinned_diagonal_gradient(monkeypatch):
+    # The diagonal is clipped back to 1 every step, so a non-finite
+    # gradient there, at transfer[0,0], is not a divergence and changes
+    # nothing.
+    _, cur, data = generate(ScenarioSpec(seed=1))
+    config = FitConfig(steps=20)
+    plain = fit(cur, data, config)
+    real = estimator._Problem.loss_and_grad
+    monkeypatch.setattr(
+        estimator._Problem, "loss_and_grad", _corrupting(real, 0, lambda v: v)
+    )
+    corrupted = fit(cur, data, config)
+    np.testing.assert_array_equal(_pack(corrupted.params), _pack(plain.params))
+    np.testing.assert_array_equal(corrupted.loss_trace, plain.loss_trace)
+    assert corrupted.loss_per_algorithm == plain.loss_per_algorithm
+
+
+def test_fit_divergence_reports_loss_not_pinned_diagonal(monkeypatch):
+    # An infinite loss beside a gradient that is NaN everywhere, the pinned
+    # diagonal included: the loss is checked first, and the report never
+    # names a parameter the fit does not move.
+    corrupted = _corrupting(estimator._Problem.loss_and_grad, slice(None), lambda v: np.inf)
+    monkeypatch.setattr(estimator._Problem, "loss_and_grad", corrupted)
     for seed in range(1, 6):
         _, cur, data = generate(ScenarioSpec(seed=seed))
-        huge = [
-            PerformanceMatrix(o.algorithm, np.full_like(o.values, 1e308)) for o in data
-        ]
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as info:
-                fit(cur, huge, FitConfig(steps=5))
+        with pytest.raises(DivergenceError) as info:
+            fit(cur, data, FitConfig(steps=5))
         assert str(info.value) == "non-finite loss after 0 optimizer steps"
 
 
@@ -791,8 +817,8 @@ def _overflowing_problem():
 @pytest.mark.filterwarnings("error")
 def test_loss_and_gradient_refuse_params_that_overflow_the_rollout():
     # one check and one message with simulate_all, and no numpy warning:
-    # unchecked, loss read 4.0 from the saturated curves and gradient gave
-    # a NaN difficulty entry
+    # unchecked, loss read 4.0 from the saturated curves, gradient gave a
+    # NaN difficulty entry and fit blamed the gradient of difficulty[0]
     params, cur, observed = _overflowing_problem()
     message = (
         "experience over difficulty of 'a' is not finite at step 0: "
@@ -802,10 +828,52 @@ def test_loss_and_gradient_refuse_params_that_overflow_the_rollout():
         lambda: simulate_all(params, cur),
         lambda: loss(params, cur, observed),
         lambda: gradient(params, cur, observed),
+        lambda: fit(cur, observed, FitConfig(steps=3), init_params=params),
     ):
         with pytest.raises(ValidationError) as info:
             call()
         assert str(info.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+def test_observations_too_large_to_square_are_refused_everywhere():
+    # one bound on every caller's observations: one message, no numpy
+    # warning, never an infinite loss or a DivergenceError
+    truth, cur, data = generate(ScenarioSpec(seed=1))
+    huge = [PerformanceMatrix(o.algorithm, np.full_like(o.values, 1e200)) for o in data]
+    messages = set()
+    for call in (
+        lambda: loss(truth, cur, huge),
+        lambda: gradient(truth, cur, huge),
+        lambda: fit(cur, huge, FitConfig(steps=3)),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {"observed values too large: squared errors overflow"}
+
+
+def test_fit_with_restarts_keeps_the_earliest_of_tied_results(rng, monkeypatch):
+    _, cur, observed = _small_problem(rng)
+    results = [
+        estimator.FitResult(
+            params=random_instance(rng, cur.n_tasks, cur.m, len(observed))[1],
+            loss_total=value,
+            loss_per_algorithm={},
+            loss_trace=np.array([value]),
+        )
+        for value in (2.0, 1.0, 1.0, 1.5)
+    ]
+    seeds = []
+
+    def stub(curriculum, observed, config, callback=None):
+        seeds.append(config.seed)
+        return results[len(seeds) - 1]
+
+    monkeypatch.setattr(estimator, "fit", stub)
+    best = fit_with_restarts(cur, observed, FitConfig(seed=5), restarts=4)
+    assert seeds == [5, 6, 7, 8]
+    assert best is results[1]
 
 
 @pytest.mark.parametrize("site", ["loss", "gradient"])
