@@ -17,21 +17,35 @@ table, float64 metric).  Both CSV paths append these records, in file
 order, to one ``bytearray`` per algorithm; ``RawLog`` takes them as they
 are and stably sorts them by step, so rows at one step keep file order.
 
-Both CSV formats are read in blocks of lines by np.loadtxt, numpy's C
-tokenizer and number parser, whenever that can prove the file clean (see
-``_fast_records``); any other file is read row by row with ``csv`` (see
+Both CSV formats take one of three routes.  A file is read in blocks of
+whole lines, first by the tokenizer (``_tokenize``), which takes a block
+of 4 * _BLOCK_BYTES only if every line is NAME,DIGITS,NAME,VALUE: names
+of 1-8 bytes, steps of 1-8 digits and values -?D+(.D+)? of at most 15
+digits.  It reads such a block by integer arithmetic on 8-byte words of
+its raw bytes, without decoding, splitting or np.loadtxt.  The first
+block it declines, and every block after it, take the loadtxt route:
+blocks of _BLOCK_BYTES read by np.loadtxt, numpy's C tokenizer and number
+parser, as long as that can prove the file clean (see ``_fast_records``).
+Any other file is read row by row with ``csv`` (the row path, see
 ``_row_records``), which is the one source of parse errors and their line
-numbers.  Both paths give the same values for every file they accept.
-The fast path reads names as byte fields a multiple of 8 bytes wider than
-the longest name known so far (the task set's, or those the file has
-shown), and codes a block's names as integers through a sorted table of
-the names known so far (see ``_Names``): by one comparison of 8-byte words
-where the block holds one name, and otherwise by np.searchsorted, keyed
-by uint64 where the names' field is 8 bytes wide and by the bytes
-otherwise.  Only the names the table lacks are sorted, and they join it
-in order of first appearance.  np.loadtxt cuts an over-long field short
-without a word, so a block in which any name fills its field is read
-again with fields as wide as its longest line.
+numbers.  The routes give the same records, bit for bit, for every file
+they accept: a tokenized value is its digits, an integer below 2**53,
+over a power of ten, one correctly rounded division of two exact
+doubles, which is the double float() gives for the text.
+
+The tokenizer reads names as 8-byte keys, and the loadtxt route as byte
+fields a multiple of 8 bytes wider than the longest name known so far
+(the task set's, or those the file has shown).  Both code a block's names
+as integers through a sorted table of the names known so far (see
+``_Names``): by one comparison of 8-byte words where the block holds one
+name, and otherwise by np.searchsorted, keyed by uint64 where the names'
+field is 8 bytes wide and by the bytes otherwise.  Only the names the
+table lacks are sorted, and they join it in order of first appearance,
+unless one holds an _UNSAFE byte, which sends the file to the row path:
+the tokenizer's names are checked once per name, not byte by byte.
+np.loadtxt cuts an over-long field short without a word, so a block in
+which any name fills its field is read again with fields as wide as its
+longest line.
 """
 
 from __future__ import annotations
@@ -188,9 +202,10 @@ def _row_records(path, header, what: str, tasks, cells: bool):
     return _record_arrays(stores, stores.values()), tuple(known)
 
 
-# The fast path tokenizes this many bytes of whole lines at a time, and
-# leaves a block whose name fields would take more than _FIELD_BYTES (one
-# long name among many short lines) to the row path.
+# The loadtxt route reads this many bytes of whole lines at a time (the
+# tokenizer four times as many), and leaves a block whose name fields
+# would take more than _FIELD_BYTES (one long name among many short
+# lines) to the row path.
 _BLOCK_BYTES = 1 << 16
 _FIELD_BYTES = 1 << 24
 
@@ -208,11 +223,26 @@ class _Defer(ValueError):
     """The fast path cannot prove a file clean; the row path reads it."""
 
 
-def _parse_block(lines, algos, tasks):
-    """np.loadtxt over ``lines`` (no quoting, no comments; blank lines
-    skipped), names as byte fields a multiple of 8 bytes wider than the
-    longest in ``algos`` and ``tasks``, read again as wide as the longest
-    line if one fills its field (loadtxt cuts longer ones short silently)."""
+def _unsafe(data: bytes) -> bool:
+    """Whether ``data`` holds an _UNSAFE byte."""
+    return len(data.translate(None, _UNSAFE)) != len(data)
+
+
+def _parse_block(block, algos, tasks, limit):
+    """The loadtxt route for one block: its (algorithm names, steps, task
+    names, values) by np.loadtxt (no quoting, no comments; blank lines
+    skipped), or None if every byte ends a line.  Names are byte fields a
+    multiple of 8 bytes wider than the longest in ``algos`` and ``tasks``,
+    read again as wide as the longest line if one fills its field (loadtxt
+    cuts longer ones short silently).  Raises _Defer for an _UNSAFE byte
+    or a line longer than ``limit``."""
+    if _unsafe(block):
+        raise _Defer
+    lines = block.decode("ascii").split("\n")
+    if len(lines) > len(block):  # every byte ends a line
+        return None
+    if len(block) > limit and max(map(len, lines)) > limit:
+        raise _Defer
     a, t = (max(map(len, known), default=0) // 8 * 8 + 8 for known in (algos, tasks))
     while len(lines) * (a + t) <= _FIELD_BYTES:
         dtype = [("algo", f"S{a}"), ("step", np.int64), ("task", f"S{t}"),
@@ -222,16 +252,137 @@ def _parse_block(lines, algos, tasks):
         )
         # names hold no NUL, so one that fills its field ends in another byte
         if not rows.view(np.uint8).reshape(len(rows), -1)[:, [a - 1, a + 8 + t - 1]].any():
-            return rows
+            return rows["algo"], rows["step"], rows["task"], rows["value"]
         a = t = max(map(len, lines))
     raise _Defer
+
+
+# The tokenizer reads 8 bytes at a time as one little-endian uint64 word,
+# the first byte lowest.  A constant that is a multiple of _ONES holds one
+# byte eight times, and _HIGH is each byte's high bit.  _LOW[k] keeps a
+# word's first k bytes (all 8 for k = 9) and _KEEP[k] its last k.
+_ONES = 0x0101010101010101
+_HIGH = 0x80 * _ONES
+_ZEROS = 0x30 * _ONES  # b"00000000"
+_LOW = np.array([(1 << 8 * min(k, 8)) - 1 for k in range(10)], np.uint64)
+_KEEP = ~_LOW[8::-1]
+_TENS = np.array([float(10**k) for k in range(16)])
+
+
+def _first(words, byte: int):
+    """Index of each word's first ``byte``, 8 where it has none."""
+    x = words ^ (byte * _ONES)
+    # the lowest high bit of (x - 1) & ~x marks x's lowest zero byte exactly
+    # (a borrow can only mark bytes above it); count the bits below it
+    flags = (x - _ONES) & ~x & _HIGH
+    return np.bitwise_count((flags - 1) & ~flags) >> 3
+
+
+def _field(words, buf, starts):
+    """The comma-ended fields at ``starts`` as (length, the word at the
+    start with its bytes past the field zeroed, whether the field is 1-8
+    bytes then a comma)."""
+    w = words[starts]
+    n = _first(w, 0x2C)
+    return n, w & _LOW[n], (n > 0) & (buf[starts + n] == 0x2C)
+
+
+def _is_digits(x):
+    """Whether each byte of each word of ``x`` is at most 9."""
+    # 0x76 lifts bytes from 10 into the high bit; a carry into the next
+    # byte needs one past 0x89, whose own high bit is set
+    return ((x + 0x76 * _ONES) | x) & _HIGH == 0
+
+
+def _eight(x):
+    """The digits in ``x``'s bytes, first digit lowest, as one integer:
+    pairs, then quads, then all eight (Lemire 2021)."""
+    x = (x * (10 * 2**8 + 1)) >> 8
+    x = ((x & 0x00FF00FF00FF00FF) * (100 * 2**16 + 1)) >> 16
+    return ((x & 0x0000FFFF0000FFFF) * (10000 * 2**32 + 1)) >> 32
+
+
+def _decimal(words, ends, size):
+    """The numbers of ``size`` bytes (1-16) that end at ``ends``, read as
+    D+(.D+)?, as (their digits as one integer, digits after the dot,
+    whether the text has that shape with 15 digits at most)."""
+    # each byte holds its digit, or 0x1E for a dot, and 0 before the number
+    lo = (words[ends - 8] ^ _ZEROS) & _KEEP[np.minimum(size, 8)]
+    e = _first(lo, 0x1E)
+    dot = e + 8  # the dot's place in the 16 bytes that end the number, 16 if none
+    # the dot taken out, the bytes before it move up by one
+    lo = np.where(e < 8, ((lo & _LOW[e]) << 8) | (lo & ~_LOW[e + 1]), lo)
+    long = np.flatnonzero(size > 8)
+    if len(long):
+        hi = (words[ends[long] - 16] ^ _ZEROS) & _KEEP[size[long] - 8]
+        h = _first(hi, 0x1E)
+        in_lo = e[long] < 8
+        lo[long] |= np.where(in_lo, hi >> 56, 0)
+        hi = np.where(
+            in_lo, hi << 8,
+            np.where(h < 8, ((hi & _LOW[h]) << 8) | (hi & ~_LOW[h + 1]), hi),
+        )
+        dot[long] = np.where(h < 8, h, dot[long])
+    digits = _is_digits(lo)
+    value = _eight(lo)
+    if len(long):
+        digits[long] &= _is_digits(hi)
+        value[long] += _eight(hi) * 10**8
+    # the dot neither first nor last, and 15 digits at most
+    ok = digits & (dot != 15) & (dot + size != 16) & (size - (dot < 16) <= 15)
+    return value, np.where(dot < 16, 15 - dot, 0), ok
+
+
+def _tokenize(block):
+    """The tokenizer route for one block: its (algorithm names, steps, task
+    names, values) as _parse_block gives them, names as S8 keys, or None
+    unless every line is NAME,DIGITS,NAME,VALUE with names of 1-8 bytes,
+    steps of 1-8 digits and values -?D+(.D+)? of at most 15 digits, and the
+    block holds no NUL.  A value is its digits as an integer, below 2**53,
+    over a power of ten: one correctly rounded division of two exact
+    doubles, equal to float() of the text (Clinger's fast path).  Names are
+    checked for _UNSAFE bytes once each, by _Names."""
+    if b"\0" in block:  # a NUL would read as the padding of a shorter name
+        return None
+    n = len(block)
+    # room for the words read below: 8 bytes before the block, 64 after,
+    # the first a newline, which a last line that lacks one takes
+    buf = np.zeros(n + 80, np.uint8)
+    buf[8 : n + 8] = np.frombuffer(block, np.uint8)
+    buf[n + 8] = 0x0A
+    n += block[-1:] != b"\n"
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # words[i]: buf[i:i + 8]
+    ends = np.flatnonzero(buf[8 : n + 8] == 0x0A) + 8
+    starts = np.concatenate(([8], ends[:-1] + 1))
+    algo_len, algo, ok = _field(words, buf, starts)
+    at = starts + algo_len + 1
+    step_len, step, step_ok = _field(words, buf, at)
+    task_len, task, task_ok = _field(words, buf, at + step_len + 1)
+    at += step_len + task_len + 2
+    neg = buf[at] == 0x2D
+    at += neg
+    size = ends - at
+    # a field that ran past its line end leaves the value no room
+    if not (ok & step_ok & task_ok & (size > 0) & (size <= 16)).all():
+        return None
+    # the step's digits moved to the word's end, after leading zeros
+    step = (step ^ _ZEROS) << (8 * (8 - step_len))
+    mantissa, frac, ok = _decimal(words, ends, size)
+    if not (ok & _is_digits(step)).all():
+        return None
+    # (numpy converts int64 to float faster than uint64)
+    values = mantissa.view(np.int64).astype(np.float64) / _TENS[frac]
+    np.negative(values, out=values, where=neg)
+    as_names = lambda keys: keys.astype("<u8", copy=False).view("S8")
+    return as_names(algo), _eight(step).view(np.int64), as_names(task), values
 
 
 class _Names:
     """One column's name table in one file: ``codes`` maps each known name
     to its code, ``given`` names first and then, with ``grow``, new names
     in order of first appearance; without ``grow`` a name outside the table
-    raises _Defer, and so does an empty name.  The same names sit sorted
+    raises _Defer, and so does an empty name or one that holds an _UNSAFE
+    byte.  The same names sit sorted
     by key in ``_sorted``, rebuilt only when a name joins or the key type
     changes, so a block's names are coded by np.searchsorted."""
 
@@ -245,12 +396,11 @@ class _Names:
         if self._sorted is None or self._sorted[0] != dtype:
             width = 8 if dtype.kind == "u" else dtype.itemsize
             # a name longer than a key cannot be in the column, and would be
-            # cut short; nor can one holding a NUL (the column holds none),
-            # and a trailing NUL would give it the key of the name without it
+            # cut short; nor can one holding an _UNSAFE byte (the column
+            # holds none that _add lets in), and a trailing NUL would give
+            # it the key of the name without it
             known = [(name.encode(), code) for name, code in self.codes.items()]
-            fits = [
-                (key, code) for key, code in known if len(key) <= width and b"\0" not in key
-            ]
+            fits = [(key, code) for key, code in known if len(key) <= width and not _unsafe(key)]
             names = np.array([key for key, _ in fits], f"S{width}")
             codes = np.array([code for _, code in fits], np.int64)
             keys = names.view(np.uint64) if dtype.kind == "u" else names
@@ -288,6 +438,8 @@ class _Names:
         """Code each of ``column[rows]``, new names joining the table in
         the order given; returns the last code."""
         for i in rows:
+            if _unsafe(column[i]):
+                raise _Defer
             name = column[i].decode("ascii")
             code = self.codes.get(name)
             if code is None:
@@ -300,13 +452,14 @@ class _Names:
 
 def _fast_records(path, header, tasks, cells: bool):
     """The fast path: what ``_row_records`` returns, read in blocks of lines
-    by np.loadtxt (numpy's C tokenizer and number parser).  It raises
+    by the tokenizer until it declines one, and from that block on by
+    np.loadtxt (numpy's C tokenizer and number parser).  It raises
     ValueError, and the row path reads the file, unless the file, with
     \r\n read as \n, holds no _UNSAFE byte, opens with ``header``, has no
-    line over csv's field size limit and only rows that numpy parses into
-    int64 steps, finite float64 values, non-empty algorithm names and
-    known tasks; a curves file (``cells``) also needs no negative step and
-    no duplicate cell."""
+    line over csv's field size limit and only rows that the two routes
+    parse into int64 steps, finite float64 values, non-empty algorithm
+    names and known tasks; a curves file (``cells``) also needs no
+    negative step and no duplicate cell."""
     algos, names = _Names((), grow=True), _Names(tasks or (), grow=tasks is None)
     stores: dict[int, bytearray] = {}  # per algorithm code
     limit = csv.field_size_limit()
@@ -314,27 +467,35 @@ def _fast_records(path, header, tasks, cells: bool):
     with open(path, "rb") as fh:
         if fh.readline() not in (want + b"\n", want + b"\r\n"):
             raise _Defer
-        while block := fh.read(_BLOCK_BYTES) + fh.readline():
+        size = 4 * _BLOCK_BYTES  # the tokenizer's blocks, until it declines one
+        while True:
+            at = fh.tell()
+            block = fh.read(size) + fh.readline()
+            if not block:
+                break
             # the block ends at a line end, so it splits no \r\n
             block = block.replace(b"\r\n", b"\n") if b"\r" in block else block
-            if len(block.translate(None, _UNSAFE)) != len(block):
-                raise _Defer
-            lines = block.decode("ascii").split("\n")
-            if len(lines) > len(block):  # every byte ends a line
-                continue
-            if len(block) > limit and max(map(len, lines)) > limit:
-                raise _Defer
-            rows = _parse_block(lines, algos.codes, names.codes)
-            steps, values = rows["step"], rows["value"]
+            if size > _BLOCK_BYTES:
+                fields = _tokenize(block)
+                if fields is None:
+                    # this block and the rest of the file take the loadtxt route
+                    size = _BLOCK_BYTES
+                    fh.seek(at)
+                    continue
+            else:
+                fields = _parse_block(block, algos.codes, names.codes, limit)
+                if fields is None:
+                    continue
+            algo_names, steps, task_names, values = fields
             if not np.isfinite(values).all() or cells and steps.min() < 0:
                 raise _Defer
-            algo_codes, present = algos(rows["algo"])
-            block = np.empty(len(rows), _RECORD)
-            block["step"], block["metric"] = steps, values
-            block["task"] = names(rows["task"])[0]
+            algo_codes, present = algos(algo_names)
+            rows = np.empty(len(steps), _RECORD)
+            rows["step"], rows["metric"] = steps, values
+            rows["task"] = names(task_names)[0]
             for a in present:
                 # codes grow in order of first appearance, and so do stores
-                mine = block[algo_codes == a] if len(present) > 1 else block
+                mine = rows[algo_codes == a] if len(present) > 1 else rows
                 stores.setdefault(a, bytearray()).extend(mine)
     if not stores:
         raise _Defer

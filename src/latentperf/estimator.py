@@ -210,11 +210,22 @@ def loss(params: ScenarioParams, curriculum: Curriculum, observed) -> float:
 
 def gradient(params: ScenarioParams, curriculum: Curriculum, observed) -> ParamGradient:
     """Exact derivatives of ``loss`` with respect to every parameter; the
-    inputs pair and are checked as for ``loss``."""
+    inputs pair and are checked as for ``loss``.  Params whose rollout
+    passes that check but whose adjoint overflows raise ValidationError
+    naming the first derivative that is not finite."""
     problem = _Problem(curriculum, observed)
     problem.set_params(params)
-    # params near a float's limit can overflow the adjoint, which then warns
-    _backward(problem.adjoint, problem.resid, problem.groups, problem.grad_groups)
+    # params near a float's limit can overflow the adjoint; every entry is
+    # checked below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        _backward(problem.adjoint, problem.resid, problem.groups, problem.grad_groups)
+        bad = _first_nonfinite(problem.grad)
+    if bad is not None:
+        names = [a.name for a in params.algorithms]
+        raise ValidationError(
+            f"gradient of {_component_name(bad, params.n, params.p, names)} is not "
+            "finite: the params overflow the adjoint"
+        )
     return ParamGradient(*problem.grad_groups)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,7 @@ import os
 import struct
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1439,6 +1441,134 @@ def test_duplicate_and_negative_cells_take_the_row_path(tmp_path, monkeypatch):
             parse_curves(path)
     path = _write(tmp_path, "c.csv", head + "a,0,u,0.5\nb,0,u,0.5\na,1,u,0.5\n")
     assert [m.algorithm for m in parse_curves(path)[1]] == ["a", "b"]
+
+
+@contextlib.contextmanager
+def _routes():
+    """Counts, while open, the blocks the tokenizer takes and declines, the
+    blocks np.loadtxt reads and the files the row path reads."""
+    seen = dict.fromkeys(("tokenized", "declined", "loadtxt", "rows"), 0)
+    tokenize, parse_block, row_records = (
+        dataio._tokenize, dataio._parse_block, dataio._row_records
+    )
+
+    def tokenized(block):
+        fields = tokenize(block)
+        seen["declined" if fields is None else "tokenized"] += 1
+        return fields
+
+    def counted(key, fn):
+        def call(*args):
+            seen[key] += 1
+            return fn(*args)
+        return call
+
+    with mock.patch.multiple(
+        dataio, _tokenize=tokenized, _parse_block=counted("loadtxt", parse_block),
+        _row_records=counted("rows", row_records),
+    ):
+        yield seen
+
+
+def _record_bytes(read):
+    """(each algorithm with its records' bytes, task names) of a reader's result."""
+    records, names = read
+    return [(algo, rec.tobytes()) for algo, rec in records.items()], names
+
+
+# names of 1-8 bytes of printable ASCII or tab, without a comma or a quote
+_PLAIN_NAME = st.text(
+    st.sampled_from([c for c in map(chr, range(32, 127)) if c not in ',"'] + ["\t"]),
+    min_size=1, max_size=8,
+)
+_PLAIN_STEP = st.text("0123456789", min_size=1, max_size=8)
+
+
+@st.composite
+def _plain_value(draw):
+    """-?D+(.D+)? with 1-15 digits, leading zeros and all."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=15))
+    dot = draw(st.integers(0, len(digits) - 1))  # 0: no dot
+    text = digits[:dot] + "." + digits[dot:] if dot else digits
+    return draw(st.sampled_from(["", "-"])) + text
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_tokenizer_reads_plain_files_as_the_row_path_does(data):
+    cells = data.draw(st.booleans())
+    header = dataio.CURVES_HEADER if cells else dataio.RAW_HEADER
+    algos = data.draw(st.lists(_PLAIN_NAME, min_size=1, max_size=3, unique=True))
+    tasks = data.draw(st.lists(_PLAIN_NAME, min_size=1, max_size=4, unique=True))
+    values = st.one_of(_plain_value(), st.sampled_from(["-0", "-0.000", "000.0100", "0"]))
+    rows = data.draw(st.lists(
+        st.tuples(st.sampled_from(algos), _PLAIN_STEP, st.sampled_from(tasks), values),
+        min_size=1, max_size=40,
+    ))
+    if cells:  # one row per cell
+        rows = list({(a, int(step), t): (a, step, t, v) for a, step, t, v in rows}.values())
+    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join([",".join(header)] + [",".join(row) for row in rows])
+    text += data.draw(st.sampled_from([end, ""]))  # with or without a final line end
+    block = data.draw(st.sampled_from([64, dataio._BLOCK_BYTES]))
+    given = None if cells else tuple(tasks)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dataio, "_BLOCK_BYTES", block):
+        path = _write_bytes(tmp, "log.csv", text.encode())
+        want = dataio._row_records(path, header, "file", given, cells)
+        with _routes() as seen:
+            got = dataio._read_records(path, header, "file", given, cells)
+    assert seen["tokenized"] > 0 and seen["declined"] == seen["loadtxt"] == seen["rows"] == 0
+    assert _record_bytes(got) == _record_bytes(want)
+
+
+@pytest.mark.parametrize(
+    "body, route",
+    [
+        ("a,0,u,1e-05\n", "loadtxt"),  # an exponent
+        ("a,0,u,+5\n", "loadtxt"),
+        ("a,0,u,.5\n", "loadtxt"),
+        ("a,0,u,5.\n", "loadtxt"),
+        ("a,0,u,1234567890123456\n", "loadtxt"),  # 16 digits
+        ("a,0,u,-1234567.890123456\n", "loadtxt"),
+        ("a,123456789,u,0.5\n", "loadtxt"),  # a 9-digit step
+        ("aaaaaaaaa,0,u,0.5\n", "loadtxt"),  # a 9-byte name
+        ("a,0,u,0.5\n\na,1,v,0.25\n", "loadtxt"),  # a blank line
+        ('"a",0,u,0.5\n', "rows"),  # a quoted name
+        ("a,,u,0.5\n", "rows"),  # an empty step
+        ("a\x01,0,u,0.5\n", "rows"),  # a control byte
+        ("a\0,0,u,0.5\na,1,u,0.25\n", "rows"),  # a NUL, which pads an 8-byte key
+        ("\u00e9,0,u,0.5\n", "rows"),  # a byte outside ASCII
+        ("a,0,u\x7f,0.5\n", "rows"),  # an unknown task with an _UNSAFE byte
+        # a known task with one, which csv reads otherwise, among other tasks
+        ('a,0,u,0.5\na,1,"w,0.5\n', "rows"),
+    ],
+)
+def test_files_the_tokenizer_declines_read_as_before(tmp_path, body, route):
+    raw = _write(tmp_path, "r.csv", "algorithm,global_step,task,metric\n" + body)
+    args = (raw, dataio.RAW_HEADER, "raw log", ("u", "v", '"w'), False)
+    want = _outcome(lambda: _record_bytes(dataio._row_records(*args)))
+    with _routes() as seen:
+        got = _outcome(lambda: _record_bytes(dataio._read_records(*args)))
+    assert got == want
+    # a name with an _UNSAFE byte is refused when it is coded, once per name
+    assert seen["rows"] == (route == "rows")
+    assert seen["loadtxt"] > 0 if route == "loadtxt" else seen["tokenized"] <= 1
+
+
+def test_the_route_switches_to_loadtxt_at_the_first_declined_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 64)  # tokenizer blocks of 256 bytes
+    lines = [f"a,{k},u,0.{k:03d}" for k in range(40)] + ["b,40,v,1e-05"]
+    lines += [f"{algo},{k},v,-{k}.5" for k in range(41, 80) for algo in "ab"]
+    raw = _write(
+        tmp_path, "r.csv", "algorithm,global_step,task,metric\n" + "\n".join(lines) + "\n"
+    )
+    args = (raw, dataio.RAW_HEADER, "raw log", ("u", "v"), False)
+    want = _record_bytes(dataio._row_records(*args))
+    with _routes() as seen:
+        got = _record_bytes(dataio._read_records(*args))
+    assert got == want
+    assert seen["tokenized"] >= 1 and seen["declined"] == 1 and seen["loadtxt"] >= 2
+    assert seen["rows"] == 0
 
 
 def test_write_curves_matches_csv_writer(tmp_path):

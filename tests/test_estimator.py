@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -836,6 +837,25 @@ def test_loss_and_gradient_refuse_params_that_overflow_the_rollout():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error")
+def test_gradient_refuses_params_that_overflow_the_adjoint():
+    # the rollout passes the door, but the adjoint overflows: numpy warned
+    # and difficulty[0]'s derivative read NaN
+    tasks = TaskProperties(transfer=np.eye(3), difficulty=[1.9e42, 7.1e105, 5.0e234])
+    params = ScenarioParams(tasks, [AlgorithmProperties("a", 5.8e26, 0.854, 9.3e288)])
+    cur = Curriculum(entries=[0], n_tasks=3)
+    observed = [PerformanceMatrix(algorithm="a", values=np.full((3, 1), 1e150))]
+    assert math.isfinite(loss(params, cur, observed))
+    with pytest.raises(ValidationError) as info:
+        gradient(params, cur, observed)
+    assert str(info.value) == (
+        "gradient of difficulty[0] is not finite: the params overflow the adjoint"
+    )
+    # fit's own check on its iterates still names the same derivative
+    with pytest.raises(DivergenceError, match=r"difficulty\[0\]"):
+        fit(cur, observed, FitConfig(steps=3), init_params=params)
+
+
 def test_observations_too_large_to_square_are_refused_everywhere():
     # one bound on every caller's observations: one message, no numpy
     # warning, never an infinite loss or a DivergenceError
