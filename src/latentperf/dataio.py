@@ -272,8 +272,8 @@ _TENS = np.array([float(10**k) for k in range(16)])
 def _first(words, byte: int):
     """Index of each word's first ``byte``, 8 where it has none."""
     x = words ^ (byte * _ONES)
-    # the lowest high bit of (x - 1) & ~x marks x's lowest zero byte exactly
-    # (a borrow can only mark bytes above it); count the bits below it
+    # the lowest high bit of flags marks x's lowest zero byte exactly (a
+    # borrow can only mark bytes above it); count the bits below it
     flags = (x - _ONES) & ~x & _HIGH
     return np.bitwise_count((flags - 1) & ~flags) >> 3
 
@@ -382,9 +382,9 @@ class _Names:
     to its code, ``given`` names first and then, with ``grow``, new names
     in order of first appearance; without ``grow`` a name outside the table
     raises _Defer, and so does an empty name or one that holds an _UNSAFE
-    byte.  The same names sit sorted
-    by key in ``_sorted``, rebuilt only when a name joins or the key type
-    changes, so a block's names are coded by np.searchsorted."""
+    byte.  The same names sit sorted by key in ``_sorted``, rebuilt only
+    when a name joins or the key type changes, so a block's names are coded
+    by np.searchsorted."""
 
     def __init__(self, given, grow: bool):
         self.codes = {name: j for j, name in enumerate(given)}

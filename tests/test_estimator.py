@@ -837,7 +837,6 @@ def test_loss_and_gradient_refuse_params_that_overflow_the_rollout():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.filterwarnings("error")
 def test_gradient_refuses_params_that_overflow_the_adjoint():
     # the rollout passes the door, but the adjoint overflows: numpy warned
     # and difficulty[0]'s derivative read NaN
@@ -856,6 +855,7 @@ def test_gradient_refuses_params_that_overflow_the_adjoint():
         fit(cur, observed, FitConfig(steps=3), init_params=params)
 
 
+@pytest.mark.filterwarnings("error")
 def test_observations_too_large_to_square_are_refused_everywhere():
     # one bound on every caller's observations: one message, no numpy
     # warning, never an infinite loss or a DivergenceError
